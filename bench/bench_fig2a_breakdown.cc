@@ -24,7 +24,7 @@ main(int argc, char **argv)
                 "total(s)", "FPS", "x frame");
 
     // Benchmarks are independent sweep points: measure them on the
-    // --sim-lanes event lanes, print in table order afterwards.
+    // --jobs threads, print in table order afterwards.
     std::vector<FrameTime> fts(numBenchmarks);
     runSweep(numBenchmarks, [&fts](std::size_t i) {
         fts[i] = frameTime(measuredRun(allBenchmarks[i]),

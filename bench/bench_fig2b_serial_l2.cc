@@ -24,8 +24,8 @@ main(int argc, char **argv)
         std::printf(" %8dMB", mb);
     std::printf("   (serial seconds per frame)\n");
 
-    // One row per benchmark, formatted on the --sim-lanes event
-    // lanes and printed in table order.
+    // One row per benchmark, formatted on the --jobs threads and
+    // printed in table order.
     std::vector<std::string> rows(numBenchmarks);
     runSweep(numBenchmarks, [&rows, &sizes](std::size_t i) {
         const BenchmarkId id = allBenchmarks[i];

@@ -22,7 +22,7 @@ main(int argc, char **argv)
                 "1P(s)", "2P(s)", "4P(s)", "8P(s)", "1->2", "2->4",
                 "4->8");
     // Every (benchmark, thread-count) cell is an independent sweep
-    // point: 32 of them fan out over the --sim-lanes event lanes.
+    // point: 32 of them fan out over the --jobs threads.
     const unsigned threads[4] = {1, 2, 4, 8};
     std::vector<std::array<double, 4>> totals(numBenchmarks);
     runSweep(numBenchmarks * 4, [&totals, &threads](std::size_t p) {

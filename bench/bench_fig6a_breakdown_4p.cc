@@ -25,7 +25,7 @@ main(int argc, char **argv)
     opt.threads = 4;
 
     // Both configurations of every benchmark are independent sweep
-    // points dispatched over the --sim-lanes event lanes.
+    // points dispatched over the --jobs threads.
     std::vector<FrameTime> ft4(numBenchmarks);
     std::vector<double> t1(numBenchmarks);
     runSweep(numBenchmarks * 2, [&](std::size_t p) {

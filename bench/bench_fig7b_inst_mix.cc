@@ -17,11 +17,10 @@ main(int argc, char **argv)
     parseCommonFlags(&argc, argv);
     printHeader("Figure 7b: per-phase instruction mix",
                 "Figure 7(b), section 6");
-    // Measure the benchmarks on the --sim-lanes event lanes, but
-    // fold the profiles serially in suite order: the += below is a
+    // Measure the benchmarks on the --jobs threads, but fold the
+    // profiles serially in suite order: the += below is a
     // floating-point reduction, and only a fixed fold order keeps
-    // the output byte-identical (the stat-merge rule of
-    // docs/SIMULATOR.md).
+    // the output byte-identical (docs/SIMULATOR.md).
     runSweep(numBenchmarks, [](std::size_t i) {
         measuredRun(allBenchmarks[i]);
     });

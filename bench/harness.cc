@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "parallax/config.hh"
-#include "sim/event_queue.hh"
 
 namespace parallax
 {
@@ -60,7 +59,7 @@ double frameBudget = 0.0;
 std::string tracePath;
 bool metricsJson = false;
 std::string benchOut;
-unsigned sweepLanes = 0;
+unsigned sweepJobs = 1;
 double globalScale = 1.0;
 SimdBackend hostSimd = simdBackendFromEnv(SimdBackend::Scalar);
 
@@ -72,7 +71,7 @@ parseCommonFlags(int *argc, char **argv)
     constexpr const char budgetFlag[] = "--frame-budget=";
     constexpr const char traceFlag[] = "--trace=";
     constexpr const char benchOutFlag[] = "--bench-out=";
-    constexpr const char lanesFlag[] = "--sim-lanes=";
+    constexpr const char jobsFlag[] = "--jobs=";
     constexpr const char scaleFlag[] = "--scale=";
     constexpr const char simdFlag[] = "--simd=";
     int out = 1;
@@ -91,10 +90,10 @@ parseCommonFlags(int *argc, char **argv)
         else if (std::strncmp(argv[i], benchOutFlag,
                               sizeof(benchOutFlag) - 1) == 0)
             benchOut = argv[i] + sizeof(benchOutFlag) - 1;
-        else if (std::strncmp(argv[i], lanesFlag,
-                              sizeof(lanesFlag) - 1) == 0)
-            sweepLanes = static_cast<unsigned>(
-                std::atoi(argv[i] + sizeof(lanesFlag) - 1));
+        else if (std::strncmp(argv[i], jobsFlag,
+                              sizeof(jobsFlag) - 1) == 0)
+            sweepJobs = static_cast<unsigned>(
+                std::atoi(argv[i] + sizeof(jobsFlag) - 1));
         else if (std::strncmp(argv[i], scaleFlag,
                               sizeof(scaleFlag) - 1) == 0)
             globalScale =
@@ -183,15 +182,15 @@ benchOutPath()
 }
 
 unsigned
-simLanes()
+jobs()
 {
-    return sweepLanes;
+    return sweepJobs;
 }
 
 void
-setSimLanes(unsigned lanes)
+setJobs(unsigned count)
 {
-    sweepLanes = lanes;
+    sweepJobs = count;
 }
 
 double
@@ -222,40 +221,25 @@ void
 runSweep(std::size_t count,
          const std::function<void(std::size_t)> &fn)
 {
-    const unsigned lanes = static_cast<unsigned>(
-        std::min<std::size_t>(sweepLanes, count));
+    const std::size_t lanes = std::min<std::size_t>(sweepJobs, count);
     if (lanes <= 1) {
         for (std::size_t i = 0; i < count; ++i)
             fn(i);
         return;
     }
 
-    // Deal the points round-robin onto event lanes: every point is
-    // one event at tick 0, so one quantum runs the whole sweep with
-    // per-lane deal order preserved. The scheduler supplies one host
-    // lane per event lane; idle hosts steal whole lanes.
-    LaneSet set(lanes, SimConfig{lanes, /*quantum=*/1});
+    // One chunk per sweep point (deterministic mode keeps grain 1),
+    // so idle lanes steal whole points.
     SchedulerConfig sched;
-    sched.workerThreads = lanes - 1;
-    sched.grainSize = 1;
+    sched.workerThreads = static_cast<unsigned>(lanes - 1);
+    sched.deterministic = true;
     TaskScheduler scheduler(sched);
-    set.setParallelRunner(
-        [&scheduler](unsigned laneCount,
-                     const std::function<void(unsigned)> &runLane) {
-            scheduler.parallelFor(
-                laneCount, 1,
-                [&runLane](std::size_t begin, std::size_t end,
-                           unsigned) {
-                    for (std::size_t i = begin; i < end; ++i)
-                        runLane(static_cast<unsigned>(i));
-                });
+    scheduler.parallelFor(
+        count, 1,
+        [&fn](std::size_t begin, std::size_t end, unsigned) {
+            for (std::size_t i = begin; i < end; ++i)
+                fn(i);
         });
-    for (std::size_t i = 0; i < count; ++i) {
-        set.lane(static_cast<unsigned>(i % lanes))
-            .queue()
-            .schedule(0, [&fn, i] { fn(i); });
-    }
-    set.run();
 }
 
 void
@@ -284,8 +268,8 @@ MeasureOptions::worldConfig() const
     config.workerThreads = hostWorkers;
     config.grainSize = hostGrainSize;
     config.deterministic = hostDeterministic;
-    config.checkInvariants =
-        hostCheckInvariants || invariantChecksEnabled();
+    if (invariantChecksEnabled())
+        config.invariantMode = InvariantMode::HardFail;
     // --frame-budget: measure under real-time degradation. The
     // governor keys off frames of `stepsPerFrame` substeps.
     config.frameBudget = hostFrameBudget();
@@ -608,7 +592,8 @@ measureHostPhases(BenchmarkId id, unsigned workers, double scale,
     config.workerThreads = workers;
     config.deterministic = true; // Same work at every worker count.
     config.overlapPhases = overlap;
-    config.checkInvariants = invariantChecksEnabled();
+    if (invariantChecksEnabled())
+        config.invariantMode = InvariantMode::HardFail;
     config.tracing = !hostTracePath().empty();
     config.simdBackend = hostSimd;
     auto world = buildBenchmark(id, config, scale * globalScale);

@@ -62,9 +62,6 @@ struct MeasureOptions
     /** Fixed tiling + ordered reduction on the host scheduler, so
      *  measured runs are bitwise reproducible per worker count. */
     bool hostDeterministic = true;
-    /** Run the world-invariant checker after every step of the
-     *  measured simulation (also forced on by --check-invariants). */
-    bool hostCheckInvariants = false;
 
     /** WorldConfig carrying the host scheduler knobs. */
     WorldConfig worldConfig() const;
@@ -87,10 +84,10 @@ struct MeasureOptions
  *                        simulation to stdout (key "pax_metrics")
  *   --bench-out=FILE     override the BENCH_*.json output path of
  *                        benches that stage trend-tracking results
- *   --sim-lanes=N        run independent sweep points of the bench
- *                        on N event lanes (runSweep below); 0 = the
- *                        serial reference order. Table/figure output
- *                        is byte-identical either way; only the
+ *   --jobs=N             run independent sweep points of the bench
+ *                        on N host threads (runSweep below); 1 (the
+ *                        default) = serial. Table/figure output is
+ *                        byte-identical either way; only the
  *                        interleaving of --trace/--metrics-json side
  *                        channels emitted *during* measurement may
  *                        change order (docs/SIMULATOR.md)
@@ -127,9 +124,9 @@ void setMetricsJson(bool enabled);
 /** BENCH output override from --bench-out; empty = bench default. */
 const std::string &benchOutPath();
 
-/** Event lanes for runSweep from --sim-lanes; 0 = serial. */
-unsigned simLanes();
-void setSimLanes(unsigned lanes);
+/** Host threads for runSweep from --jobs; 0 or 1 = serial. */
+unsigned jobs();
+void setJobs(unsigned count);
 
 /** Global scene-scale multiplier from --scale (default 1). */
 double measureScale();
@@ -142,10 +139,9 @@ void setHostSimdBackend(SimdBackend backend);
 /**
  * Run `count` independent sweep points, fn(0) .. fn(count-1).
  *
- * With simLanes() == 0 this is a plain serial loop. With N > 0 the
- * points are dealt round-robin onto min(N, count) event lanes of a
- * LaneSet (sim/event_queue.hh) driven by a work-stealing scheduler:
- * points on one lane run in deal order, lanes run concurrently.
+ * With jobs() <= 1 this is a plain serial loop. Otherwise the points
+ * run as one TaskScheduler::parallelFor over min(jobs(), count)
+ * lanes, one point per chunk, in no fixed order.
  * Callers must make fn(i) independent of fn(j): write results into
  * pre-sized slots and print them *after* runSweep returns, so the
  * figure output stays byte-identical to the serial order. The shared
@@ -193,9 +189,9 @@ const char *tag(BenchmarkId id);
 
 /**
  * printf-append to `out`. Sweep points run off the main thread under
- * --sim-lanes, so benches format each table row into its own string
+ * --jobs, so benches format each table row into its own string
  * slot with this and print the slots in order afterwards — the bytes
- * on stdout never depend on the lane interleaving.
+ * on stdout never depend on the thread interleaving.
  */
 void appendf(std::string &out, const char *fmt, ...)
 #if defined(__GNUC__)

@@ -4,7 +4,8 @@
  *
  * The major number bumps on source-incompatible changes to the
  * public surface (the v1 redesign replaced the string-error facade
- * with parallax::Status and added the Server session API); the minor
+ * with parallax::Status and added the Server session API; v2 dropped
+ * WorldConfig's legacy boolean invariant-check flag); the minor
  * number bumps when the surface grows compatibly. Internal headers
  * under src/ carry no compatibility promise at all — consumers that
  * reach past include/parallax/ are on their own, and the
@@ -15,7 +16,7 @@
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 1
+#define PARALLAX_API_VERSION_MAJOR 2
 #define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */

@@ -56,18 +56,6 @@ class MeshModel
     Tick packetLatency(int hop_count,
                        std::uint64_t payload_bytes) const;
 
-    /**
-     * Minimum latency of any packet of `payload_bytes` between two
-     * *distinct* mesh endpoints: one hop (wire + router pipeline)
-     * plus flit serialization. This is the upper bound on the sync
-     * quantum of a LaneSet whose lanes communicate over this mesh —
-     * stepping lanes independently for up to this many cycles can
-     * never miss an in-flight cross-lane packet (parti-gem5's
-     * quantum rule; see docs/SIMULATOR.md).
-     */
-    Tick minCrossLaneLatency(std::uint64_t payload_bytes) const
-    { return packetLatency(1, payload_bytes); }
-
     static constexpr Tick perHopCycles = 1;
     static constexpr Tick routerPipelineCycles = 5;
     static constexpr int virtualChannels = 4;

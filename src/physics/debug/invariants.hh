@@ -22,7 +22,7 @@
  *  - cloth particles are finite and no distance constraint is
  *    stretched beyond tolerance (a blown-up relaxation solve).
  *
- * Enabled with WorldConfig::checkInvariants, World::step() runs the
+ * With WorldConfig::invariantMode = HardFail, World::step() runs the
  * checker after every substep and, on any violation, dumps the
  * pre-step snapshot (see capture.hh) so the failure replays in one
  * step under a debugger.

@@ -53,9 +53,7 @@ namespace parallax
  *                rest of the world. Violations that cannot be pinned
  *                to an island (structural corruption such as a broken
  *                island partition) still hard-fail.
- *  - HardFail:   dump the pre-step snapshot and abort the process
- *                (the PR 2 behaviour, and the default when the legacy
- *                WorldConfig::checkInvariants flag is set).
+ *  - HardFail:   dump the pre-step snapshot and abort the process.
  */
 enum class InvariantMode : std::uint8_t
 {

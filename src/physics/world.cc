@@ -160,8 +160,7 @@ WorldConfig::validate() const
                   faultKindName(e.kind) + " at step " +
                   std::to_string(e.step) + ")");
     }
-    check((!checkInvariants && invariantMode == InvariantMode::Off) ||
-              !snapshotDir.empty(),
+    check(invariantMode == InvariantMode::Off || !snapshotDir.empty(),
           "snapshotDir must be non-empty when invariant checking "
           "is enabled");
     return errors;
@@ -517,7 +516,7 @@ World::fillStats(StatGroup &group) const
 void
 World::step()
 {
-    const InvariantMode mode = effectiveInvariantMode();
+    const InvariantMode mode = config_.invariantMode;
 
     // Frozen islands whose thaw time arrived re-enter the world (on
     // probation) before anything else looks at them this step.
@@ -944,15 +943,6 @@ World::writeTrace(const std::string &path) const
     if (!trace_.enabled())
         return "tracing is disabled (set WorldConfig::tracing)";
     return trace_.writeChromeJson(path);
-}
-
-InvariantMode
-World::effectiveInvariantMode() const
-{
-    if (config_.invariantMode != InvariantMode::Off)
-        return config_.invariantMode;
-    return config_.checkInvariants ? InvariantMode::HardFail
-                                   : InvariantMode::Off;
 }
 
 void
@@ -1919,7 +1909,7 @@ World::phaseCloth()
     // synchronous pass would find.
     const bool prefetch =
         config_.overlapPhases && scheduler_.workerCount() > 0 &&
-        effectiveInvariantMode() == InvariantMode::Off;
+        config_.invariantMode == InvariantMode::Off;
 
     if (scheduler_.workerCount() > 0 &&
         (cloths_.size() > 1 || prefetch)) {

@@ -168,9 +168,12 @@ struct WorldConfig
         mockPhaseTime;
 
     /**
-     * Invariant-check policy (governor/governor.hh). Off defers to
-     * the legacy `checkInvariants` flag below, which maps to
-     * HardFail — existing configs keep their PR 2 behavior exactly.
+     * Invariant-check policy (governor/governor.hh): run the
+     * world-invariant checker (debug/invariants.hh) after every step
+     * and warn, quarantine, or hard-fail on a violation. HardFail
+     * writes the pre-step snapshot to `snapshotDir` so
+     * `tools/replay_snapshot` reproduces the failure in a single
+     * step, then exits with a fatal error naming the invariant.
      */
     InvariantMode invariantMode = InvariantMode::Off;
 
@@ -200,15 +203,6 @@ struct WorldConfig
      */
     bool tracing = false;
 
-    /**
-     * Debug: run the world-invariant checker (debug/invariants.hh)
-     * after every step. On a violation, the pre-step snapshot is
-     * written to `snapshotDir` so `tools/replay_snapshot` reproduces
-     * the failure in a single step, then the process exits with a
-     * fatal error naming the violated invariant. Legacy switch:
-     * equivalent to invariantMode = HardFail.
-     */
-    bool checkInvariants = false;
     /** Directory invariant-violation snapshots are written to. */
     std::string snapshotDir = ".";
     /** Scene provenance recorded in snapshots so replay tools can
@@ -516,13 +510,6 @@ class World
 
     /** Run the invariant checker (debug/invariants.hh) now. */
     std::vector<InvariantViolation> validateInvariants() const;
-
-    /**
-     * The invariant policy actually in force: invariantMode when set,
-     * else HardFail if the legacy checkInvariants flag is on, else
-     * Off.
-     */
-    InvariantMode effectiveInvariantMode() const;
 
     /**
      * Live governor decisions and counters. Unlike

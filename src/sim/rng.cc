@@ -33,19 +33,6 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(s);
 }
 
-Rng
-Rng::forStream(std::uint64_t seed, std::uint64_t stream)
-{
-    // Mix the stream id through its own splitmix64 chain before
-    // combining: adjacent ids (lane 0, 1, 2...) land in unrelated
-    // regions of the seed space instead of adjacent ones.
-    std::uint64_t s = seed;
-    const std::uint64_t base = splitmix64(s);
-    std::uint64_t t = stream ^ 0xa0761d6478bd642full;
-    const std::uint64_t mixed = splitmix64(t);
-    return Rng(base ^ mixed);
-}
-
 std::uint64_t
 Rng::next()
 {

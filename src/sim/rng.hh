@@ -23,20 +23,6 @@ class Rng
     /** Construct from a 64-bit seed via splitmix64 expansion. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    /**
-     * Decorrelated generator for stream `stream` of master `seed`.
-     *
-     * Lane-parallel components (docs/SIMULATOR.md) each need their
-     * own generator: sharing one Rng across lanes would make draw
-     * order — and therefore every downstream stat — depend on host
-     * scheduling. forStream(seed, lane) derives an independent state
-     * per lane from the same master seed, so per-lane sequences are
-     * reproducible and identical between serial and parallel runs.
-     * Streams are mixed through splitmix64, not added to the seed,
-     * so nearby stream ids do not yield correlated states.
-     */
-    static Rng forStream(std::uint64_t seed, std::uint64_t stream);
-
     /** Next raw 64-bit value. */
     std::uint64_t next();
 

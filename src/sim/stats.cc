@@ -95,61 +95,4 @@ StatGroup::dump(std::ostream &os) const
     }
 }
 
-LaneAccumulator::LaneAccumulator(unsigned lanes) : slots_(lanes)
-{
-}
-
-void
-LaneAccumulator::add(unsigned lane, double v)
-{
-    Slot &slot = slots_.at(lane);
-    slot.value += v;
-    ++slot.count;
-}
-
-double
-LaneAccumulator::sum() const
-{
-    // Fold in lane-id order: the one canonical reduction order.
-    double total = 0.0;
-    for (const Slot &slot : slots_)
-        total += slot.value;
-    return total;
-}
-
-std::uint64_t
-LaneAccumulator::count() const
-{
-    std::uint64_t total = 0;
-    for (const Slot &slot : slots_)
-        total += slot.count;
-    return total;
-}
-
-double
-LaneAccumulator::mean() const
-{
-    const std::uint64_t n = count();
-    return n ? sum() / static_cast<double>(n) : 0.0;
-}
-
-double
-LaneAccumulator::laneSum(unsigned lane) const
-{
-    return slots_.at(lane).value;
-}
-
-std::uint64_t
-LaneAccumulator::laneCount(unsigned lane) const
-{
-    return slots_.at(lane).count;
-}
-
-void
-LaneAccumulator::reset()
-{
-    for (Slot &slot : slots_)
-        slot = Slot();
-}
-
 } // namespace parallax

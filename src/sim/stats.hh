@@ -93,55 +93,6 @@ class StatGroup
     std::map<std::string, Distribution> distributions_;
 };
 
-/**
- * Order-independent accumulation of per-lane partial statistics.
- *
- * Floating-point addition is not associative, so reducing per-lane
- * doubles "as lanes finish" would make a merged stat depend on host
- * thread timing. LaneAccumulator gives every lane a private,
- * cache-line-padded slot (lanes write only their own slot, so no
- * locks and no false sharing) and merges in fixed lane-id order at
- * the quantum barrier. The merged value is a pure function of the
- * per-lane values — bit-identical no matter how the host interleaved
- * the lanes. This is the stat-merge rule of docs/SIMULATOR.md:
- * accumulate integer counters freely, but route every floating-point
- * reduction across lanes through a fixed-order merge like this one.
- */
-class LaneAccumulator
-{
-  public:
-    explicit LaneAccumulator(unsigned lanes);
-
-    /** Add `v` to lane `lane`'s slot. Safe to call concurrently from
-     *  distinct lanes; never from two threads on the same lane. */
-    void add(unsigned lane, double v);
-
-    /** Merged sum, folded in lane-id order (deterministic). */
-    double sum() const;
-
-    /** Total samples across lanes (integer: order-independent). */
-    std::uint64_t count() const;
-
-    /** Merged arithmetic mean (sum()/count(); 0 when empty). */
-    double mean() const;
-
-    double laneSum(unsigned lane) const;
-    std::uint64_t laneCount(unsigned lane) const;
-    unsigned lanes() const
-    { return static_cast<unsigned>(slots_.size()); }
-
-    void reset();
-
-  private:
-    struct alignas(64) Slot
-    {
-        double value = 0.0;
-        std::uint64_t count = 0;
-    };
-
-    std::vector<Slot> slots_;
-};
-
 } // namespace parallax
 
 #endif // PARALLAX_SIM_STATS_HH

@@ -110,14 +110,14 @@ TEST(Invariants, DetectsNonFiniteClothParticle)
         hasCode(checkWorldInvariants(*world), "cloth-finite"));
 }
 
-/** The full violation pipeline: checkInvariants trips on a NaN, the
+/** The full violation pipeline: HardFail trips on a NaN, the
  *  process exits via fatal(), and the pre-step snapshot it dumped
  *  reproduces the same violation one step after restore. */
 TEST(Invariants, ViolationDumpsSnapshotThatReplaysInOneStep)
 {
     const std::string dir = testing::TempDir();
     WorldConfig config;
-    config.checkInvariants = true;
+    config.invariantMode = InvariantMode::HardFail;
     config.snapshotDir = dir;
     config.workerThreads = 0; // No worker threads across the fork.
     World world(config);
@@ -170,7 +170,7 @@ TEST(Invariants, MixSceneSweepStaysClean)
         WorldConfig config;
         config.workerThreads = workers;
         config.deterministic = true;
-        config.checkInvariants = true;
+        config.invariantMode = InvariantMode::HardFail;
         config.snapshotDir = testing::TempDir();
         auto world = buildBenchmark(BenchmarkId::Mix, config, 0.1);
         for (int i = 0; i < 60; ++i)

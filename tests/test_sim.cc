@@ -1,13 +1,10 @@
 /**
  * @file
- * Tests for the simulation kernel: RNG, stats, event queue, ticks.
+ * Tests for the simulation support library: RNG, stats, ticks.
  */
-
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -129,53 +126,6 @@ TEST(StatGroup, CountersAccumulateAndReset)
     EXPECT_DOUBLE_EQ(group.counter("hits").value(), 4.0);
     group.reset();
     EXPECT_DOUBLE_EQ(c.value(), 0.0);
-}
-
-TEST(EventQueue, ExecutesInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, SameTickFifoOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(7, [&order, i] { order.push_back(i); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunLimitStopsEarly)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&] { ++fired; });
-    q.schedule(15, [&] { ++fired; });
-    const auto executed = q.run(10);
-    EXPECT_EQ(executed, 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&] {
-        ++fired;
-        q.scheduleAfter(5, [&] { ++fired; });
-    });
-    q.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 6u);
 }
 
 TEST(Ticks, FrameBudget)

@@ -100,10 +100,8 @@ main(int argc, char **argv)
             config.deterministic = true;
             config.simdBackend = simd;
             config.tracing = !trace_path.empty();
-            if (json)
-                config.invariantMode = InvariantMode::Warn;
-            else
-                config.checkInvariants = true;
+            config.invariantMode = json ? InvariantMode::Warn
+                                        : InvariantMode::HardFail;
             std::unique_ptr<World> world =
                 buildBenchmark(id, config, scale);
             for (int i = 0; i < steps; ++i)

@@ -94,10 +94,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Rebuild with the captured config, but keep the hard-fail path
-    // off: we check invariants explicitly so the tool can report and
-    // keep control of its exit status.
-    config.checkInvariants = false;
     std::unique_ptr<World> world = buildBenchmark(id, config, scale);
     st = world->restoreState(bytes);
     if (!st.ok()) {
