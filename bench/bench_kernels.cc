@@ -2,8 +2,8 @@
  * @file
  * Kernel-backend microbenchmark: ns/row for every hot kernel behind
  * the KernelBackend seam (physics/kernels), scalar reference vs
- * each vector backend compiled for this host (AVX-512 W=16 fp32
- * contact path, AVX2 W=4 / W=8, NEON W=2 / W=4), plus the speedup
+ * each vector backend this host can run, one per ISA (AVX-512 with
+ * its W=16 fp32 contact path, AVX2 W=4, NEON W=4), plus the speedup
  * column.
  *
  * Workloads are synthetic but sized and shaped like the engine's

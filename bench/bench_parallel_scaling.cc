@@ -17,7 +17,7 @@
  *
  * Run: ./build/bench/bench_parallel_scaling [Per|...|Mix] [scale]
  *          [--check-invariants] [--trace=FILE] [--metrics-json]
- *          [--bench-out=FILE] [--steps=N] [--warmup=N] [--overlap]
+ *          [--bench-out=FILE] [--steps=N] [--warmup=N]
  *          [--baseline=FILE]
  *
  * The JSON records the host's core count (`cpus`), and
@@ -102,7 +102,6 @@ main(int argc, char **argv)
 
     // Bench-local flags (strip before positional parsing).
     int warmup = 12, steps = 9;
-    bool overlap = false;
     std::string baseline_path;
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
@@ -111,8 +110,6 @@ main(int argc, char **argv)
             steps = std::atoi(arg + 8);
         else if (std::strncmp(arg, "--warmup=", 9) == 0)
             warmup = std::atoi(arg + 9);
-        else if (std::strcmp(arg, "--overlap") == 0)
-            overlap = true;
         else if (std::strncmp(arg, "--baseline=", 11) == 0)
             baseline_path = arg + 11;
         else
@@ -132,8 +129,7 @@ main(int argc, char **argv)
     std::vector<HostPhaseSeconds> runs;
     for (unsigned workers : worker_counts) {
         runs.push_back(
-            measureHostPhases(id, workers, scale, warmup, steps,
-                              overlap));
+            measureHostPhases(id, workers, scale, warmup, steps));
     }
     const HostPhaseSeconds &base = runs.front();
 
@@ -204,7 +200,7 @@ main(int argc, char **argv)
                                : SimdBackend::Native);
         for (unsigned workers : worker_counts) {
             simd_runs.push_back(measureHostPhases(
-                id, workers, scale, warmup, steps, overlap));
+                id, workers, scale, warmup, steps));
         }
         setHostSimdBackend(primary);
         const char *first = primary == SimdBackend::Native

@@ -586,12 +586,11 @@ JsonWriter::write(const char *path) const
 
 HostPhaseSeconds
 measureHostPhases(BenchmarkId id, unsigned workers, double scale,
-                  int warmup, int steps, bool overlap)
+                  int warmup, int steps)
 {
     WorldConfig config;
     config.workerThreads = workers;
     config.deterministic = true; // Same work at every worker count.
-    config.overlapPhases = overlap;
     if (invariantChecksEnabled())
         config.invariantMode = InvariantMode::HardFail;
     config.tracing = !hostTracePath().empty();

@@ -251,14 +251,11 @@ struct HostPhaseSeconds
 
 /**
  * Step `id` at the given scale/worker count and measure per-phase
- * host seconds over `steps` steps (after `warmup` steps). With
- * `overlap`, WorldConfig::overlapPhases is enabled (engages on
- * scenes with cloth; see world.hh for the determinism contract).
+ * host seconds over `steps` steps (after `warmup` steps).
  */
 HostPhaseSeconds measureHostPhases(BenchmarkId id, unsigned workers,
                                    double scale = 1.0,
-                                   int warmup = 12, int steps = 9,
-                                   bool overlap = false);
+                                   int warmup = 12, int steps = 9);
 
 } // namespace bench
 } // namespace parallax

@@ -32,7 +32,7 @@
  *                  StepProfile, Instrumentation, TraceGenerator,
  *                  scene-builder helpers.
  *  - Architecture: ParallaxSystem, FgCoreModel, AreaModel, Arbiter.
- *  - Simulation:   StatGroup, Counter, Distribution, logging.
+ *  - Simulation:   logging.
  *
  * Lower-level simulator internals (cpu/, isa/, mem/, noc/) remain
  * separate opt-in includes: they model hardware, not the engine API.
@@ -53,7 +53,6 @@
 #include "core/fg_core_model.hh"
 #include "core/parallax_system.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 #include "workload/benchmarks.hh"
 #include "workload/instrumentation.hh"
 #include "workload/mem_trace.hh"

@@ -5,7 +5,9 @@
  * The major number bumps on source-incompatible changes to the
  * public surface (the v1 redesign replaced the string-error facade
  * with parallax::Status and added the Server session API; v2 dropped
- * WorldConfig's legacy boolean invariant-check flag); the minor
+ * WorldConfig's legacy boolean invariant-check flag; v3 dropped the
+ * broadphase-choice and phase-overlap options and the text stats
+ * export, see docs/API.md); the minor
  * number bumps when the surface grows compatibly. Internal headers
  * under src/ carry no compatibility promise at all — consumers that
  * reach past include/parallax/ are on their own, and the
@@ -16,7 +18,7 @@
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 2
+#define PARALLAX_API_VERSION_MAJOR 3
 #define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */

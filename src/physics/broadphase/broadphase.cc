@@ -1,7 +1,6 @@
 #include "broadphase.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace parallax
 {
@@ -33,10 +32,9 @@ axisLess(const Geom *a, const Geom *b)
     return a->id() < b->id();
 }
 
-} // namespace
-
+/** True when a pair of geoms should be considered at all. */
 bool
-Broadphase::pairEligible(const Geom &a, const Geom &b)
+pairEligible(const Geom &a, const Geom &b)
 {
     if (!a.enabled() || !b.enabled())
         return false;
@@ -54,6 +52,8 @@ Broadphase::pairEligible(const Geom &a, const Geom &b)
         return false;
     return true;
 }
+
+} // namespace
 
 void
 SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
@@ -157,152 +157,6 @@ SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
             stamp_.capacity() >
         cap_before)
         ++stats_.storageGrowths;
-}
-
-SpatialHash::SpatialHash(Real cell_size) : cellSize_(cell_size)
-{
-}
-
-template <typename EntryVec, typename CandidateVec>
-void
-SpatialHash::collectPairs(EntryVec &entries, CandidateVec &candidates,
-                          std::vector<GeomPair> &out)
-{
-    // Group co-resident geoms by sorting the flat occupancy list;
-    // idx tiebreak keeps groups in insertion (input) order.
-    CellEntry *const ebegin = entries.data();
-    CellEntry *const eend = ebegin + entries.size();
-    std::sort(ebegin, eend, [](const CellEntry &x, const CellEntry &y) {
-        return x.key != y.key ? x.key < y.key : x.idx < y.idx;
-    });
-
-    for (CellEntry *group = ebegin; group != eend;) {
-        CellEntry *group_end = group + 1;
-        while (group_end != eend && group_end->key == group->key)
-            ++group_end;
-        for (CellEntry *i = group; i != group_end; ++i) {
-            for (CellEntry *j = i + 1; j != group_end; ++j) {
-                Geom *a = bounded_[i->idx];
-                Geom *b = bounded_[j->idx];
-                ++stats_.overlapTests;
-                if (!a->bounds().overlaps(b->bounds()))
-                    continue;
-                if (!pairEligible(*a, *b))
-                    continue;
-                const GeomPair p = canonical(a->id(), b->id());
-                candidates.push_back(
-                    (static_cast<std::uint64_t>(p.a) << 32) | p.b);
-            }
-        }
-        group = group_end;
-    }
-
-    // Dedup pairs reached through several shared cells: sort packed
-    // (a, b) keys and drop repeats. The sorted order equals the
-    // final (a, b) pair order, so emission is already canonical.
-    std::uint64_t *const cbegin = candidates.data();
-    std::uint64_t *const cend = cbegin + candidates.size();
-    std::sort(cbegin, cend);
-    std::uint64_t *const cuniq = std::unique(cbegin, cend);
-    for (const std::uint64_t *pk = cbegin; pk != cuniq; ++pk) {
-        out.push_back(GeomPair{
-            static_cast<GeomId>(*pk >> 32),
-            static_cast<GeomId>(*pk & 0xffffffffu)});
-    }
-}
-
-void
-SpatialHash::findPairsInto(const std::vector<Geom *> &geoms,
-                           std::vector<GeomPair> &out)
-{
-    stats_.geomsConsidered += geoms.size();
-    out.clear();
-
-    bounded_.clear();
-    planes_.clear();
-    for (Geom *g : geoms) {
-        if (!g->enabled())
-            continue;
-        if (unbounded(*g))
-            planes_.push_back(g);
-        else
-            bounded_.push_back(g);
-    }
-
-    // Mix the three (full-width) cell coordinates into one 64-bit
-    // key by multiplying each with a distinct odd constant and
-    // XOR-folding. Collisions are possible but only cost an extra
-    // overlap test; negative coordinates wrap modulo 2^64 and keep
-    // distinct keys (pinned by a regression test).
-    auto cellKey = [](std::int64_t ix, std::int64_t iy, std::int64_t iz) {
-        const std::uint64_t h =
-            static_cast<std::uint64_t>(ix) * 0x8da6b343ull ^
-            static_cast<std::uint64_t>(iy) * 0xd8163841ull ^
-            static_cast<std::uint64_t>(iz) * 0xcb1ab31full;
-        return h;
-    };
-
-    const auto fill = [&](auto &entries) {
-        for (std::uint32_t gi = 0;
-             gi < static_cast<std::uint32_t>(bounded_.size()); ++gi) {
-            const Aabb &b = bounded_[gi]->bounds();
-            const auto lo_x = static_cast<std::int64_t>(
-                std::floor(b.lo.x / cellSize_));
-            const auto hi_x = static_cast<std::int64_t>(
-                std::floor(b.hi.x / cellSize_));
-            const auto lo_y = static_cast<std::int64_t>(
-                std::floor(b.lo.y / cellSize_));
-            const auto hi_y = static_cast<std::int64_t>(
-                std::floor(b.hi.y / cellSize_));
-            const auto lo_z = static_cast<std::int64_t>(
-                std::floor(b.lo.z / cellSize_));
-            const auto hi_z = static_cast<std::int64_t>(
-                std::floor(b.hi.z / cellSize_));
-            for (auto ix = lo_x; ix <= hi_x; ++ix)
-                for (auto iy = lo_y; iy <= hi_y; ++iy)
-                    for (auto iz = lo_z; iz <= hi_z; ++iz) {
-                        entries.push_back(
-                            CellEntry{cellKey(ix, iy, iz), gi});
-                        ++stats_.structureUpdates;
-                    }
-        }
-    };
-
-    if (arena_ != nullptr) {
-        // Cell storage lives in the borrowed frame arena: it dies at
-        // the step barrier, costing the persistent heap nothing.
-        ArenaVector<CellEntry> entries(arena_);
-        ArenaVector<std::uint64_t> candidates(arena_);
-        fill(entries);
-        collectPairs(entries, candidates, out);
-    } else {
-        const std::size_t cap_before = entriesFallback_.capacity() +
-                                       candidatesFallback_.capacity();
-        entriesFallback_.clear();
-        candidatesFallback_.clear();
-        fill(entriesFallback_);
-        collectPairs(entriesFallback_, candidatesFallback_, out);
-        if (entriesFallback_.capacity() +
-                candidatesFallback_.capacity() >
-            cap_before)
-            ++stats_.storageGrowths;
-    }
-
-    // Planes pair with every eligible bounded geom (the list already
-    // filtered above — disabled and unbounded geoms never re-tested).
-    for (Geom *p : planes_) {
-        for (Geom *g : bounded_) {
-            ++stats_.overlapTests;
-            if (pairEligible(*p, *g))
-                out.push_back(canonical(p->id(), g->id()));
-        }
-    }
-
-    std::sort(out.begin(), out.end(),
-              [](const GeomPair &x, const GeomPair &y) {
-                  return x.a != y.a ? x.a < y.a : x.b < y.b;
-              });
-    stats_.pairsFound += out.size();
 }
 
 } // namespace parallax

@@ -1,17 +1,16 @@
 /**
  * @file
- * Broadphase collision culling interface.
+ * Broadphase collision culling: sweep-and-prune.
  *
  * The broadphase is the first step of collision detection (section
  * 3.2): it culls pairs of objects that cannot possibly collide using
  * their AABBs. The paper notes this phase is hard to parallelize
- * because it updates a spatial structure (sweep-and-prune axes or
- * hash tables); both structures are provided here.
+ * because it updates a spatial structure; here that structure is one
+ * sorted sweep-and-prune axis.
  *
- * Both implementations keep their spatial structure (and every
- * scratch buffer) alive across calls: after warm-up a steady-state
- * findPairsInto() performs no heap allocations, and SweepAndPrune
- * additionally exploits temporal coherence by repairing last step's
+ * The axis and every scratch buffer stay alive across calls: after
+ * warm-up a steady-state findPairsInto() performs no heap
+ * allocations, and temporal coherence lets it repair last step's
  * sorted axis instead of re-sorting from scratch.
  */
 
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "physics/geom.hh"
-#include "physics/parallel/arena.hh"
 
 namespace parallax
 {
@@ -57,50 +55,6 @@ struct BroadphaseStats
     }
 };
 
-/** Abstract broadphase algorithm. */
-class Broadphase
-{
-  public:
-    virtual ~Broadphase() = default;
-
-    /**
-     * Find all candidate pairs among the given geoms, into `out`
-     * (cleared first; capacity kept). Geoms whose bodies are
-     * disabled are skipped; pairs where neither side can move (both
-     * static) are filtered; pairs sharing a body are filtered. Pair
-     * ordering is canonical (a < b) and deterministic.
-     */
-    virtual void findPairsInto(const std::vector<Geom *> &geoms,
-                               std::vector<GeomPair> &out) = 0;
-
-    /** Convenience wrapper returning a fresh pair list. */
-    std::vector<GeomPair>
-    findPairs(const std::vector<Geom *> &geoms)
-    {
-        std::vector<GeomPair> pairs;
-        findPairsInto(geoms, pairs);
-        return pairs;
-    }
-
-    /**
-     * Borrow a frame arena for step-transient scratch (cell entry
-     * lists and candidate buffers). Optional: without one the
-     * implementations fall back to persistent member buffers. The
-     * arena's owner must reset it between steps, never mid-call.
-     */
-    void setFrameArena(FrameArena *arena) { arena_ = arena; }
-
-    const BroadphaseStats &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
-
-  protected:
-    /** True when a pair of geoms should be considered at all. */
-    static bool pairEligible(const Geom &a, const Geom &b);
-
-    BroadphaseStats stats_;
-    FrameArena *arena_ = nullptr;
-};
-
 /**
  * Sweep-and-prune broadphase.
  *
@@ -116,13 +70,33 @@ class Broadphase
  * so results stay bitwise identical. Any membership change triggers
  * a full rebuild.
  */
-class SweepAndPrune : public Broadphase
+class SweepAndPrune
 {
   public:
+    /**
+     * Find all candidate pairs among the given geoms, into `out`
+     * (cleared first; capacity kept). Geoms whose bodies are
+     * disabled are skipped; pairs where neither side can move (both
+     * static) are filtered; pairs sharing a body are filtered. Pair
+     * ordering is canonical (a < b) and deterministic.
+     */
     void findPairsInto(const std::vector<Geom *> &geoms,
-                       std::vector<GeomPair> &out) override;
+                       std::vector<GeomPair> &out);
+
+    /** Convenience wrapper returning a fresh pair list. */
+    std::vector<GeomPair>
+    findPairs(const std::vector<Geom *> &geoms)
+    {
+        std::vector<GeomPair> pairs;
+        findPairsInto(geoms, pairs);
+        return pairs;
+    }
+
+    const BroadphaseStats &stats() const { return stats_; }
+    void resetStats() { stats_.reset(); }
 
   private:
+    BroadphaseStats stats_;
     /** Persistent sorted axis (by AABB lo.x, then id). */
     std::vector<Geom *> axis_;
     /** Per-call plane list and sweep window (capacity persists). */
@@ -132,46 +106,6 @@ class SweepAndPrune : public Broadphase
      *  means the geom is in this step's bounded set. */
     std::vector<std::uint32_t> stamp_;
     std::uint32_t gen_ = 0;
-};
-
-/**
- * Uniform spatial-hash broadphase.
- *
- * Geoms are binned into grid cells of a fixed size; pairs are
- * generated from co-resident cells and deduplicated. Cell storage is
- * a flat (cellKey, geom) array sorted by key — no per-cell node
- * allocations — living in the borrowed frame arena when one is set,
- * else in persistent member buffers.
- */
-class SpatialHash : public Broadphase
-{
-  public:
-    explicit SpatialHash(Real cell_size = 4.0);
-
-    void findPairsInto(const std::vector<Geom *> &geoms,
-                       std::vector<GeomPair> &out) override;
-
-    Real cellSize() const { return cellSize_; }
-
-  private:
-    /** One geom occupancy of one cell. */
-    struct CellEntry
-    {
-        std::uint64_t key;
-        std::uint32_t idx; // Index into bounded_.
-    };
-
-    template <typename EntryVec, typename CandidateVec>
-    void collectPairs(EntryVec &entries, CandidateVec &candidates,
-                      std::vector<GeomPair> &out);
-
-    Real cellSize_;
-    /** Enabled bounded geoms, in input order (plane-pass reuse). */
-    std::vector<Geom *> bounded_;
-    std::vector<Geom *> planes_;
-    /** Fallback scratch when no frame arena is borrowed. */
-    std::vector<CellEntry> entriesFallback_;
-    std::vector<std::uint64_t> candidatesFallback_;
 };
 
 } // namespace parallax

@@ -249,7 +249,6 @@ writeConfig(Writer &w, const WorldConfig &config)
     w.i32(config.islandWorkQueueThreshold);
     w.u32(config.grainSize);
     w.u8(config.deterministic ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(config.broadphase));
     w.f64(config.defaultMaterial.friction);
     w.f64(config.defaultMaterial.restitution);
     w.f64(config.defaultMaterial.restitutionThreshold);
@@ -274,8 +273,6 @@ readConfig(Reader &r)
         r.i32("config.islandWorkQueueThreshold");
     config.grainSize = r.u32("config.grainSize");
     config.deterministic = r.u8("config.deterministic") != 0;
-    config.broadphase =
-        static_cast<BroadphaseKind>(r.u8("config.broadphase"));
     config.defaultMaterial.friction = r.f64("config.friction");
     config.defaultMaterial.restitution = r.f64("config.restitution");
     config.defaultMaterial.restitutionThreshold =
@@ -372,8 +369,6 @@ divergentConfigField(const WorldConfig &a, const WorldConfig &b)
         return "deterministic";
     if (a.deterministic && a.grainSize != b.grainSize)
         return "grainSize";
-    if (a.broadphase != b.broadphase)
-        return "broadphase";
     if (a.defaultMaterial.friction != b.defaultMaterial.friction ||
         a.defaultMaterial.restitution !=
             b.defaultMaterial.restitution ||
@@ -813,8 +808,6 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
     contactJoints_.clear();
     lastIslandList_.clear();
     stepStats_.reset();
-    // A prefetched broadphase saw the pre-restore poses.
-    bpPrefetchValid_ = false;
 
     // Governor ladder and quarantine bookkeeping are runtime
     // containment state, not simulation state: a restored world

@@ -46,7 +46,7 @@ struct WorldConfig;
 class World;
 
 /** Current snapshot format version (bumped on layout changes). */
-constexpr std::uint32_t snapshotVersion = 1;
+constexpr std::uint32_t snapshotVersion = 2;
 
 /** Current snapshot-delta format version. */
 constexpr std::uint32_t snapshotDeltaVersion = 1;

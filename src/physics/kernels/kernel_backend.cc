@@ -1,7 +1,7 @@
 /**
  * @file
  * Backend dispatch, row coloring, and the scalar slot helpers shared
- * by every Native width variant. This TU is compiled WITHOUT -mavx2
+ * by every Native backend. This TU is compiled WITHOUT -mavx2
  * so the shared code never emits instructions the host might lack;
  * only the native_*.cc TUs carry target-specific flags.
  */
@@ -29,7 +29,7 @@ static_assert(sizeof(Vec3) == 3 * sizeof(Real),
 
 #if PAX_KERNELS_HAVE_AVX2
 // Defined in native_avx2.cc (the only TU built with -mavx2).
-const KernelBackend *avx2KernelBackend(int variant);
+const KernelBackend *avx2KernelBackend();
 #endif
 #if PAX_KERNELS_HAVE_AVX512
 // Defined in native_avx512.cc (the only TU built with -mavx512*).
@@ -37,7 +37,7 @@ const KernelBackend *avx512KernelBackend();
 #endif
 #if PAX_KERNELS_HAVE_NEON
 // Defined in native_neon.cc.
-const KernelBackend *neonKernelBackend(int variant);
+const KernelBackend *neonKernelBackend();
 #endif
 
 #if PAX_KERNELS_HAVE_AVX512
@@ -74,9 +74,9 @@ nativeKernelBackend()
 #endif
 #if PAX_KERNELS_HAVE_AVX2
     if (nativeSimdAvailable())
-        return avx2KernelBackend(0);
+        return avx2KernelBackend();
 #elif PAX_KERNELS_HAVE_NEON
-    return neonKernelBackend(0);
+    return neonKernelBackend();
 #endif
     return nullptr;
 }
@@ -90,13 +90,10 @@ nativeKernelBackends()
         all.push_back(avx512KernelBackend());
 #endif
 #if PAX_KERNELS_HAVE_AVX2
-    if (nativeSimdAvailable()) {
-        all.push_back(avx2KernelBackend(0));
-        all.push_back(avx2KernelBackend(1));
-    }
+    if (nativeSimdAvailable())
+        all.push_back(avx2KernelBackend());
 #elif PAX_KERNELS_HAVE_NEON
-    all.push_back(neonKernelBackend(0));
-    all.push_back(neonKernelBackend(1));
+    all.push_back(neonKernelBackend());
 #endif
     return all;
 }

@@ -405,8 +405,8 @@ bool nativeSimdAvailable();
  */
 const KernelBackend *nativeKernelBackend();
 
-/** All compiled vector-backend width variants (for bench/tests);
- *  empty when the host has none. */
+/** Every vector backend this build + host can run, one per ISA
+ *  (for bench/tests); empty when the host has none. */
 std::vector<const KernelBackend *> nativeKernelBackends();
 
 /** Resolve a config choice to a concrete backend. Native silently

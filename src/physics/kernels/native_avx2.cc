@@ -72,13 +72,10 @@ struct FOpsAvx2 {
 };
 
 const KernelBackend *
-avx2KernelBackend(int variant)
+avx2KernelBackend()
 {
-    static const NativeBackend<PackAvx2, FOpsAvx2> w4("avx2x4");
-    static const NativeBackend<PackX2<PackAvx2>, FOpsAvx2> w8(
-        "avx2x8");
-    return variant == 0 ? static_cast<const KernelBackend *>(&w4)
-                        : static_cast<const KernelBackend *>(&w8);
+    static const NativeBackend<PackAvx2, FOpsAvx2> w("avx2x4");
+    return &w;
 }
 
 } // namespace parallax

@@ -14,12 +14,10 @@ namespace parallax
 {
 
 const KernelBackend *
-neonKernelBackend(int variant)
+neonKernelBackend()
 {
-    static const NativeBackend<PackNeon> w2("neonx2");
-    static const NativeBackend<PackX2<PackNeon>> w4("neonx4");
-    return variant == 0 ? static_cast<const KernelBackend *>(&w4)
-                        : static_cast<const KernelBackend *>(&w2);
+    static const NativeBackend<PackX2<PackNeon>> w("neonx4");
+    return &w;
 }
 
 } // namespace parallax

@@ -15,9 +15,8 @@
  *    src/physics/CMakeLists.txt).
  *  - PackNeon (W=2, aarch64): one float64x2_t.
  *
- * PackX2<P> glues two packs into a double-width one (W=8 on AVX2,
- * W=4 on NEON) so kernels can be instantiated at two widths from the
- * same source.
+ * PackX2<P> glues two packs into a double-width one: W=8 doubles for
+ * the AVX-512 backend (two AVX2 halves) and W=4 for NEON.
  *
  * Deliberately absent: FMA. The kernels keep plain mul+add so each
  * lane's arithmetic is the same IEEE sequence as the scalar

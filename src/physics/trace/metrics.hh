@@ -3,14 +3,13 @@
  * MetricsRegistry: named monotonic counters and gauges with a stable
  * machine-readable dump.
  *
- * Where StatGroup (sim/stats.hh) is the gem5-style "dump the last
- * step as aligned text" surface for the figure harnesses, the
- * registry is the long-lived operational surface: counters only ever
- * accumulate across the run (steps, contacts, steals, quarantine
- * events), gauges hold the latest observation (governor rung, bodies
- * asleep), and `toJson()` emits one single-line JSON object in
- * registration order — stable key order, so diffs and log scrapers
- * can rely on it.
+ * Where StepStats (physics/world.hh) describes the last step alone,
+ * the registry is the long-lived operational surface: counters only
+ * ever accumulate across the run (steps, contacts, steals,
+ * quarantine events), gauges hold the latest observation (governor
+ * rung, bodies asleep), and `toJson()` emits one single-line JSON
+ * object in registration order — stable key order, so diffs and log
+ * scrapers can rely on it.
  *
  * The registry is updated from the main thread between phase
  * barriers; it is not itself thread-safe and does not need to be.

@@ -199,17 +199,6 @@ World::World(WorldConfig config)
                 config_.solverIterations, config_.clothIterations),
       plan_(governor_.planForLevel(0))
 {
-    switch (config_.broadphase) {
-      case BroadphaseKind::SweepAndPrune:
-        broadphase_ = std::make_unique<SweepAndPrune>();
-        break;
-      case BroadphaseKind::SpatialHash:
-        broadphase_ = std::make_unique<SpatialHash>();
-        break;
-    }
-    // The broadphase runs on the calling thread: lend it lane 0's
-    // frame arena for its step-transient cell storage.
-    broadphase_->setFrameArena(&scheduler_.arena(0));
     // Resolve the kernel backend once: PAX_SIMD overrides the config,
     // and Native degrades to Scalar on hosts without SIMD support.
     kernelBackend_ =
@@ -447,73 +436,6 @@ World::joint(JointId id)
 }
 
 void
-World::fillStats(StatGroup &group) const
-{
-    const StepStats &s = stepStats_;
-    group.counter("pairs_found").set(
-        static_cast<double>(s.pairsFound));
-    group.counter("contacts_created").set(
-        static_cast<double>(s.contactsCreated));
-    group.counter("contact_joints").set(
-        static_cast<double>(s.contactJointsCreated));
-    group.counter("islands").set(
-        static_cast<double>(s.islands.size()));
-    group.counter("solver_rows").set(
-        static_cast<double>(s.solver.rowsBuilt));
-    group.counter("solver_row_iterations").set(
-        static_cast<double>(s.solver.rowIterations));
-    group.counter("cloth_vertices").set(
-        static_cast<double>(s.cloth.verticesIntegrated));
-    group.counter("joints_broken").set(
-        static_cast<double>(s.jointsBroken));
-    group.counter("bodies_asleep").set(
-        static_cast<double>(s.bodiesAsleep));
-    Distribution &rows = group.distribution("island_rows");
-    rows.reset();
-    for (const IslandSummary &island : s.islands)
-        rows.sample(island.rows);
-
-    // Work-stealing scheduler: per-worker execution counters.
-    group.counter("par_workers").set(
-        static_cast<double>(scheduler_.workerCount()));
-    group.counter("par_tasks_executed").set(
-        static_cast<double>(s.parTasksExecuted));
-    group.counter("par_tasks_stolen").set(
-        static_cast<double>(s.parTasksStolen));
-    // Per-step lane deltas (StepStats::laneTasks), not the
-    // scheduler's cumulative counters: sampling the latter made the
-    // "last step" distribution grow with run length.
-    Distribution &per_lane = group.distribution("par_lane_tasks");
-    per_lane.reset();
-    for (const LaneStats &lane : s.laneTasks)
-        per_lane.sample(static_cast<double>(lane.chunksExecuted));
-
-    // Real-time governor and fault containment.
-    group.counter("governor_ladder_level").set(
-        static_cast<double>(s.governor.ladderLevel));
-    group.counter("governor_solver_iterations").set(
-        static_cast<double>(s.governor.solverIterations));
-    group.counter("governor_cloth_iterations").set(
-        static_cast<double>(s.governor.clothIterations));
-    group.counter("governor_degradations").set(
-        static_cast<double>(s.governor.degradations));
-    group.counter("governor_recoveries").set(
-        static_cast<double>(s.governor.recoveries));
-    group.counter("governor_deadline_misses").set(
-        static_cast<double>(s.governor.deadlineMisses));
-    group.counter("governor_pairs_deferred").set(
-        static_cast<double>(s.governor.pairsDeferred));
-    group.counter("faults_injected").set(
-        static_cast<double>(s.faultsInjected));
-    group.counter("invariant_violations").set(
-        static_cast<double>(invariantViolations_));
-    group.counter("quarantine_events").set(
-        static_cast<double>(quarantineEvents_));
-    group.counter("bodies_quarantined").set(
-        static_cast<double>(quarantinedBodies_.size()));
-}
-
-void
 World::step()
 {
     const InvariantMode mode = config_.invariantMode;
@@ -546,7 +468,7 @@ World::step()
     scheduler_.laneStats(lanesBefore_);
 
     stepStats_.reset();
-    broadphase_->resetStats();
+    broadphase_.resetStats();
     narrowphase_.resetStats();
     islandBuilder_.resetStats();
     solver_.resetStats();
@@ -632,7 +554,7 @@ World::step()
     lastArenaGrowths_ = arena_growths;
 
     // Collect stats snapshots.
-    stepStats_.broadphase = broadphase_->stats();
+    stepStats_.broadphase = broadphase_.stats();
     stepStats_.narrowphase = narrowphase_.stats();
     stepStats_.island = islandBuilder_.stats();
     stepStats_.solver = solver_.stats();
@@ -1285,36 +1207,6 @@ World::stepFrame(int substeps)
 void
 World::phaseBroadphase()
 {
-    // Pipeline overlap: if the previous step's cloth phase already
-    // ran the spatial pass for this step and the world still looks
-    // the way it did then, only the step-coupled filter remains.
-    if (bpPrefetchValid_ && broadphasePrefetchUsable()) {
-        bpPrefetchValid_ = false;
-        broadphaseFilterPairs();
-        return;
-    }
-    bpPrefetchValid_ = false;
-    broadphaseFindPairs();
-    broadphaseFilterPairs();
-}
-
-bool
-World::broadphasePrefetchUsable() const
-{
-    if (bpPrefetchStep_ != stepCount_ ||
-        bpPrefetchGeoms_ != geoms_.size())
-        return false;
-    for (std::size_t i = 0; i < geoms_.size(); ++i) {
-        if (bpPrefetchEnabled_[i] !=
-            static_cast<std::uint8_t>(geoms_[i]->enabled()))
-            return false;
-    }
-    return true;
-}
-
-void
-World::broadphaseFindPairs()
-{
     // 2(b): find all pairs of objects potentially in contact. The
     // pointer list and pair output are persistent: once warm the
     // whole phase runs without touching the heap.
@@ -1324,16 +1216,10 @@ World::broadphaseFindPairs()
         g->updateBounds();
         geomPtrs_.push_back(g.get());
     }
-    broadphase_->findPairsInto(geomPtrs_, lastPairs_);
-}
+    broadphase_.findPairsInto(geomPtrs_, lastPairs_);
 
-void
-World::broadphaseFilterPairs()
-{
     // Drop pairs whose bodies share a permanent joint (ODE's
     // dAreConnected rule): articulated segments do not self-collide.
-    // Runs at the top of the step it serves (never prefetched), so
-    // joints created between steps are always respected.
     std::erase_if(lastPairs_, [this](const GeomPair &pair) {
         return connectedByJoint(geoms_[pair.a]->body(),
                                 geoms_[pair.b]->body());
@@ -1897,43 +1783,19 @@ World::phaseCloth()
         }
     }
 
-    // Pipeline overlap (WorldConfig::overlapPhases): next step's
-    // broadphase rides this phase's parallelFor as one extra
-    // stealable item. It is safe to run concurrently with cloth
-    // stepping because the two touch disjoint state: the broadphase
-    // writes geom bounds and the pair list, while cloth collision
-    // reads collider poses recomputed from body state (never cached
-    // bounds) against the collider lists prebuilt above. Nothing
-    // moves rigid bodies between here and the next step's broadphase
-    // phase, so the prefetched pairs are byte-identical to what a
-    // synchronous pass would find.
-    const bool prefetch =
-        config_.overlapPhases && scheduler_.workerCount() > 0 &&
-        config_.invariantMode == InvariantMode::Off;
-
-    if (scheduler_.workerCount() > 0 &&
-        (cloths_.size() > 1 || prefetch)) {
+    if (scheduler_.workerCount() > 0 && cloths_.size() > 1) {
         // One chunk per cloth; relaxation sweeps within a cloth are
         // sequential, so cloths are the stealable unit. Per-cloth
         // stats buffers reduce in cloth order (deterministic either
-        // way: each cloth is touched by exactly one lane). The
-        // prefetch rides as the last item so cloth indices are
-        // untouched; splitting hands it to an idle lane early.
+        // way: each cloth is touched by exactly one lane).
         std::vector<ClothStats> &locals = clothLocalStats_;
         locals.assign(cloths_.size(), ClothStats{});
         scheduler_.parallelFor(
-            cloths_.size() + (prefetch ? 1 : 0), 1,
+            cloths_.size(), 1,
             [this, &colliders, &locals, &frozen](std::size_t begin,
                                                  std::size_t end,
                                                  unsigned lane) {
                 for (std::size_t ci = begin; ci < end; ++ci) {
-                    if (ci == cloths_.size()) {
-                        PAX_TRACE_SCOPE_ID(trace_, lane,
-                                           "broadphase_prefetch",
-                                           stepCount_, 0);
-                        broadphaseFindPairs();
-                        continue;
-                    }
                     if (frozen(ci))
                         continue;
                     PAX_TRACE_SCOPE_ID(
@@ -1945,18 +1807,6 @@ World::phaseCloth()
                                       kernelBackend_);
                 }
             });
-        if (prefetch) {
-            // Snapshot what the prefetch saw; the next step's
-            // broadphase discards it if the world changed shape.
-            bpPrefetchValid_ = true;
-            bpPrefetchStep_ = stepCount_ + 1;
-            bpPrefetchGeoms_ = geoms_.size();
-            bpPrefetchEnabled_.resize(geoms_.size());
-            for (std::size_t i = 0; i < geoms_.size(); ++i) {
-                bpPrefetchEnabled_[i] =
-                    static_cast<std::uint8_t>(geoms_[i]->enabled());
-            }
-        }
         for (const ClothStats &ls : locals) {
             stats.clothsStepped += ls.clothsStepped;
             stats.verticesIntegrated += ls.verticesIntegrated;

@@ -37,17 +37,9 @@
 #include "physics/trace/metrics.hh"
 #include "physics/trace/trace.hh"
 #include "parallax/status.hh"
-#include "sim/stats.hh"
 
 namespace parallax
 {
-
-/** Which broadphase structure the world uses. */
-enum class BroadphaseKind
-{
-    SweepAndPrune,
-    SpatialHash,
-};
 
 /** Pipeline phases of one step, in execution order (Figure 1). */
 enum class PipelinePhase
@@ -109,26 +101,6 @@ struct WorldConfig
      *  at runtime with the PAX_SIMD environment variable. Not
      *  serialized in snapshots. */
     SimdBackend simdBackend = SimdBackend::Scalar;
-    /**
-     * Pipeline overlap: run broadphase for step N+1 on a stealable
-     * task while step N's cloth drains (they touch disjoint state:
-     * cloth reads body poses, broadphase writes geom bounds + the
-     * pair list). Engages only with workerThreads > 0, at least one
-     * cloth, and the invariant checker Off (the checker audits the
-     * pair list, which overlap rewrites early). Determinism
-     * contract: the prefetched pairs are byte-identical to the pairs
-     * a synchronous broadphase would find — nothing moves bodies
-     * between the cloth phase and the next step's broadphase — so
-     * trajectories match the overlap-off run bitwise at every worker
-     * count. If the world changes structurally between steps (geoms
-     * added/removed, enabled flags toggled) or a snapshot is
-     * restored, the prefetch is discarded and that step's broadphase
-     * runs synchronously. Note: phase *timing attribution* shifts —
-     * the broadphase work lands in the cloth phase's wall-clock
-     * span of the previous step. Off by default.
-     */
-    bool overlapPhases = false;
-    BroadphaseKind broadphase = BroadphaseKind::SweepAndPrune;
     ContactMaterial defaultMaterial;
     Real erp = 0.2;
     Real cfm = 1e-9;
@@ -441,12 +413,6 @@ class World
     /** The work-stealing scheduler driving the parallel phases. */
     const TaskScheduler &scheduler() const { return scheduler_; }
 
-    /**
-     * Export the last step's statistics into a StatGroup (the
-     * gem5-style stats idiom: harnesses dump groups as text).
-     */
-    void fillStats(StatGroup &group) const;
-
     // --- Observability (physics/trace/; see docs/OBSERVABILITY.md).
 
     /** The trace collector (inert unless WorldConfig::tracing). */
@@ -609,20 +575,6 @@ class World
     void phaseIslandProcessing();
     void phaseCloth();
 
-    /** Broadphase split for pipeline overlap: the pure spatial pass
-     *  (bounds + pair find — safe to run concurrently with cloth)
-     *  and the step-coupled filter pass (joint-connected suppression
-     *  + governor deferral, which read the *current* step's joints
-     *  and plan). phaseBroadphase() = find + filter; the overlap
-     *  path runs find during the previous step's cloth phase and
-     *  only filters here. */
-    void broadphaseFindPairs();
-    void broadphaseFilterPairs();
-    /** True when the prefetched pair list still describes this
-     *  world: right target step, same geom count, same enabled
-     *  flags. */
-    bool broadphasePrefetchUsable() const;
-
     /** Counter tracks + per-lane scheduler deltas for this step
      *  (only called when tracing is enabled). */
     void recordStepTraceCounters();
@@ -641,7 +593,7 @@ class World
      *  between them are suppressed (ODE's dAreConnected rule). */
     std::unordered_set<std::uint64_t> connectedPairs_;
 
-    std::unique_ptr<Broadphase> broadphase_;
+    SweepAndPrune broadphase_;
     Narrowphase narrowphase_;
     IslandBuilder islandBuilder_;
     PgsSolver solver_;
@@ -686,11 +638,6 @@ class World
     /** Committed cost of one constraint-row relaxation (one row,
      *  one sweep); batch row targets scale by solver iterations. */
     ChunkCostModel islandRowCost_{60.0};
-    /** Broadphase prefetch state (see WorldConfig::overlapPhases). */
-    bool bpPrefetchValid_ = false;
-    std::uint64_t bpPrefetchStep_ = 0;
-    std::size_t bpPrefetchGeoms_ = 0;
-    std::vector<std::uint8_t> bpPrefetchEnabled_;
     /** One solver per lane for parallel island processing; each owns
      *  a persistent workspace that stops allocating once warm. */
     std::vector<PgsSolver> laneSolvers_;

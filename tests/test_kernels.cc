@@ -214,10 +214,13 @@ struct ParticleSet
     bool
     bitwiseEqual(const ParticleSet &o) const
     {
+        // Empty sets have null data(), which memcmp must not see.
         auto eq = [](const std::vector<Real> &x,
                      const std::vector<Real> &y) {
-            return std::memcmp(x.data(), y.data(),
-                               x.size() * sizeof(Real)) == 0;
+            return x.size() == y.size() &&
+                   (x.empty() ||
+                    std::memcmp(x.data(), y.data(),
+                                x.size() * sizeof(Real)) == 0);
         };
         return eq(px, o.px) && eq(py, o.py) && eq(pz, o.pz) &&
                eq(qx, o.qx) && eq(qy, o.qy) && eq(qz, o.qz);

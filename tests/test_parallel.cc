@@ -500,71 +500,6 @@ TEST(Islands, TinyIslandsEngageAllLanes)
         << "worker lanes never ran any of the tiny-island batches";
 }
 
-/** Step the Mix scene with phase overlap on/off at `workers`. */
-std::vector<double>
-runMixSceneOverlap(unsigned workers, bool overlap)
-{
-    WorldConfig config;
-    config.workerThreads = workers;
-    config.deterministic = true;
-    config.overlapPhases = overlap;
-    auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
-    for (int i = 0; i < 30; ++i)
-        world->step();
-    return worldState(*world);
-}
-
-TEST(Determinism, OverlapPhasesIsBitwiseIdentical)
-{
-    // The overlap contract: prefetching the next step's broadphase
-    // during the cloth phase must not change a single bit of the
-    // trajectory — at any worker count, including against the
-    // overlap-off serial reference.
-    const std::vector<double> base = runMixSceneOverlap(0, false);
-    ASSERT_FALSE(base.empty());
-    for (unsigned workers : {0u, 1u, 2u, 8u}) {
-        const std::vector<double> state =
-            runMixSceneOverlap(workers, true);
-        ASSERT_EQ(state.size(), base.size());
-        EXPECT_EQ(std::memcmp(state.data(), base.data(),
-                              base.size() * sizeof(double)),
-                  0)
-            << "overlap changed the trajectory at workers="
-            << workers;
-    }
-}
-
-TEST(Determinism, OverlapSurvivesStructuralChanges)
-{
-    // Geoms created between steps invalidate the prefetched pair
-    // list; the next broadphase must fall back to a synchronous
-    // pass and land on the same trajectory as an overlap-off twin
-    // performing the same mutations.
-    auto run = [](bool overlap) {
-        WorldConfig config;
-        config.workerThreads = 2;
-        config.deterministic = true;
-        config.overlapPhases = overlap;
-        auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
-        const SphereShape *s = world->addSphere(0.4);
-        for (int i = 0; i < 20; ++i) {
-            world->step();
-            if (i % 5 == 4) {
-                RigidBody *b = world->createDynamicBody(
-                    Transform(Quat(), {-30.0 + i, 20, 0}), *s, 1.0);
-                world->createGeom(s, b);
-            }
-        }
-        return worldState(*world);
-    };
-    const std::vector<double> off = run(false);
-    const std::vector<double> on = run(true);
-    ASSERT_EQ(on.size(), off.size());
-    EXPECT_EQ(std::memcmp(on.data(), off.data(),
-                          off.size() * sizeof(double)),
-              0);
-}
-
 TEST(Determinism, AdaptiveGrainSweepAcrossScenes)
 {
     // The adaptive-grain and cross-island solve paths must keep the

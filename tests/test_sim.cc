@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the simulation support library: RNG, stats, ticks.
+ * Tests for the simulation support library: RNG, ticks.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "sim/ticks.hh"
 
 namespace parallax
@@ -92,40 +91,6 @@ TEST(Rng, ChanceExtremes)
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
     }
-}
-
-TEST(Distribution, WelfordStatistics)
-{
-    Distribution d;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    EXPECT_DOUBLE_EQ(d.total(), 40.0);
-    EXPECT_NEAR(d.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-}
-
-TEST(StatGroup, CountersAccumulateAndReset)
-{
-    StatGroup group("test");
-    Counter &c = group.counter("hits");
-    c += 3;
-    ++c;
-    EXPECT_DOUBLE_EQ(c.value(), 4.0);
-    // Same name returns the same counter.
-    EXPECT_DOUBLE_EQ(group.counter("hits").value(), 4.0);
-    group.reset();
-    EXPECT_DOUBLE_EQ(c.value(), 0.0);
 }
 
 TEST(Ticks, FrameBudget)

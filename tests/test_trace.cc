@@ -151,8 +151,7 @@ TEST(Trace, WorkerLanesOnlyCarryLeafSpans)
         const std::string name = e.name;
         EXPECT_TRUE(name == "island_solve" ||
                     name == "cloth_step" ||
-                    name == "narrowphase_chunk" ||
-                    name == "broadphase_prefetch")
+                    name == "narrowphase_chunk")
             << "unexpected span '" << name << "' on lane " << e.lane;
     }
 }

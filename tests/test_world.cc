@@ -122,28 +122,6 @@ TEST(World, ThreadedRunMatchesSingleThreaded)
     }
 }
 
-TEST(World, BroadphaseKindsAgreeOnPhysics)
-{
-    auto run = [](BroadphaseKind kind) {
-        WorldConfig config;
-        config.broadphase = kind;
-        World world(config);
-        buildSphereRain(world, 12);
-        for (int i = 0; i < 40; ++i)
-            world.step();
-        std::vector<Vec3> positions;
-        for (const auto &b : world.bodies())
-            positions.push_back(b->position());
-        return positions;
-    };
-
-    const auto sap = run(BroadphaseKind::SweepAndPrune);
-    const auto hash = run(BroadphaseKind::SpatialHash);
-    ASSERT_EQ(sap.size(), hash.size());
-    for (size_t i = 0; i < sap.size(); ++i)
-        EXPECT_NEAR((sap[i] - hash[i]).length(), 0.0, 1e-9);
-}
-
 TEST(World, AllAwakeIslandsAreStealableWork)
 {
     // islandWorkQueueThreshold is a batching hint, not a routing
