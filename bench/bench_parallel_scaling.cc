@@ -162,18 +162,9 @@ main(int argc, char **argv)
 
     // Allocation trajectory over the measured window: growths should
     // all read 0 on a warm scene (the perf-labeled regression test
-    // asserts exactly that); high-water is the arena footprint.
+    // asserts exactly that).
     std::printf("allocation counters over the measured steps:\n");
-    std::printf("%-18s", "arena_high_water");
-    for (const HostPhaseSeconds &run : runs)
-        std::printf("   %9llu KiB ",
-                    static_cast<unsigned long long>(
-                        run.arenaHighWaterBytes / 1024));
-    std::printf("\n%-18s", "arena_growths");
-    for (const HostPhaseSeconds &run : runs)
-        std::printf("   %13llu ", static_cast<unsigned long long>(
-                                      run.arenaGrowths));
-    std::printf("\n%-18s", "workspace_growths");
+    std::printf("%-18s", "workspace_growths");
     for (const HostPhaseSeconds &run : runs)
         std::printf("   %13llu ", static_cast<unsigned long long>(
                                       run.workspaceGrowths));
@@ -325,14 +316,6 @@ main(int argc, char **argv)
         json.endArray();
     }
     json.beginObject("allocation");
-    json.beginArray("arena_high_water_bytes");
-    for (const HostPhaseSeconds &run : runs)
-        json.arrayValue(static_cast<double>(run.arenaHighWaterBytes));
-    json.endArray();
-    json.beginArray("arena_growths");
-    for (const HostPhaseSeconds &run : runs)
-        json.arrayValue(static_cast<double>(run.arenaGrowths));
-    json.endArray();
     json.beginArray("workspace_growths");
     for (const HostPhaseSeconds &run : runs)
         json.arrayValue(static_cast<double>(run.workspaceGrowths));

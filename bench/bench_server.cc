@@ -36,9 +36,7 @@ using namespace parallax::bench;
 namespace
 {
 
-/** A tiny deterministic scene: ground plane + 3-sphere stack. The
- *  8 KB arena block keeps per-world footprint proportional to this
- *  scene instead of the 64 KB single-world default. */
+/** A tiny deterministic scene: ground plane + 3-sphere stack. */
 WorldConfig
 smallWorldConfig(double tick_dt)
 {
@@ -46,7 +44,6 @@ smallWorldConfig(double tick_dt)
     config.dt = tick_dt;
     config.deterministic = true;
     config.workerThreads = 0;
-    config.arenaBlockBytes = 8 * 1024;
     return config;
 }
 

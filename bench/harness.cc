@@ -608,8 +608,6 @@ measureHostPhases(BenchmarkId id, unsigned workers, double scale,
         const StepStats &stats = world->lastStepStats();
         for (int p = 0; p < numPipelinePhases; ++p)
             result.seconds[p] += stats.phaseSeconds[p];
-        result.arenaHighWaterBytes = stats.arenaHighWaterBytes;
-        result.arenaGrowths += stats.arenaGrowths;
         result.workspaceGrowths += stats.solver.workspaceGrowths;
         result.workspaceReuses += stats.solver.workspaceReuses;
         result.broadphaseStorageGrowths +=

@@ -59,8 +59,8 @@ struct MeasureOptions
     unsigned hostWorkers = 0;
     /** Host scheduler grain (pairs/islands/cloths per chunk). */
     unsigned hostGrainSize = 16;
-    /** Fixed tiling + ordered reduction on the host scheduler, so
-     *  measured runs are bitwise reproducible per worker count. */
+    /** Fixed-grain tiling on the host scheduler
+     *  (WorldConfig::deterministic): moves chunk boundaries only. */
     bool hostDeterministic = true;
 
     /** WorldConfig carrying the host scheduler knobs. */
@@ -240,10 +240,8 @@ struct HostPhaseSeconds
     double total = 0;
     std::uint64_t tasksStolen = 0;
     // Allocation trajectory over the measured window: a warm steady
-    // state shows zero growths (arena blocks, solver workspaces,
-    // broadphase storage) and a flat high-water mark.
-    std::uint64_t arenaHighWaterBytes = 0;
-    std::uint64_t arenaGrowths = 0;
+    // state shows zero growths (solver workspaces, broadphase
+    // storage).
     std::uint64_t workspaceGrowths = 0;
     std::uint64_t workspaceReuses = 0;
     std::uint64_t broadphaseStorageGrowths = 0;

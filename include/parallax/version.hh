@@ -7,18 +7,19 @@
  * with parallax::Status and added the Server session API; v2 dropped
  * WorldConfig's legacy boolean invariant-check flag; v3 dropped the
  * broadphase-choice and phase-overlap options and the text stats
- * export, see docs/API.md); the minor
- * number bumps when the surface grows compatibly. Internal headers
- * under src/ carry no compatibility promise at all — consumers that
- * reach past include/parallax/ are on their own, and the
- * check_public_api ctest guard keeps the in-tree benches, examples
- * and tools honest about it.
+ * export; v4 dropped the frame-arena block-size options, the arena
+ * stats and the narrowphase cost observer, see docs/API.md); the
+ * minor number bumps when the surface grows compatibly. Internal
+ * headers under src/ carry no compatibility promise at all —
+ * consumers that reach past include/parallax/ are on their own, and
+ * the check_public_api ctest guard keeps the in-tree benches,
+ * examples and tools honest about it.
  */
 
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 3
+#define PARALLAX_API_VERSION_MAJOR 4
 #define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */

@@ -365,10 +365,6 @@ divergentConfigField(const WorldConfig &a, const WorldConfig &b)
         return "solverIterations";
     if (a.clothIterations != b.clothIterations)
         return "clothIterations";
-    if (a.deterministic != b.deterministic)
-        return "deterministic";
-    if (a.deterministic && a.grainSize != b.grainSize)
-        return "grainSize";
     if (a.defaultMaterial.friction != b.defaultMaterial.friction ||
         a.defaultMaterial.restitution !=
             b.defaultMaterial.restitution ||

@@ -7,8 +7,8 @@
  * the effects subsystem (pending explosives, active blasts, fracture
  * flags), simulation time, and the world configuration. Restoring a
  * snapshot into a world with the same scene structure reproduces the
- * subsequent trajectory bitwise (in deterministic mode, for any
- * worker count), which turns "scene misbehaves at step 2843" into
+ * subsequent trajectory bitwise (for any worker count, in either
+ * scheduling mode), which turns "scene misbehaves at step 2843" into
  * "load snapshot, step once".
  *
  * Blast volumes are the one structural mutation a running scene
@@ -115,9 +115,9 @@ Status applySnapshotDelta(const std::vector<std::uint8_t> &base,
  * velocities and sleep state, joint break bookkeeping, cloth
  * particles, and simulation time. Unlike captureState() — whose
  * bytes embed the WorldConfig, including the worker count — this
- * hash covers exactly the quantities the deterministic-mode
- * guarantee promises are bitwise identical for any number of
- * workers: equal hashes across worker counts are that promise, and
+ * hash covers exactly the quantities the engine promises are
+ * bitwise identical for any number of workers and either scheduling
+ * mode: equal hashes across worker counts are that promise, and
  * equal hashes across code versions mean a refactor did not move a
  * single bit (tools/state_hash prints it per scene).
  */

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <optional>
 
-#include "physics/parallel/arena.hh"
 #include "physics/shapes/primitives.hh"
 #include "physics/shapes/static_shapes.hh"
 #include "sim/logging.hh"
@@ -193,9 +192,8 @@ sampleSpheres(const Geom &g)
 
 } // namespace
 
-template <typename ContactSink>
 int
-Narrowphase::collide(const Geom &a, const Geom &b, ContactSink &out)
+Narrowphase::collide(const Geom &a, const Geom &b, std::vector<Contact> &out)
 {
     ++stats_.pairsTested;
     const auto ta = static_cast<int>(a.shape().type());
@@ -233,9 +231,8 @@ constexpr std::uint8_t pairSphereSphere = 1; // SIMD batch
 constexpr std::uint8_t pairSphereBox = 2;    // SIMD batch
 } // namespace
 
-template <typename ContactSink>
 void
-Narrowphase::batchRun(ContactSink &out)
+Narrowphase::batchRun(std::vector<Contact> &out)
 {
     const std::size_t n = pairA_.size();
 
@@ -354,10 +351,9 @@ Narrowphase::batchRun(ContactSink &out)
     }
 }
 
-template <typename ContactSink>
 void
 Narrowphase::collideOrdered(const Geom &a, const Geom &b,
-                            ContactSink &out, bool flipped)
+                            std::vector<Contact> &out, bool flipped)
 {
     const ShapeType sa = a.shape().type();
     const ShapeType sb = b.shape().type();
@@ -493,10 +489,9 @@ Narrowphase::collideOrdered(const Geom &a, const Geom &b,
     // and are filtered out by the broadphase.
 }
 
-template <typename ContactSink>
 void
 Narrowphase::collideBoxBox(const Geom &a, const Geom &b,
-                           ContactSink &out, bool flipped)
+                           std::vector<Contact> &out, bool flipped)
 {
     const auto &ba = static_cast<const BoxShape &>(a.shape());
     const auto &bb = static_cast<const BoxShape &>(b.shape());
@@ -693,10 +688,9 @@ Narrowphase::collideBoxBox(const Geom &a, const Geom &b,
     }
 }
 
-template <typename ContactSink>
 void
 Narrowphase::collideBoxPlane(const Geom &a, const Geom &b,
-                             ContactSink &out, bool flipped)
+                             std::vector<Contact> &out, bool flipped)
 {
     const auto &box = static_cast<const BoxShape &>(a.shape());
     const auto &plane = static_cast<const PlaneShape &>(b.shape());
@@ -740,10 +734,9 @@ Narrowphase::collideBoxPlane(const Geom &a, const Geom &b,
     }
 }
 
-template <typename ContactSink>
 void
 Narrowphase::collideCapsuleCapsule(const Geom &a, const Geom &b,
-                                   ContactSink &out, bool flipped)
+                                   std::vector<Contact> &out, bool flipped)
 {
     const auto &ca = static_cast<const CapsuleShape &>(a.shape());
     const auto &cb = static_cast<const CapsuleShape &>(b.shape());
@@ -799,10 +792,9 @@ Narrowphase::collideCapsuleCapsule(const Geom &a, const Geom &b,
     }
 }
 
-template <typename ContactSink>
 void
 Narrowphase::collideSampledVsStatic(const Geom &a, const Geom &b,
-                                    ContactSink &out, bool flipped)
+                                    std::vector<Contact> &out, bool flipped)
 {
     const Transform pb = b.worldPose();
     int made = 0;
@@ -848,16 +840,5 @@ Narrowphase::collideSampledVsStatic(const Geom &a, const Geom &b,
         }
     }
 }
-
-// The two sinks the engine uses: plain vectors on the serial path
-// and per-lane arena vectors on the parallel path.
-template int Narrowphase::collide<std::vector<Contact>>(
-    const Geom &, const Geom &, std::vector<Contact> &);
-template int Narrowphase::collide<ArenaVector<Contact>>(
-    const Geom &, const Geom &, ArenaVector<Contact> &);
-template void Narrowphase::batchRun<std::vector<Contact>>(
-    std::vector<Contact> &);
-template void Narrowphase::batchRun<ArenaVector<Contact>>(
-    ArenaVector<Contact> &);
 
 } // namespace parallax

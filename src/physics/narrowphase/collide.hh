@@ -28,16 +28,11 @@ class Narrowphase
 {
   public:
     /**
-     * Generate contacts for one pair. `ContactSink` is any container
-     * of Contact with push_back/size/operator[] — std::vector for
-     * the serial path, ArenaVector for parallel workers writing into
-     * their lane's frame arena. Definitions live in collide.cc with
-     * explicit instantiations for exactly those two sinks.
+     * Generate contacts for one pair (at most maxContactsPerPair).
      *
      * @return Number of contacts appended.
      */
-    template <typename ContactSink>
-    int collide(const Geom &a, const Geom &b, ContactSink &out);
+    int collide(const Geom &a, const Geom &b, std::vector<Contact> &out);
 
     /**
      * Batched pair testing: accumulate pairs with batchAdd, then
@@ -50,8 +45,7 @@ class Narrowphase
      */
     void batchClear();
     void batchAdd(const Geom *a, const Geom *b);
-    template <typename ContactSink>
-    void batchRun(ContactSink &out);
+    void batchRun(std::vector<Contact> &out);
 
     /** Select the kernel backend for batched pair tests. nullptr
      *  (the default) means the scalar reference backend. */
@@ -68,22 +62,17 @@ class Narrowphase
      * Dispatch with canonical type ordering; `flipped` records that
      * the caller's (a, b) were swapped so ids/normals are restored.
      */
-    template <typename ContactSink>
     void collideOrdered(const Geom &a, const Geom &b,
-                        ContactSink &out, bool flipped);
+                        std::vector<Contact> &out, bool flipped);
 
-    template <typename ContactSink>
     void collideBoxBox(const Geom &a, const Geom &b,
-                       ContactSink &out, bool flipped);
-    template <typename ContactSink>
+                       std::vector<Contact> &out, bool flipped);
     void collideBoxPlane(const Geom &a, const Geom &b,
-                         ContactSink &out, bool flipped);
-    template <typename ContactSink>
+                         std::vector<Contact> &out, bool flipped);
     void collideCapsuleCapsule(const Geom &a, const Geom &b,
-                               ContactSink &out, bool flipped);
-    template <typename ContactSink>
+                               std::vector<Contact> &out, bool flipped);
     void collideSampledVsStatic(const Geom &a, const Geom &b,
-                                ContactSink &out, bool flipped);
+                                std::vector<Contact> &out, bool flipped);
 
     NarrowphaseStats stats_;
     const KernelBackend *backend_ = nullptr;

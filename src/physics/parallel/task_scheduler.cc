@@ -85,8 +85,6 @@ TaskScheduler::TaskScheduler(SchedulerConfig config)
 {
     if (config_.grainSize == 0)
         config_.grainSize = 1;
-    if (config_.arenaBlockBytes == 0)
-        config_.arenaBlockBytes = 64 * 1024;
     if (workerCount_ > maxWorkers) {
         warn("workerThreads %u exceeds the scheduler cap of %u; "
              "clamping",
@@ -102,12 +100,8 @@ TaskScheduler::TaskScheduler(SchedulerConfig config)
              laneCount(), hw);
     }
     lanes_.reserve(laneCount());
-    arenas_.reserve(laneCount());
-    for (unsigned i = 0; i < laneCount(); ++i) {
+    for (unsigned i = 0; i < laneCount(); ++i)
         lanes_.push_back(std::make_unique<Lane>());
-        arenas_.push_back(
-            std::make_unique<FrameArena>(config_.arenaBlockBytes));
-    }
     threads_.reserve(workerCount_);
     for (unsigned i = 0; i < workerCount_; ++i)
         threads_.emplace_back([this, i] { workerMain(i + 1); });
@@ -131,9 +125,8 @@ TaskScheduler::tiling(std::size_t count, std::size_t grain) const
     t.grain = std::max<std::size_t>(1, grain);
     if (!config_.deterministic) {
         // Widen the grain so the loop yields at most a handful of
-        // chunks per lane; tiling then depends on the lane count,
-        // which is why this path is not deterministic across
-        // worker counts once reductions care about chunk identity.
+        // chunks per lane; tiling then depends on the lane count
+        // (results do not, as long as reductions are ordered).
         const std::size_t target =
             static_cast<std::size_t>(laneCount()) * 8;
         t.grain = std::max(t.grain, (count + target - 1) / target);
@@ -144,24 +137,21 @@ TaskScheduler::tiling(std::size_t count, std::size_t grain) const
 
 TaskScheduler::Tiling
 TaskScheduler::tiling(std::size_t count, std::size_t minGrain,
-                      const ChunkCostModel &cost) const
+                      double nsPerItem) const
 {
     // Widen the grain until one chunk is worth ~targetChunkNanos of
     // estimated work. The result depends only on the iteration count
-    // and the cost estimate — never the lane count — so in
-    // deterministic mode (where the estimate is the committed
-    // constant) chunk boundaries are identical for any number of
-    // workers. Chunk count is bounded by total-work / target-chunk,
-    // which amortizes dispatch+steal overhead to a fixed fraction,
-    // and a loop cheaper than one target chunk collapses to a single
+    // and the loop site's constant estimate — never the lane count —
+    // so chunk boundaries are identical for any number of workers.
+    // Chunk count is bounded by total-work / target-chunk, which
+    // amortizes dispatch+steal overhead to a fixed fraction, and a
+    // loop cheaper than one target chunk collapses to a single
     // inline chunk instead of paying any dispatch at all.
-    const double ns = std::max(1.0, cost.nsPerItem());
+    const double ns = std::max(1.0, nsPerItem);
     const auto cost_grain = static_cast<std::size_t>(
         std::max(1.0, config_.targetChunkNanos / ns));
-    // Quantize to a power of two: the measured estimate must move
-    // 2x before chunk boundaries shift, so EWMA jitter does not
-    // re-tile every step (stable tiling keeps per-lane arena demand
-    // — and the allocation-flat guarantee — stable too).
+    // Round down to a power of two, so a chunk never exceeds the
+    // target.
     Tiling t;
     t.grain = std::max(std::max<std::size_t>(1, minGrain),
                        std::bit_floor(cost_grain));
@@ -178,10 +168,9 @@ TaskScheduler::parallelFor(std::size_t count, std::size_t grain,
 
 void
 TaskScheduler::parallelFor(std::size_t count, std::size_t minGrain,
-                           const ChunkCostModel &cost,
-                           const LoopBody &body)
+                           double nsPerItem, const LoopBody &body)
 {
-    runLoop(count, tiling(count, minGrain, cost), body);
+    runLoop(count, tiling(count, minGrain, nsPerItem), body);
 }
 
 void
@@ -367,40 +356,6 @@ TaskScheduler::laneStats(std::vector<LaneStats> &out) const
         out[i].itemsProcessed =
             lanes_[i]->items.load(std::memory_order_relaxed);
     }
-}
-
-void
-TaskScheduler::resetArenas()
-{
-    for (auto &arena : arenas_)
-        arena->reset();
-}
-
-std::size_t
-TaskScheduler::arenaFrameBytes() const
-{
-    std::size_t total = 0;
-    for (const auto &arena : arenas_)
-        total += arena->frameBytes();
-    return total;
-}
-
-std::size_t
-TaskScheduler::arenaHighWaterBytes() const
-{
-    std::size_t high = 0;
-    for (const auto &arena : arenas_)
-        high = std::max(high, arena->highWaterBytes());
-    return high;
-}
-
-std::uint64_t
-TaskScheduler::arenaGrowths() const
-{
-    std::uint64_t total = 0;
-    for (const auto &arena : arenas_)
-        total += arena->growthCount();
-    return total;
 }
 
 } // namespace parallax

@@ -13,11 +13,11 @@
  * deque (LIFO, cache-friendly); thieves steal from the top (FIFO,
  * takes the largest outstanding split first).
  *
- * Deterministic mode pins the tiling to the configured grain size so
- * chunk boundaries never depend on the number of workers; callers
- * combine per-chunk partial results in chunk-index order ("ordered
- * reduction") and obtain bitwise-identical simulation state for any
- * worker count.
+ * Callers that need a reduction combine per-chunk partial results in
+ * chunk-index order ("ordered reduction"), so the result does not
+ * depend on which lane ran which chunk. Deterministic mode only pins
+ * the fixed-grain tiling to the configured grain size (chunk
+ * boundaries, never results).
  */
 
 #ifndef PARALLAX_PHYSICS_PARALLEL_TASK_SCHEDULER_HH
@@ -32,8 +32,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "physics/parallel/arena.hh"
 
 namespace parallax
 {
@@ -51,17 +49,13 @@ struct SchedulerConfig
     std::size_t grainSize = 16;
 
     /**
-     * Fix the tiling to `grainSize` regardless of worker count and
-     * promise callers that chunk boundaries are reproducible, so
-     * ordered per-chunk reductions give bitwise-identical results
-     * for any number of workers.
+     * Tile fixed-grain loops (parallelFor(count, grain, ...)) at
+     * exactly `grain` regardless of worker count instead of widening
+     * them to a few chunks per lane. Moves chunk boundaries only:
+     * the engine's reductions are ordered, so results never depend
+     * on it.
      */
     bool deterministic = false;
-
-    /** Per-lane frame-arena block size in bytes (arena.hh). Small
-     *  worlds in a multi-world server shrink this so footprint
-     *  scales with scene size instead of lane count. */
-    std::size_t arenaBlockBytes = 64 * 1024;
 
     /**
      * Adaptive grain sizing: target nanoseconds of work per chunk
@@ -70,8 +64,7 @@ struct SchedulerConfig
      * chunks keep that overhead under ~1% of chunk work while still
      * yielding tens of stealable chunks per millisecond of phase
      * time. A pure tuning knob: it moves chunk boundaries, never
-     * results (in deterministic mode it is part of the committed
-     * cost model, so it must be identical across compared runs).
+     * results.
      */
     double targetChunkNanos = 50 * 1000.0;
 };
@@ -82,56 +75,6 @@ struct LaneStats
     std::uint64_t chunksExecuted = 0;
     std::uint64_t rangesStolen = 0;
     std::uint64_t itemsProcessed = 0;
-};
-
-/**
- * Per-loop-site cost model feeding adaptive grain sizing.
- *
- * Each parallel loop site (narrowphase pair tests, island batches,
- * cloth steps) owns one of these. It starts from a committed
- * estimate of nanoseconds per iteration and, when the owner feeds it
- * measurements via observe(), tracks the measured cost with an EWMA.
- *
- * Deterministic mode must never call observe(): the committed
- * estimate is a step-stable input (a constant), so the grain derived
- * from it — and therefore every chunk boundary — is a pure function
- * of the iteration count, reproducible across runs and worker
- * counts. Non-deterministic mode feeds measured per-item wall clock
- * back in so grains track the actual scene.
- */
-class ChunkCostModel
-{
-  public:
-    explicit ChunkCostModel(double committedNsPerItem)
-        : committed_(committedNsPerItem), ns_(committedNsPerItem)
-    {
-    }
-
-    /** Current cost estimate (committed until observe() is called). */
-    double nsPerItem() const { return ns_; }
-
-    /** The committed (never-measured) estimate. */
-    double committedNsPerItem() const { return committed_; }
-
-    /**
-     * Fold one measured loop execution into the estimate. Callers in
-     * deterministic mode must not call this (wall clock would leak
-     * into chunk boundaries).
-     */
-    void
-    observe(std::size_t items, double seconds)
-    {
-        if (items == 0 || !(seconds >= 0))
-            return;
-        const double measured = seconds * 1e9 / items;
-        // EWMA with a half-life of a few steps: quick to lock onto a
-        // scene, slow enough to ride out scheduler noise.
-        ns_ = ns_ * 0.7 + measured * 0.3;
-    }
-
-  private:
-    double committed_;
-    double ns_;
 };
 
 /**
@@ -237,22 +180,17 @@ class TaskScheduler
      * Cost-model tiling: widen the grain beyond `minGrain` until one
      * chunk is worth at least SchedulerConfig::targetChunkNanos of
      * estimated work (`nsPerItem` per iteration), so dispatch+steal
-     * overhead stays a small fraction of chunk cost.
-     *
-     * Deterministic mode derives the grain only from step-stable
-     * inputs — the iteration count and the (never wall-clock) cost
-     * estimate — and additionally caps it so loops big enough to
-     * split still yield a fixed number of chunks independent of the
-     * lane count, keeping chunk boundaries bitwise-reproducible for
-     * any number of workers. Non-deterministic mode balances the
-     * cost target against a few chunks per lane.
+     * overhead stays a small fraction of chunk cost. The estimate is
+     * a constant of the loop site, so the tiling depends only on the
+     * iteration count — never on the lane count or the wall clock —
+     * in both scheduling modes.
      */
     Tiling tiling(std::size_t count, std::size_t minGrain,
-                  const ChunkCostModel &cost) const;
+                  double nsPerItem) const;
 
     /** parallelFor with cost-model tiling (see tiling above). */
     void parallelFor(std::size_t count, std::size_t minGrain,
-                     const ChunkCostModel &cost, const LoopBody &body);
+                     double nsPerItem, const LoopBody &body);
 
     /**
      * Run `body` over [0, count) in parallel and wait for
@@ -277,36 +215,11 @@ class TaskScheduler
     void laneStats(std::vector<LaneStats> &out) const;
 
     /**
-     * The frame arena owned by `lane`. A chunk body must only
-     * allocate from the arena of the lane it is executing on —
-     * arenas are single-owner and unsynchronized.
-     */
-    FrameArena &arena(unsigned lane) { return *arenas_[lane]; }
-    const FrameArena &arena(unsigned lane) const
-    { return *arenas_[lane]; }
-
-    /**
-     * Rewind every lane's arena. The world calls this at the top of
-     * each step (the substep barrier): all arena pointers from the
-     * previous step are dead afterwards.
-     */
-    void resetArenas();
-
-    /** Sum of frameBytes() across lanes (since the last reset). */
-    std::size_t arenaFrameBytes() const;
-
-    /** Largest per-lane high-water mark across all lanes. */
-    std::size_t arenaHighWaterBytes() const;
-
-    /** Total arena block heap allocations across lanes (monotonic). */
-    std::uint64_t arenaGrowths() const;
-
-    /**
      * Fault injection (FaultKind::StallLane): make `lane` sleep for
      * `seconds` of wall-clock time at its next loop participation,
      * modeling a slow or preempted core. Perturbs timing only —
-     * simulation state is unaffected, which is exactly what the
-     * deterministic-mode guarantee promises under scheduling jitter.
+     * simulation state is unaffected, because every reduction the
+     * engine runs is ordered by chunk index, not by lane.
      */
     void stallLane(unsigned lane, double seconds);
 
@@ -346,7 +259,6 @@ class TaskScheduler
     SchedulerConfig config_;
     unsigned workerCount_;
     std::vector<std::unique_ptr<Lane>> lanes_;
-    std::vector<std::unique_ptr<FrameArena>> arenas_;
     std::vector<std::thread> threads_;
 
     // Current-loop state. body_/grain_/count_ are written by lane 0

@@ -26,6 +26,29 @@ PgsSolver::Workspace::capacitySum() const
 }
 
 void
+PgsSolver::reserve(std::size_t bodies, std::size_t rows,
+                   std::size_t joints)
+{
+    const std::size_t capacity_before = ws_.capacitySum();
+    // Bodies get the extra zero-velocity slot solve() appends.
+    ws_.linVel.reserve(bodies + 1);
+    ws_.angVel.reserve(bodies + 1);
+    ws_.invMass.reserve(bodies);
+    ws_.invInertia.reserve(bodies);
+    ws_.rows.reserve(rows);
+    ws_.mLinA.reserve(rows);
+    ws_.mAngA.reserve(rows);
+    ws_.mLinB.reserve(rows);
+    ws_.mAngB.reserve(rows);
+    ws_.invDiag.reserve(rows);
+    ws_.bodyA.reserve(rows);
+    ws_.bodyB.reserve(rows);
+    ws_.slices.reserve(joints);
+    if (ws_.capacitySum() > capacity_before)
+        ++stats_.workspaceGrowths;
+}
+
+void
 PgsSolver::solve(Island &island, const SolverParams &params)
 {
     ++stats_.islandsSolved;

@@ -81,6 +81,15 @@ class PgsSolver
      */
     void solve(Island &island, const SolverParams &params);
 
+    /**
+     * Reserve the workspace for an island of `bodies` bodies,
+     * `rows` constraint rows and `joints` joints, so a later solve()
+     * of any island up to that size allocates nothing. A capacity
+     * change counts as one workspaceGrowths event.
+     */
+    void reserve(std::size_t bodies, std::size_t rows,
+                 std::size_t joints);
+
     int iterations() const { return iterations_; }
 
     /** Adjust relaxation sweeps (the step governor walks this toward

@@ -55,8 +55,6 @@ StepStats::reset()
     bodiesAsleep = 0;
     parTasksExecuted = 0;
     parTasksStolen = 0;
-    arenaBytesUsed = 0;
-    arenaHighWaterBytes = 0;
     arenaGrowths = 0;
     laneTasks.clear();
     phaseSeconds.fill(0.0);
@@ -93,9 +91,6 @@ WorldConfig::validate() const
     check(grainSize >= 1,
           "grainSize must be >= 1 (got " +
               std::to_string(grainSize) + ")");
-    check(arenaBlockBytes >= 1024,
-          "arenaBlockBytes must be >= 1024 (got " +
-              std::to_string(arenaBlockBytes) + ")");
     check(std::isfinite(erp) && erp >= 0 && erp <= 1,
           "erp must be in [0, 1] (got " + std::to_string(erp) + ")");
     check(std::isfinite(cfm) && cfm >= 0,
@@ -169,6 +164,15 @@ WorldConfig::validate() const
 namespace
 {
 
+// Committed per-item costs (ns) for the cost-model tiling: one
+// narrowphase pair test, one body integration, and one
+// constraint-row relaxation (one row, one sweep; island batch row
+// targets scale it by solver iterations). Constants, so every chunk
+// boundary is a pure function of item counts.
+constexpr double narrowphaseNsPerPair = 800.0;
+constexpr double integrateNsPerBody = 60.0;
+constexpr double solverNsPerRowSweep = 60.0;
+
 /** Reject invalid configs before any subsystem sees them. */
 WorldConfig
 validatedConfig(WorldConfig config)
@@ -193,8 +197,7 @@ World::World(WorldConfig config)
       solver_(config_.solverIterations),
       scheduler_(SchedulerConfig{config_.workerThreads,
                                  config_.grainSize,
-                                 config_.deterministic,
-                                 config_.arenaBlockBytes}),
+                                 config_.deterministic}),
       governor_(config_.frameBudget, config_.governor,
                 config_.solverIterations, config_.clothIterations),
       plan_(governor_.planForLevel(0))
@@ -472,9 +475,6 @@ World::step()
     narrowphase_.resetStats();
     islandBuilder_.resetStats();
     solver_.resetStats();
-    // Substep barrier: rewind every lane's frame arena. All arena
-    // memory handed out during the previous step dies here.
-    scheduler_.resetArenas();
     // Effects stats are cumulative across the run (blasts and
     // fractures are one-shot events, not per-step rates).
     pairsDeferredThisStep_ = 0;
@@ -545,31 +545,12 @@ World::step()
             lanesBefore_[i].itemsProcessed;
     }
 
-    // Frame-arena accounting for this step (the arenas were rewound
-    // at the top of step(), so frameBytes is this step's total).
-    stepStats_.arenaBytesUsed = scheduler_.arenaFrameBytes();
-    stepStats_.arenaHighWaterBytes = scheduler_.arenaHighWaterBytes();
-    const std::uint64_t arena_growths = scheduler_.arenaGrowths();
-    stepStats_.arenaGrowths = arena_growths - lastArenaGrowths_;
-    lastArenaGrowths_ = arena_growths;
-
     // Collect stats snapshots.
     stepStats_.broadphase = broadphase_.stats();
     stepStats_.narrowphase = narrowphase_.stats();
     stepStats_.island = islandBuilder_.stats();
     stepStats_.solver = solver_.stats();
     stepStats_.effects = effects_.stats();
-
-    // Feed measured per-item narrowphase cost back into the grain
-    // model — but never in deterministic mode, where chunk
-    // boundaries must stay a pure function of counts and the
-    // committed seeds (wall clock must not leak into tiling).
-    if (!config_.deterministic && stepStats_.pairsFound > 0) {
-        npCost_.observe(
-            stepStats_.pairsFound,
-            stepStats_.phaseSeconds[static_cast<int>(
-                PipelinePhase::Narrowphase)]);
-    }
 
     // Mocked clock (governor determinism tests): the injected
     // schedule replaces the measured phase timers wholesale, so
@@ -635,8 +616,6 @@ World::recordStepTraceCounters()
     trace_.recordCounter("quarantined_bodies", stepCount_,
                          static_cast<double>(
                              quarantinedBodies_.size()));
-    trace_.recordCounter("arena_bytes", stepCount_,
-                         static_cast<double>(s.arenaBytesUsed));
     trace_.recordCounter("solver_reuse", stepCount_,
                          static_cast<double>(
                              s.solver.workspaceReuses));
@@ -695,10 +674,7 @@ World::updateMetrics()
     metrics_.add("trace_events_dropped",
                  static_cast<double>(trace_.droppedEvents()) -
                      metrics_.value("trace_events_dropped"));
-    // Allocation-free hot path: arena block allocations this step
-    // (zero once warm) and solver workspace reuse events.
-    metrics_.add("arena.growths",
-                 static_cast<double>(s.arenaGrowths));
+    // Allocation-free hot path: solver workspace reuse events.
     metrics_.add("solver.reuse",
                  static_cast<double>(s.solver.workspaceReuses));
     // Vector-engine counters, summed across the solver, cloth and
@@ -722,8 +698,6 @@ World::updateMetrics()
     metrics_.set("kernel.width",
                  static_cast<double>(kernelBackend_->width()));
     // Gauges: the latest observation.
-    metrics_.set("arena.high_water_bytes",
-                 static_cast<double>(s.arenaHighWaterBytes));
     metrics_.set("governor_rung",
                  static_cast<double>(s.governor.ladderLevel));
     metrics_.set("islands",
@@ -742,8 +716,8 @@ std::string
 World::metricsLine() const
 {
     // Fixed key order, deterministic values only (no wall-clock, no
-    // lane counters): in deterministic mode this line is identical
-    // for any worker count. Consumers key on "pax_metrics".
+    // lane counters): this line is identical for any worker count.
+    // Consumers key on "pax_metrics".
     const StepStats &s = stepStats_;
     auto u64 = [](std::uint64_t v) { return std::to_string(v); };
     // With a metrics scope set (the server's "world.<id>"), every
@@ -1262,14 +1236,14 @@ World::phaseNarrowphase()
     lastContacts_.clear();
 
     // Adaptive grain: chunks sized so each is worth roughly
-    // targetChunkNanos of pair tests under the narrowphase cost
-    // model (committed seed; measured EWMA outside deterministic
-    // mode), with config grainSize as the floor. Contact order is
-    // the pair order in both branches below, so the trajectory is
-    // invariant to the grain — only dispatch overhead moves.
+    // targetChunkNanos of pair tests at the committed per-pair cost,
+    // with config grainSize as the floor. Contact order is the pair
+    // order in both branches below, so the trajectory is invariant
+    // to the grain and the worker count — only dispatch overhead
+    // moves.
     const std::size_t pairs = lastPairs_.size();
-    const TaskScheduler::Tiling tile =
-        scheduler_.tiling(pairs, config_.grainSize, npCost_);
+    const TaskScheduler::Tiling tile = scheduler_.tiling(
+        pairs, config_.grainSize, narrowphaseNsPerPair);
     if (scheduler_.laneCount() == 1 || tile.chunks < 2) {
         narrowphase_.batchClear();
         for (const GeomPair &pair : lastPairs_)
@@ -1280,71 +1254,53 @@ World::phaseNarrowphase()
         return;
     }
 
+    // One persistent slot per chunk, reserved for the most contacts
+    // a chunk can produce, so no chunk body ever reallocates: slots
+    // are created (and counted) only when the pair count needs more
+    // chunks than any step before.
+    const std::size_t slot_capacity =
+        tile.grain * static_cast<std::size_t>(maxContactsPerPair);
+    if (chunkContacts_.size() < tile.chunks)
+        chunkContacts_.resize(tile.chunks);
+    for (std::size_t c = 0; c < tile.chunks; ++c) {
+        std::vector<Contact> &slot = chunkContacts_[c].contacts;
+        if (slot.capacity() < slot_capacity) {
+            slot.reserve(slot_capacity);
+            ++stepStats_.arenaGrowths;
+        }
+    }
+
     // Worker narrowphase instances keep stats races away; their
     // counters (plain integers, order-independent) merge after the
-    // loop. The instances are persistent (only their counters reset)
-    // and contact buffers bump-allocate from the executing lane's
-    // frame arena, so a warm narrowphase never touches the heap.
+    // loop. Each chunk body runs exactly once and owns its slot, so
+    // the writes are race-free, and concatenating the slots in chunk
+    // order makes the contact list independent of which lane ran
+    // which chunk.
     for (Narrowphase &local : npLocals_)
         local.resetStats();
-    auto collideRange = [this](std::size_t begin, std::size_t end,
-                               unsigned lane,
-                               ArenaVector<Contact> &out) {
-        PAX_TRACE_SCOPE_ID(trace_, lane, "narrowphase_chunk",
-                           stepCount_,
-                           static_cast<std::int64_t>(begin));
-        Narrowphase &np = npLocals_[lane];
-        np.batchClear();
-        for (std::size_t i = begin; i < end; ++i) {
-            const GeomPair &pair = lastPairs_[i];
-            np.batchAdd(geoms_[pair.a].get(), geoms_[pair.b].get());
-        }
-        np.batchRun(out);
-    };
-
-    if (config_.deterministic) {
-        // Ordered reduction: one buffer per fixed tile, concatenated
-        // in chunk-index order, so the contact order (and therefore
-        // every downstream solver row) is independent of which lane
-        // ran which chunk. Each chunk body runs exactly once, so
-        // binding the chunk's buffer to the executing lane's arena
-        // there is race-free (slots are cache-line padded).
-        detChunkBufs_.clear();
-        detChunkBufs_.resize(tile.chunks);
-        scheduler_.parallelFor(
-            pairs, config_.grainSize, npCost_,
-            [&](std::size_t begin, std::size_t end, unsigned lane) {
-                ArenaVector<Contact> &buf =
-                    detChunkBufs_[tile.chunkOf(begin)].contacts;
-                buf = ArenaVector<Contact>(&scheduler_.arena(lane));
-                collideRange(begin, end, lane, buf);
-            });
-        for (const ChunkContacts &chunk : detChunkBufs_) {
-            lastContacts_.insert(lastContacts_.end(),
-                                 chunk.contacts.begin(),
-                                 chunk.contacts.end());
-        }
-    } else {
-        // Per-lane buffers merged in lane order: fewer allocations,
-        // but the chunk-to-lane assignment (and thus contact order)
-        // depends on stealing.
-        laneContactBufs_.clear();
-        laneContactBufs_.resize(scheduler_.laneCount());
-        for (unsigned l = 0; l < scheduler_.laneCount(); ++l) {
-            laneContactBufs_[l].contacts =
-                ArenaVector<Contact>(&scheduler_.arena(l));
-        }
-        scheduler_.parallelFor(
-            pairs, config_.grainSize, npCost_,
-            [&](std::size_t begin, std::size_t end, unsigned lane) {
-                collideRange(begin, end, lane,
-                             laneContactBufs_[lane].contacts);
-            });
-        for (const ChunkContacts &chunk : laneContactBufs_) {
-            lastContacts_.insert(lastContacts_.end(),
-                                 chunk.contacts.begin(),
-                                 chunk.contacts.end());
-        }
+    scheduler_.parallelFor(
+        pairs, config_.grainSize, narrowphaseNsPerPair,
+        [this, &tile](std::size_t begin, std::size_t end,
+                      unsigned lane) {
+            PAX_TRACE_SCOPE_ID(trace_, lane, "narrowphase_chunk",
+                               stepCount_,
+                               static_cast<std::int64_t>(begin));
+            std::vector<Contact> &out =
+                chunkContacts_[tile.chunkOf(begin)].contacts;
+            out.clear();
+            Narrowphase &np = npLocals_[lane];
+            np.batchClear();
+            for (std::size_t i = begin; i < end; ++i) {
+                const GeomPair &pair = lastPairs_[i];
+                np.batchAdd(geoms_[pair.a].get(),
+                            geoms_[pair.b].get());
+            }
+            np.batchRun(out);
+        });
+    for (std::size_t c = 0; c < tile.chunks; ++c) {
+        const std::vector<Contact> &chunk = chunkContacts_[c].contacts;
+        lastContacts_.insert(lastContacts_.end(), chunk.begin(),
+                             chunk.end());
     }
     for (const Narrowphase &local : npLocals_)
         narrowphase_.mergeStats(local.stats());
@@ -1364,12 +1320,10 @@ World::phaseIslandCreation()
         // Blast volumes are non-solid triggers.
         if (ga->isBlast() || gb->isBlast())
             continue;
+        // Bodies connected by a permanent joint never get here:
+        // phaseBroadphase already dropped their pairs.
         RigidBody *ba = ga->body();
         RigidBody *bb = gb->body();
-        // Bodies connected by a permanent joint never get contact
-        // joints (their constraint already governs the pair).
-        if (connectedByJoint(ba, bb))
-            continue;
         // Ensure bodyA is dynamic (Joint requires it).
         Contact contact = c;
         if (ba == nullptr || ba->isStatic()) {
@@ -1498,7 +1452,7 @@ World::phaseIslandProcessing()
     // chunks coarse enough to amortize dispatch).
     auto forEachBody = [this](auto &&per_body) {
         scheduler_.parallelFor(
-            bodies_.size(), 1, bodyCost_,
+            bodies_.size(), 1, integrateNsPerBody,
             [this, &per_body](std::size_t begin, std::size_t end,
                               unsigned) {
                 for (std::size_t i = begin; i < end; ++i)
@@ -1573,7 +1527,7 @@ World::phaseIslandProcessing()
         // targetChunkNanos of solver work. All inputs are
         // step-stable, so batch boundaries — and a fortiori the
         // trajectory — never depend on wall clock or worker count.
-        const double row_ns = islandRowCost_.nsPerItem() *
+        const double row_ns = solverNsPerRowSweep *
                               std::max(1, plan_.solverIterations);
         const auto cost_rows = static_cast<std::size_t>(std::max(
             1.0,
@@ -1584,21 +1538,31 @@ World::phaseIslandProcessing()
                      cost_rows);
         islandBatchOffsets_.clear();
         std::size_t batch_rows = target_rows; // open a batch at i=0
+        std::size_t max_bodies = 0, max_rows = 0, max_joints = 0;
         for (std::size_t i = 0; i < solveIslands_.size(); ++i) {
             if (batch_rows >= target_rows) {
                 islandBatchOffsets_.push_back(
                     static_cast<std::uint32_t>(i));
                 batch_rows = 0;
             }
-            batch_rows += static_cast<std::size_t>(
-                std::max(1, solveIslands_[i]->rowCount()));
+            const Island &island = *solveIslands_[i];
+            const auto rows =
+                static_cast<std::size_t>(island.rowCount());
+            batch_rows += std::max<std::size_t>(1, rows);
+            max_bodies = std::max(max_bodies, island.bodies.size());
+            max_rows = std::max(max_rows, rows);
+            max_joints = std::max(max_joints, island.joints.size());
         }
         islandBatchOffsets_.push_back(
             static_cast<std::uint32_t>(solveIslands_.size()));
 
+        // Any lane may steal the largest island, so every lane
+        // solver is reserved for it up front: workspace growth then
+        // follows the scene, never the steal pattern.
         for (PgsSolver &s : laneSolvers_) {
             s.setIterations(plan_.solverIterations);
             s.resetStats();
+            s.reserve(max_bodies, max_rows, max_joints);
         }
         scheduler_.parallelFor(
             islandBatchOffsets_.size() - 1, 1,

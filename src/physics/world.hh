@@ -79,19 +79,15 @@ struct WorldConfig
     /** parallel_for tiling floor: minimum iterations (pair tests,
      *  islands, cloths) per scheduler chunk. The effective grain is
      *  usually wider — see SchedulerConfig::targetChunkNanos and the
-     *  per-phase cost models in world.cc. */
+     *  per-phase cost constants in world.cc. Moves chunk boundaries,
+     *  never results. */
     unsigned grainSize = 16;
-    /** Frame-arena block size in bytes (parallel/arena.hh). The
-     *  64 KB default suits one big world; a server hosting thousands
-     *  of small worlds shrinks it so per-world footprint stays
-     *  proportional to scene size. Allocation-only: not serialized
-     *  in snapshots, never affects the trajectory. */
-    std::size_t arenaBlockBytes = 64 * 1024;
-    /** Fixed tiling + ordered reduction: simulation state is
-     *  bitwise identical for any worker count (costs some merge
-     *  overhead in the narrowphase). Adaptive grain sizing stays on
-     *  but freezes its cost model at the committed constants, so
-     *  chunk boundaries are a pure function of item counts. */
+    /** Tile the fixed-grain loops (island batches, cloths) at
+     *  exactly their grain instead of widening them to a few chunks
+     *  per lane (SchedulerConfig::deterministic). Chunk boundaries
+     *  only: every reduction is ordered by chunk index, so
+     *  simulation state is bitwise identical for any worker count
+     *  with or without it. */
     bool deterministic = false;
     /** Kernel backend for the SoA hot loops (PGS relaxation, cloth
      *  integrate/relax, batched narrowphase). Scalar is the bitwise
@@ -244,11 +240,8 @@ struct StepStats
     std::uint64_t parTasksExecuted = 0;
     std::uint64_t parTasksStolen = 0;
 
-    /** Frame-arena bytes handed out during this step (all lanes). */
-    std::uint64_t arenaBytesUsed = 0;
-    /** Largest per-lane arena high-water mark (run-monotonic). */
-    std::uint64_t arenaHighWaterBytes = 0;
-    /** Arena blocks heap-allocated during this step (0 once warm). */
+    /** Parallel-narrowphase contact slots created or re-reserved
+     *  during this step (0 once warm). */
     std::uint64_t arenaGrowths = 0;
 
     /** Per-lane scheduler counters for this step alone (deltas of
@@ -440,8 +433,8 @@ class World
      * The stable per-step metrics line: one single-line JSON object
      * describing the step that just completed. Key order is fixed,
      * and every field is a pure function of simulation state — no
-     * wall-clock times, no lane counters — so in deterministic mode
-     * the line is identical for any worker count.
+     * wall-clock times, no lane counters — so the line is identical
+     * for any worker count.
      */
     std::string metricsLine() const;
 
@@ -625,46 +618,31 @@ class World
      *  islandWorkQueueThreshold and the committed row cost. */
     std::vector<Island *> solveIslands_;
     std::vector<std::uint32_t> islandBatchOffsets_;
-    /**
-     * Per-phase adaptive-grain cost models (ns per item). Seeded
-     * with committed constants; outside deterministic mode the
-     * narrowphase model tracks measured phase time (EWMA) so grains
-     * follow the scene. In deterministic mode observe() is never
-     * called — grain is a pure function of item counts and these
-     * committed seeds, keeping chunk boundaries reproducible.
-     */
-    ChunkCostModel npCost_{800.0};
-    ChunkCostModel bodyCost_{60.0};
-    /** Committed cost of one constraint-row relaxation (one row,
-     *  one sweep); batch row targets scale by solver iterations. */
-    ChunkCostModel islandRowCost_{60.0};
     /** One solver per lane for parallel island processing; each owns
-     *  a persistent workspace that stops allocating once warm. */
+     *  a persistent workspace, reserved each step for the largest
+     *  awake island, that stops allocating once warm. */
     std::vector<PgsSolver> laneSolvers_;
     /** Per-lane narrowphase instances (race-free stats counters). */
     std::vector<Narrowphase> npLocals_;
     /**
-     * Deterministic-mode per-chunk contact buffers. The slot array
-     * persists; each slot's ArenaVector is re-bound to the executing
-     * lane's frame arena every step. Slots are cache-line aligned so
-     * adjacent chunks on different lanes never share a line.
+     * Parallel-narrowphase contact slots, one per chunk, each
+     * reserved for grain × maxContactsPerPair contacts so a chunk
+     * never reallocates its slot. Persistent across steps; the array
+     * grows only when the pair count needs more chunks. Cache-line
+     * aligned so adjacent chunks on different lanes never share a
+     * line.
      */
     struct alignas(64) ChunkContacts
     {
-        ArenaVector<Contact> contacts;
+        std::vector<Contact> contacts;
     };
-    std::vector<ChunkContacts> detChunkBufs_;
-    /** Non-deterministic-mode per-lane contact buffers. */
-    std::vector<ChunkContacts> laneContactBufs_;
+    std::vector<ChunkContacts> chunkContacts_;
     /** Cloth collider lists and per-cloth stats buffers. */
     std::vector<std::vector<const Geom *>> clothColliders_;
     std::vector<ClothStats> clothLocalStats_;
     /** Scheduler lane-counter snapshots bracketing each step. */
     std::vector<LaneStats> lanesBefore_;
     std::vector<LaneStats> lanesAfter_;
-    /** Cumulative arena growth count at the end of the previous
-     *  step, for the per-step arena.growths metric delta. */
-    std::uint64_t lastArenaGrowths_ = 0;
     std::uint64_t totalJointsBroken_ = 0;
     Real time_ = 0.0;
     std::uint64_t stepCount_ = 0;

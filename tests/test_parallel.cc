@@ -189,11 +189,11 @@ worldState(const World &world)
 
 /** Step the Mix scene (all five phases active) at `workers`. */
 std::vector<double>
-runMixScene(unsigned workers)
+runMixScene(unsigned workers, bool deterministic = true)
 {
     WorldConfig config;
     config.workerThreads = workers;
-    config.deterministic = true;
+    config.deterministic = deterministic;
     config.grainSize = 8;
     auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
     for (int i = 0; i < 30; ++i)
@@ -203,17 +203,23 @@ runMixScene(unsigned workers)
 
 TEST(Determinism, MixSceneBitwiseIdenticalAcrossWorkerCounts)
 {
+    // Both scheduling modes must land on the deterministic 0-worker
+    // state: the mode moves chunk boundaries, never results.
     const std::vector<double> base = runMixScene(0);
     ASSERT_FALSE(base.empty());
-    for (unsigned workers : {1u, 2u, 8u}) {
-        const std::vector<double> state = runMixScene(workers);
-        ASSERT_EQ(state.size(), base.size());
-        // Bitwise comparison: memcmp of the raw doubles, not an
-        // epsilon test.
-        EXPECT_EQ(std::memcmp(state.data(), base.data(),
-                              base.size() * sizeof(double)),
-                  0)
-            << "state diverged at " << workers << " workers";
+    for (bool deterministic : {true, false}) {
+        for (unsigned workers : {1u, 2u, 8u}) {
+            const std::vector<double> state =
+                runMixScene(workers, deterministic);
+            ASSERT_EQ(state.size(), base.size());
+            // Bitwise comparison: memcmp of the raw doubles, not an
+            // epsilon test.
+            EXPECT_EQ(std::memcmp(state.data(), base.data(),
+                                  base.size() * sizeof(double)),
+                      0)
+                << "state diverged at " << workers << " workers"
+                << (deterministic ? "" : " in default mode");
+        }
     }
 }
 
@@ -374,54 +380,35 @@ TEST(Determinism, InjectedLaneStallsDoNotPerturbSimulation)
 
 TEST(TaskScheduler, CostModelTilingIsLaneIndependent)
 {
-    // Adaptive grains come from counts and the cost estimate only —
-    // never the worker count — so deterministic-mode chunk
-    // boundaries cannot depend on how many lanes exist. The grain is
-    // quantized to a power of two (the estimate must move 2x before
-    // tiling shifts) and floored at minGrain.
-    const ChunkCostModel cost(1000.0); // -> 50 raw, 32 quantized
+    // Adaptive grains come from the count and the loop site's
+    // constant per-item cost only — never the worker count or the
+    // scheduling mode — so chunk boundaries cannot depend on how
+    // many lanes exist. The grain is rounded down to a power of two
+    // and floored at minGrain.
+    const double ns_per_item = 1000.0; // -> 50 raw, 32 rounded
     TaskScheduler::Tiling reference{};
-    for (unsigned workers : {0u, 1u, 3u, 7u}) {
-        SchedulerConfig config;
-        config.workerThreads = workers;
-        config.deterministic = true;
-        TaskScheduler scheduler(config);
-        const TaskScheduler::Tiling tile =
-            scheduler.tiling(10000, 4, cost);
-        EXPECT_EQ(tile.grain, 32u);
-        if (workers == 0)
-            reference = tile;
-        EXPECT_EQ(tile.grain, reference.grain);
-        EXPECT_EQ(tile.chunks, reference.chunks);
+    for (bool deterministic : {true, false}) {
+        for (unsigned workers : {0u, 1u, 3u, 7u}) {
+            SchedulerConfig config;
+            config.workerThreads = workers;
+            config.deterministic = deterministic;
+            TaskScheduler scheduler(config);
+            const TaskScheduler::Tiling tile =
+                scheduler.tiling(10000, 4, ns_per_item);
+            EXPECT_EQ(tile.grain, 32u);
+            if (deterministic && workers == 0)
+                reference = tile;
+            EXPECT_EQ(tile.grain, reference.grain);
+            EXPECT_EQ(tile.chunks, reference.chunks);
+        }
     }
 
     TaskScheduler scheduler(SchedulerConfig{});
     // Cheap items widen the grain; the floor still binds.
-    EXPECT_EQ(scheduler.tiling(10000, 4, ChunkCostModel(10.0)).grain,
-              4096u);
-    EXPECT_EQ(scheduler.tiling(10000, 512, ChunkCostModel(50000.0))
-                  .grain,
-              512u);
+    EXPECT_EQ(scheduler.tiling(10000, 4, 10.0).grain, 4096u);
+    EXPECT_EQ(scheduler.tiling(10000, 512, 50000.0).grain, 512u);
     // A loop cheaper than one target chunk collapses to one chunk.
-    EXPECT_EQ(scheduler.tiling(20, 1, ChunkCostModel(1000.0)).chunks,
-              1u);
-}
-
-TEST(TaskScheduler, CostModelObservationMovesTheEstimate)
-{
-    ChunkCostModel cost(1000.0);
-    EXPECT_DOUBLE_EQ(cost.committedNsPerItem(), 1000.0);
-    // 100 items in 1 ms -> 10000 ns/item measured; EWMA moves part
-    // of the way there and the committed seed stays put.
-    cost.observe(100, 1e-3);
-    EXPECT_GT(cost.nsPerItem(), 1000.0);
-    EXPECT_LT(cost.nsPerItem(), 10000.0);
-    EXPECT_DOUBLE_EQ(cost.committedNsPerItem(), 1000.0);
-    // Degenerate observations are ignored.
-    const double before = cost.nsPerItem();
-    cost.observe(0, 1.0);
-    cost.observe(100, -1.0);
-    EXPECT_DOUBLE_EQ(cost.nsPerItem(), before);
+    EXPECT_EQ(scheduler.tiling(20, 1, 1000.0).chunks, 1u);
 }
 
 TEST(TaskScheduler, NoStealsCountedWithoutWorkers)

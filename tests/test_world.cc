@@ -184,6 +184,54 @@ TEST(World, DisabledBodiesSkipAllPhases)
     EXPECT_DOUBLE_EQ(b->position().y, 0.4);
 }
 
+TEST(World, JointedBodiesNeverCollide)
+{
+    // ODE's dAreConnected rule: two bodies joined by a permanent
+    // joint never collide. The broadphase drops their pair, so no
+    // contact and no contact joint can follow. A third, unjointed
+    // sphere overlapping one of them is the control: its pair must
+    // still come through.
+    for (unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE(workers);
+        WorldConfig config;
+        config.workerThreads = workers;
+        config.gravity = {0, 0, 0};
+        World world(config);
+        const SphereShape *s = world.addSphere(0.5);
+        RigidBody *a = world.createDynamicBody(
+            Transform(Quat(), {0, 0, 0}), *s, 1.0);
+        RigidBody *b = world.createDynamicBody(
+            Transform(Quat(), {0.6, 0, 0}), *s, 1.0);
+        RigidBody *c = world.createDynamicBody(
+            Transform(Quat(), {1.2, 0, 0}), *s, 1.0);
+        const GeomId ga = world.createGeom(s, a)->id();
+        const GeomId gb = world.createGeom(s, b)->id();
+        const GeomId gc = world.createGeom(s, c)->id();
+        world.createBallJoint(a, b, {0.3, 0, 0});
+
+        auto joined = [&](GeomId x, GeomId y) {
+            return (x == ga && y == gb) || (x == gb && y == ga);
+        };
+        world.step();
+        bool control_pair = false;
+        for (const GeomPair &pair : world.lastPairs()) {
+            EXPECT_FALSE(joined(pair.a, pair.b));
+            control_pair |= (pair.a == gb && pair.b == gc) ||
+                            (pair.a == gc && pair.b == gb);
+        }
+        EXPECT_TRUE(control_pair);
+        for (const Contact &contact : world.lastContacts())
+            EXPECT_FALSE(joined(contact.geomA, contact.geomB));
+        EXPECT_GT(world.lastContactJoints().size(), 0u);
+        for (const auto &joint : world.lastContactJoints()) {
+            const bool ab =
+                (joint->bodyA() == a && joint->bodyB() == b) ||
+                (joint->bodyA() == b && joint->bodyB() == a);
+            EXPECT_FALSE(ab);
+        }
+    }
+}
+
 TEST(World, LookupByIdReturnsNullOutOfRange)
 {
     World world;

@@ -48,7 +48,6 @@ smallWorldConfig(double tick_dt)
     config.dt = tick_dt;
     config.deterministic = true;
     config.workerThreads = 0;
-    config.arenaBlockBytes = 8 * 1024;
     return config;
 }
 

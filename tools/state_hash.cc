@@ -8,8 +8,8 @@
  *
  * Unlike captureState() — whose bytes embed the WorldConfig,
  * including the worker count — this hash covers only quantities the
- * deterministic-mode guarantee promises are bitwise identical for
- * any number of workers, so equal hashes across the w= column are
+ * engine promises are bitwise identical for any number of workers,
+ * so equal hashes across the w= column are
  * exactly that promise, and equal hashes across code versions mean a
  * refactor did not move a single bit. Record the output before a
  * change, `diff` it after: the first differing line names the run
