@@ -8,7 +8,9 @@
  * WorldConfig's legacy boolean invariant-check flag; v3 dropped the
  * broadphase-choice and phase-overlap options and the text stats
  * export; v4 dropped the frame-arena block-size options, the arena
- * stats and the narrowphase cost observer, see docs/API.md); the
+ * stats and the narrowphase cost observer; v5 made contact joints a
+ * value pool, islands spans, and the scheduler's loop body a
+ * non-owning reference, see docs/API.md); the
  * minor number bumps when the surface grows compatibly. Internal
  * headers under src/ carry no compatibility promise at all —
  * consumers that reach past include/parallax/ are on their own, and
@@ -19,7 +21,7 @@
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 4
+#define PARALLAX_API_VERSION_MAJOR 5
 #define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */

@@ -57,14 +57,13 @@ pairEligible(const Geom &a, const Geom &b)
 
 void
 SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
-                             std::vector<GeomPair> &out)
+                             TaskScheduler &scheduler,
+                             std::vector<GeomPair> &out,
+                             TraceCollector *trace, std::uint64_t step)
 {
     stats_.geomsConsidered += geoms.size();
     out.clear();
-    const std::size_t cap_before = axis_.capacity() +
-                                   planes_.capacity() +
-                                   active_.capacity() +
-                                   stamp_.capacity();
+    const std::size_t cap_before = storageCapacity();
 
     // Classify this step's geoms, stamping bounded membership so a
     // set change (spawn, enable/disable, shape swap to plane) is
@@ -72,9 +71,11 @@ SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
     ++gen_;
     planes_.clear();
     std::size_t bounded_count = 0;
+    std::size_t id_limit = 0;
     for (Geom *g : geoms) {
         if (!g->enabled())
             continue;
+        id_limit = std::max<std::size_t>(id_limit, g->id() + 1);
         if (unbounded(*g)) {
             planes_.push_back(g);
             continue;
@@ -120,43 +121,123 @@ SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
         }
     }
 
-    // Linear sweep with an active window.
-    active_.clear();
-    for (Geom *g : axis_) {
-        const Aabb &gb = g->bounds();
-        // Retire actives that end before this box begins.
-        std::erase_if(active_, [&](const Geom *other) {
-            return other->bounds().hi.x < gb.lo.x;
-        });
-        for (Geom *other : active_) {
-            ++stats_.overlapTests;
-            const Aabb &ob = other->bounds();
-            const bool yz = gb.lo.y <= ob.hi.y && gb.hi.y >= ob.lo.y &&
-                            gb.lo.z <= ob.hi.z && gb.hi.z >= ob.lo.z;
-            if (yz && pairEligible(*g, *other))
-                out.push_back(canonical(g->id(), other->id()));
+    // The sweep. Scans from different axis positions are independent,
+    // so chunks of positions tile across lanes, each writing its own
+    // slot; the slots are concatenated in chunk order. With one lane
+    // or a single chunk the scan writes straight into `out`.
+    const std::size_t n = axis_.size();
+    const TaskScheduler::Tiling tile = scheduler.tiling(
+        n, scheduler.schedulerConfig().grainSize, sweepNsPerGeom);
+    if (scheduler.laneCount() == 1 || tile.chunks < 2) {
+        stats_.overlapTests += sweep(0, n, out);
+    } else {
+        if (slots_.size() < tile.chunks)
+            slots_.resize(tile.chunks);
+        scheduler.parallelFor(
+            n, scheduler.schedulerConfig().grainSize, sweepNsPerGeom,
+            [this, &tile, trace, step](std::size_t begin,
+                                       std::size_t end,
+                                       unsigned lane) {
+                const bool tracing =
+                    trace != nullptr && trace->enabled();
+                const double t0 = tracing ? trace->nowUs() : 0.0;
+                SweepSlot &slot = slots_[tile.chunkOf(begin)];
+                slot.pairs.clear();
+                slot.overlapTests = sweep(begin, end, slot.pairs);
+                if (tracing) {
+                    trace->recordSpan(
+                        lane, "broadphase_chunk", step, t0,
+                        trace->nowUs(),
+                        static_cast<std::int64_t>(begin));
+                }
+            });
+        for (std::size_t c = 0; c < tile.chunks; ++c) {
+            out.insert(out.end(), slots_[c].pairs.begin(),
+                       slots_[c].pairs.end());
+            stats_.overlapTests += slots_[c].overlapTests;
         }
-        active_.push_back(g);
     }
 
-    // Planes pair with every eligible bounded geom.
-    for (Geom *p : planes_) {
-        for (Geom *g : axis_) {
-            ++stats_.overlapTests;
+    sortPairs(out, id_limit);
+    stats_.pairsFound += out.size();
+    if (storageCapacity() > cap_before)
+        ++stats_.storageGrowths;
+}
+
+std::vector<GeomPair>
+SweepAndPrune::findPairs(const std::vector<Geom *> &geoms)
+{
+    TaskScheduler serial;
+    std::vector<GeomPair> pairs;
+    findPairsInto(geoms, serial, pairs);
+    return pairs;
+}
+
+std::uint64_t
+SweepAndPrune::sweep(std::size_t begin, std::size_t end,
+                     std::vector<GeomPair> &out) const
+{
+    std::uint64_t tests = 0;
+    const std::size_t n = axis_.size();
+    for (std::size_t i = begin; i < end; ++i) {
+        const Geom *g = axis_[i];
+        const Aabb &gb = g->bounds();
+        // Every later geom that starts before g ends overlaps it in
+        // X. Later geoms start no earlier than the one before them,
+        // so the first that starts past g's end ends the scan.
+        for (std::size_t k = i + 1; k < n; ++k) {
+            const Geom *later = axis_[k];
+            const Aabb &lb = later->bounds();
+            if (gb.hi.x < lb.lo.x)
+                break;
+            ++tests;
+            const bool yz = lb.lo.y <= gb.hi.y && lb.hi.y >= gb.lo.y &&
+                            lb.lo.z <= gb.hi.z && lb.hi.z >= gb.lo.z;
+            if (yz && pairEligible(*later, *g))
+                out.push_back(canonical(later->id(), g->id()));
+        }
+        // Planes pair with every eligible bounded geom.
+        for (const Geom *p : planes_) {
+            ++tests;
             if (pairEligible(*p, *g))
                 out.push_back(canonical(p->id(), g->id()));
         }
     }
+    return tests;
+}
 
-    std::sort(out.begin(), out.end(),
-              [](const GeomPair &x, const GeomPair &y) {
-                  return x.a != y.a ? x.a < y.a : x.b < y.b;
-              });
-    stats_.pairsFound += out.size();
-    if (axis_.capacity() + planes_.capacity() + active_.capacity() +
-            stamp_.capacity() >
-        cap_before)
-        ++stats_.storageGrowths;
+void
+SweepAndPrune::sortPairs(std::vector<GeomPair> &pairs,
+                         std::size_t id_limit)
+{
+    // LSD radix sort on (a, b): a stable counting pass by b, then one
+    // by a. Pairs are unique, so this is exactly the order a
+    // comparison sort on (a, b) gives, in O(pairs + ids).
+    auto pass = [this, id_limit](const std::vector<GeomPair> &in,
+                                 std::vector<GeomPair> &to,
+                                 GeomId GeomPair::*digit) {
+        idCounts_.assign(id_limit + 1, 0);
+        for (const GeomPair &p : in)
+            ++idCounts_[p.*digit + 1];
+        for (std::size_t id = 1; id <= id_limit; ++id)
+            idCounts_[id] += idCounts_[id - 1];
+        for (const GeomPair &p : in)
+            to[idCounts_[p.*digit]++] = p;
+    };
+    sortScratch_.resize(pairs.size());
+    pass(pairs, sortScratch_, &GeomPair::b);
+    pass(sortScratch_, pairs, &GeomPair::a);
+}
+
+std::size_t
+SweepAndPrune::storageCapacity() const
+{
+    std::size_t total = axis_.capacity() + planes_.capacity() +
+                        stamp_.capacity() + slots_.capacity() +
+                        idCounts_.capacity() + sortScratch_.capacity();
+    for (const SweepSlot &slot : slots_)
+        total += slot.pairs.capacity();
+    return total;
 }
 
 } // namespace parallax

@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "physics/geom.hh"
+#include "physics/parallel/task_scheduler.hh"
+#include "physics/trace/trace.hh"
 
 namespace parallax
 {
@@ -58,10 +60,11 @@ struct BroadphaseStats
 /**
  * Sweep-and-prune broadphase.
  *
- * Geoms are sorted by AABB minimum along the X axis; a linear sweep
- * keeps an active window and tests Y/Z overlap only for X-overlapping
- * boxes. Unbounded geoms (planes) are handled out of band and paired
- * with every eligible bounded geom.
+ * Geoms are sorted by AABB minimum along the X axis. Each axis
+ * position then scans forward over the later geoms until one starts
+ * past its own X maximum, testing Y/Z overlap only for those
+ * X-overlapping boxes. Unbounded geoms (planes) are handled out of
+ * band and paired with every eligible bounded geom.
  *
  * The sorted axis persists across steps. When the geom set is
  * unchanged, the axis is repaired with one insertion-sort pass —
@@ -69,43 +72,76 @@ struct BroadphaseStats
  * order a full sort would (the comparator is a strict total order),
  * so results stay bitwise identical. Any membership change triggers
  * a full rebuild.
+ *
+ * The forward scans are independent per axis position, so the sweep
+ * tiles across lanes; each chunk writes its own slot, and a final
+ * counting sort puts the pairs in canonical order whichever lane
+ * found them.
  */
 class SweepAndPrune
 {
   public:
+    /** Committed cost (ns) of one axis position's forward scan: the
+     *  per-item estimate of the sweep's cost-model tiling. */
+    static constexpr double sweepNsPerGeom = 120.0;
+
     /**
      * Find all candidate pairs among the given geoms, into `out`
      * (cleared first; capacity kept). Geoms whose bodies are
      * disabled are skipped; pairs where neither side can move (both
      * static) are filtered; pairs sharing a body are filtered. Pair
-     * ordering is canonical (a < b) and deterministic.
+     * ordering is canonical (a < b), sorted by (a, b), and does not
+     * depend on the scheduler's lane count. With a trace collector,
+     * every parallel sweep chunk records a `broadphase_chunk` span
+     * on its lane, tagged with `step`.
      */
     void findPairsInto(const std::vector<Geom *> &geoms,
-                       std::vector<GeomPair> &out);
+                       TaskScheduler &scheduler,
+                       std::vector<GeomPair> &out,
+                       TraceCollector *trace = nullptr,
+                       std::uint64_t step = 0);
 
-    /** Convenience wrapper returning a fresh pair list. */
-    std::vector<GeomPair>
-    findPairs(const std::vector<Geom *> &geoms)
-    {
-        std::vector<GeomPair> pairs;
-        findPairsInto(geoms, pairs);
-        return pairs;
-    }
+    /** Convenience wrapper returning a fresh pair list, swept on the
+     *  calling thread. */
+    std::vector<GeomPair> findPairs(const std::vector<Geom *> &geoms);
 
     const BroadphaseStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
   private:
+    /** One parallel sweep chunk's output. Cache-line aligned so
+     *  adjacent chunks on different lanes never share a line. */
+    struct alignas(64) SweepSlot
+    {
+        std::vector<GeomPair> pairs;
+        std::uint64_t overlapTests = 0;
+    };
+
+    /** Forward scans of axis positions [begin, end), plus their
+     *  plane pairs, appended to `out`; returns the overlap tests. */
+    std::uint64_t sweep(std::size_t begin, std::size_t end,
+                        std::vector<GeomPair> &out) const;
+
+    /** Sort unique pairs by (a, b) with two stable counting passes
+     *  over geom ids below `id_limit`. */
+    void sortPairs(std::vector<GeomPair> &pairs, std::size_t id_limit);
+
+    std::size_t storageCapacity() const;
+
     BroadphaseStats stats_;
     /** Persistent sorted axis (by AABB lo.x, then id). */
     std::vector<Geom *> axis_;
-    /** Per-call plane list and sweep window (capacity persists). */
+    /** Per-call plane list (capacity persists). */
     std::vector<Geom *> planes_;
-    std::vector<Geom *> active_;
     /** Membership stamps indexed by geom id: stamp_[id] == gen_
      *  means the geom is in this step's bounded set. */
     std::vector<std::uint32_t> stamp_;
     std::uint32_t gen_ = 0;
+    /** Parallel sweep output, one slot per chunk. */
+    std::vector<SweepSlot> slots_;
+    /** Counting-sort scratch: id histogram and the pass-1 output. */
+    std::vector<std::uint32_t> idCounts_;
+    std::vector<GeomPair> sortScratch_;
 };
 
 } // namespace parallax

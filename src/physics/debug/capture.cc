@@ -505,10 +505,9 @@ World::captureState() const
         }
     }
 
-    // Warm-start cache: the flat vector is already sorted by
-    // (key, seq), so walking it group-by-group writes the same
-    // key-sorted, insertion-ordered bytes the old per-key map
-    // capture produced.
+    // Warm-start cache: the flat vector is key-sorted with each
+    // pair's entries in insertion order, so walking it group by group
+    // writes key-ascending groups.
     std::uint32_t warm_groups = 0;
     for (std::size_t i = 0; i < warmCache_.size();) {
         std::size_t j = i + 1;
@@ -706,16 +705,23 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
         }
     }
 
-    // Groups arrive key-sorted with entries in insertion order, so a
-    // running seq reproduces the live cache's (key, seq) sort order
-    // without re-sorting.
+    // Groups must arrive in strictly ascending key order, entries in
+    // insertion order: the live cache's layout, which the step's
+    // forward lookup cursor relies on. Anything else is corruption.
     std::vector<WarmEntry> warm;
-    std::uint32_t warm_seq = 0;
+    std::uint64_t previous_key = 0;
     const std::uint32_t warm_entries =
         static_cast<std::uint32_t>(r.count(
             r.u32("warmCache.entries"), 12, "warm-cache entries"));
     for (std::uint32_t i = 0; r.ok() && i < warm_entries; ++i) {
         const std::uint64_t key = r.u64("warmCache.key");
+        if (r.ok() && i > 0 && key <= previous_key) {
+            return dataLoss("warm-cache group " + std::to_string(i) +
+                            " key " + std::to_string(key) +
+                            " is not greater than the key before it (" +
+                            std::to_string(previous_key) + ")");
+        }
+        previous_key = key;
         const std::uint32_t n = static_cast<std::uint32_t>(
             r.count(r.u32("warmCache.count"), 72,
                     "warm-cache contacts"));
@@ -726,7 +732,7 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
             c.lambdas[0] = r.f64("warmCache.lambda");
             c.lambdas[1] = r.f64("warmCache.lambda");
             c.lambdas[2] = r.f64("warmCache.lambda");
-            warm.push_back(WarmEntry{key, warm_seq++, c});
+            warm.push_back(WarmEntry{key, c});
         }
     }
 

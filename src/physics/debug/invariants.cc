@@ -209,22 +209,22 @@ checkSleeping(const World &world, Report &report)
                        body->id());
         }
     }
-    for (const auto &joint : world.lastContactJoints()) {
-        const RigidBody *a = joint->bodyA();
-        const RigidBody *b = joint->bodyB();
+    for (const ContactJoint &joint : world.lastContactJoints()) {
+        const RigidBody *a = joint.bodyA();
+        const RigidBody *b = joint.bodyB();
         const bool touches_sleeper =
             (a != nullptr && a->asleep()) ||
             (b != nullptr && b->asleep());
         if (!touches_sleeper)
             continue;
-        const Real *l = joint->solvedLambdas();
+        const Real *l = joint.solvedLambdas();
         if (l[0] != 0.0 || l[1] != 0.0 || l[2] != 0.0) {
             report.add("sleep-impulse",
-                       "contact joint " + std::to_string(joint->id()) +
+                       "contact joint " + std::to_string(joint.id()) +
                            " applied an impulse to a sleeping body",
-                       joint->bodyA() != nullptr
+                       joint.bodyA() != nullptr
                            ? static_cast<std::int64_t>(
-                                 joint->bodyA()->id())
+                                 joint.bodyA()->id())
                            : -1);
         }
     }
@@ -237,18 +237,18 @@ checkFrictionCone(const World &world, Report &report,
     // Contact joints are built with the world's default material, so
     // its friction coefficient bounds every solved friction impulse.
     const Real mu = world.config().defaultMaterial.friction;
-    for (const auto &joint : world.lastContactJoints()) {
+    for (const ContactJoint &joint : world.lastContactJoints()) {
         // ContactJoint guarantees a dynamic bodyA; quarantine will
         // freeze its island.
         const std::int64_t owner =
-            joint->bodyA() != nullptr
-                ? static_cast<std::int64_t>(joint->bodyA()->id())
+            joint.bodyA() != nullptr
+                ? static_cast<std::int64_t>(joint.bodyA()->id())
                 : -1;
-        const Real *l = joint->solvedLambdas();
+        const Real *l = joint.solvedLambdas();
         if (!std::isfinite(l[0]) || !std::isfinite(l[1]) ||
             !std::isfinite(l[2])) {
             report.add("impulse-finite",
-                       "contact joint " + std::to_string(joint->id()) +
+                       "contact joint " + std::to_string(joint.id()) +
                            " solved a non-finite impulse",
                        owner);
             continue;
@@ -257,7 +257,7 @@ checkFrictionCone(const World &world, Report &report,
             options.frictionSlack * (1.0 + std::fabs(mu * l[0]));
         if (l[0] < -slack) {
             report.add("friction-cone",
-                       "contact joint " + std::to_string(joint->id()) +
+                       "contact joint " + std::to_string(joint.id()) +
                            " has negative normal impulse " +
                            std::to_string(l[0]),
                        owner);
@@ -265,7 +265,7 @@ checkFrictionCone(const World &world, Report &report,
         const Real limit = mu * std::max<Real>(l[0], 0.0) + slack;
         if (std::fabs(l[1]) > limit || std::fabs(l[2]) > limit) {
             report.add("friction-cone",
-                       "contact joint " + std::to_string(joint->id()) +
+                       "contact joint " + std::to_string(joint.id()) +
                            " friction impulse exceeds mu * normal (" +
                            std::to_string(l[1]) + ", " +
                            std::to_string(l[2]) + " vs limit " +

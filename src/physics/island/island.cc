@@ -29,26 +29,26 @@ IslandBuilder::build(const std::vector<RigidBody *> &bodies,
         parent_[i] = i;
     stats_.bodiesVisited += n;
 
-    // Recycle the caller's Island objects: park them in the pool so
-    // their bodies/joints vectors keep capacity, then hand them back
-    // one at a time as components materialize.
-    while (!out.empty()) {
-        pool_.push_back(std::move(out.back()));
-        out.pop_back();
-    }
-
     auto dynamicIndex = [&](RigidBody *b) -> std::int64_t {
         if (b == nullptr || b->isStatic() || !b->enabled())
             return -1;
         return b->id();
     };
 
-    for (Joint *j : joints) {
+    // Union pass. Each live joint also records its owner: the first
+    // dynamic endpoint, whose island the joint joins.
+    constexpr std::uint32_t none = ~std::uint32_t(0);
+    jointOwner_.resize(joints.size());
+    for (std::size_t k = 0; k < joints.size(); ++k) {
+        Joint *j = joints[k];
         ++stats_.jointsVisited;
+        jointOwner_[k] = none;
         if (j->broken())
             continue;
         const std::int64_t ia = dynamicIndex(j->bodyA());
         const std::int64_t ib = dynamicIndex(j->bodyB());
+        if (ia >= 0 || ib >= 0)
+            jointOwner_[k] = static_cast<std::uint32_t>(ia >= 0 ? ia : ib);
         if (ia >= 0 && ib >= 0) {
             const std::uint32_t ra = find(static_cast<std::uint32_t>(ia));
             const std::uint32_t rb = find(static_cast<std::uint32_t>(ib));
@@ -59,58 +59,85 @@ IslandBuilder::build(const std::vector<RigidBody *> &bodies,
         }
     }
 
-    // Collect components in deterministic body-id order. The
-    // root -> island map is a dense array indexed by the root body
-    // id (roots are body indices), with ~0 marking "no island yet".
-    constexpr std::uint32_t no_island = ~std::uint32_t(0);
-    rootToIsland_.assign(n, no_island);
+    // Number the components in body-id order and count their
+    // members. The root -> island map is a dense array indexed by
+    // the root body id (roots are body indices).
+    rootToIsland_.assign(n, none);
+    bodyCursor_.clear();
+    std::size_t member_bodies = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         RigidBody *b = bodies[i];
         if (b == nullptr || b->isStatic() || !b->enabled()) {
             if (b != nullptr)
-                b->setIslandId(no_island);
+                b->setIslandId(none);
             continue;
         }
         parallax_assert(b->id() == i);
         const std::uint32_t root = find(i);
         std::uint32_t island = rootToIsland_[root];
-        if (island == no_island) {
-            island = static_cast<std::uint32_t>(out.size());
+        if (island == none) {
+            island = static_cast<std::uint32_t>(bodyCursor_.size());
             rootToIsland_[root] = island;
-            if (!pool_.empty()) {
-                out.push_back(std::move(pool_.back()));
-                pool_.pop_back();
-                out.back().bodies.clear();
-                out.back().joints.clear();
-            } else {
-                out.emplace_back();
-            }
+            bodyCursor_.push_back(0);
         }
-        // The position within the island's body list doubles as the
-        // solver's dense body index (replacing its body->index map).
-        b->setSolverIndex(static_cast<int>(out[island].bodies.size()));
-        out[island].bodies.push_back(b);
         b->setIslandId(island);
+        ++bodyCursor_[island];
+        ++member_bodies;
     }
-
-    // Attach joints to the island of their first dynamic body.
-    for (Joint *j : joints) {
-        if (j->broken())
+    const std::size_t islands = bodyCursor_.size();
+    jointCursor_.assign(islands, 0);
+    std::size_t member_joints = 0;
+    for (const std::uint32_t owner : jointOwner_) {
+        if (owner == none)
             continue;
-        const std::int64_t ia = dynamicIndex(j->bodyA());
-        const std::int64_t ib = dynamicIndex(j->bodyB());
-        const std::int64_t owner = ia >= 0 ? ia : ib;
-        if (owner < 0)
-            continue; // Both endpoints static or disabled.
-        const std::uint32_t island =
-            bodies[static_cast<std::uint32_t>(owner)]->islandId();
-        out[island].joints.push_back(j);
+        ++jointCursor_[bodies[owner]->islandId()];
+        ++member_joints;
     }
 
-    stats_.islandsCreated += out.size();
+    // Lay the islands out back to back, turning each count into the
+    // island's fill cursor.
+    bodies_.resize(member_bodies);
+    joints_.resize(member_joints);
+    out.resize(islands);
+    std::uint32_t body_at = 0;
+    std::uint32_t joint_at = 0;
+    for (std::size_t k = 0; k < islands; ++k) {
+        const std::uint32_t nb = bodyCursor_[k];
+        const std::uint32_t nj = jointCursor_[k];
+        out[k] = Island{{bodies_.data() + body_at, nb},
+                        {joints_.data() + joint_at, nj}, 0};
+        bodyCursor_[k] = body_at;
+        jointCursor_[k] = joint_at;
+        body_at += nb;
+        joint_at += nj;
+    }
+
+    // Fill: bodies in id order, joints in input order. The position
+    // within the island's body list doubles as the solver's dense
+    // body index (replacing its body->index map).
+    for (std::uint32_t i = 0; i < n; ++i) {
+        RigidBody *b = bodies[i];
+        if (b == nullptr || b->islandId() == none)
+            continue;
+        const std::uint32_t island = b->islandId();
+        const std::uint32_t at = bodyCursor_[island]++;
+        bodies_[at] = b;
+        b->setSolverIndex(
+            static_cast<int>(&bodies_[at] - out[island].bodies.data()));
+    }
+    for (std::size_t k = 0; k < joints.size(); ++k) {
+        const std::uint32_t owner = jointOwner_[k];
+        if (owner == none)
+            continue;
+        const std::uint32_t island = bodies[owner]->islandId();
+        joints_[jointCursor_[island]++] = joints[k];
+        out[island].rows += joints[k]->numRows();
+    }
+
+    stats_.islandsCreated += islands;
     for (const Island &island : out) {
         stats_.largestIslandRows = std::max<std::uint64_t>(
-            stats_.largestIslandRows, island.rowCount());
+            stats_.largestIslandRows, island.rows);
         stats_.largestIslandBodies = std::max<std::uint64_t>(
             stats_.largestIslandBodies, island.bodies.size());
     }

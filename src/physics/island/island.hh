@@ -14,6 +14,7 @@
 #define PARALLAX_PHYSICS_ISLAND_ISLAND_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "physics/body.hh"
@@ -22,21 +23,18 @@
 namespace parallax
 {
 
-/** A connected component of dynamic bodies and their joints. */
+/**
+ * A connected component of dynamic bodies and their joints. The
+ * member lists are views into the IslandBuilder's flat arrays: valid
+ * until that builder's next build().
+ */
 struct Island
 {
-    std::vector<RigidBody *> bodies;
-    std::vector<Joint *> joints;
-
-    /** Total constraint rows (degrees of freedom removed). */
-    int
-    rowCount() const
-    {
-        int rows = 0;
-        for (const Joint *j : joints)
-            rows += j->numRows();
-        return rows;
-    }
+    std::span<RigidBody *> bodies;
+    std::span<Joint *> joints;
+    /** Total constraint rows (degrees of freedom removed), summed
+     *  once at build time. */
+    int rows = 0;
 };
 
 /** Observability counters for the island-creation phase. */
@@ -64,16 +62,21 @@ struct IslandStats
  * static bodies (or the world) keep the dynamic body's component.
  * Disabled bodies and broken joints are skipped. Output islands and
  * their member lists are deterministic.
+ *
+ * Members live in two flat arrays owned by the builder, grouped by
+ * island (a counting sort on the island index): bodies in body-id
+ * order and joints in input order within each island. Every array
+ * keeps its capacity across builds, so a warmed-up builder allocates
+ * nothing whatever the island sizes.
  */
 class IslandBuilder
 {
   public:
     /**
-     * Build islands into `out`, stamping each body's islandId and
-     * its dense solverIndex (position within its island's body
-     * list). Existing Island objects in `out` are reused — their
-     * member vectors keep capacity across steps, so a warmed-up
-     * builder allocates nothing.
+     * Build islands into `out` (resized; capacity kept), stamping
+     * each body's islandId and its dense solverIndex (position
+     * within its island's body list). The islands' spans point into
+     * this builder and stay valid until its next build().
      *
      * @param bodies All bodies in the world (indexed by BodyId).
      * @param joints Joints to consider (typically permanent joints
@@ -83,7 +86,8 @@ class IslandBuilder
                const std::vector<Joint *> &joints,
                std::vector<Island> &out);
 
-    /** Convenience wrapper returning a fresh island list. */
+    /** Convenience wrapper returning a fresh island list (its spans
+     *  still point into this builder). */
     std::vector<Island>
     build(const std::vector<RigidBody *> &bodies,
           const std::vector<Joint *> &joints)
@@ -103,8 +107,15 @@ class IslandBuilder
     /** Union-find root -> island index, cleared (by fill) per build;
      *  sized to the body count like parent_. */
     std::vector<std::uint32_t> rootToIsland_;
-    /** Retired Island objects kept for their vector capacity. */
-    std::vector<Island> pool_;
+    /** Members of every island, grouped by island index. */
+    std::vector<RigidBody *> bodies_;
+    std::vector<Joint *> joints_;
+    /** Per input joint: the body id of its first dynamic endpoint
+     *  (the island it joins), ~0 for broken or all-static joints. */
+    std::vector<std::uint32_t> jointOwner_;
+    /** Per island: member counts, then fill cursors. */
+    std::vector<std::uint32_t> bodyCursor_;
+    std::vector<std::uint32_t> jointCursor_;
     IslandStats stats_;
 };
 

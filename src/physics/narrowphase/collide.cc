@@ -145,30 +145,43 @@ sphereTriangle(const Vec3 &center, Real radius, const Vec3 &va,
     return RawContact{closest, cn, radius - dist_c};
 }
 
+/** Up to eight sample spheres (center, radius), held inline. */
+struct SampleSpheres
+{
+    std::array<std::pair<Vec3, Real>, 8> spheres;
+    int count = 0;
+
+    void add(const Vec3 &center, Real radius)
+    { spheres[count++] = {center, radius}; }
+    const std::pair<Vec3, Real> *begin() const { return spheres.data(); }
+    const std::pair<Vec3, Real> *end() const
+    { return spheres.data() + count; }
+};
+
 /**
  * Sample-sphere decomposition of a convex geom: capsules become three
  * axis spheres, boxes become eight inset corner spheres. Used for the
  * approximate capsule/box versus terrain and capsule-box tests (a
  * documented deviation from exact ODE colliders).
  */
-std::vector<std::pair<Vec3, Real>>
+SampleSpheres
 sampleSpheres(const Geom &g)
 {
-    std::vector<std::pair<Vec3, Real>> samples;
+    SampleSpheres samples;
     const Transform pose = g.worldPose();
     switch (g.shape().type()) {
       case ShapeType::Sphere: {
         const auto &s = static_cast<const SphereShape &>(g.shape());
-        samples.emplace_back(pose.position, s.radius());
+        samples.add(pose.position, s.radius());
         break;
       }
       case ShapeType::Capsule: {
         const auto &cap = static_cast<const CapsuleShape &>(g.shape());
         Vec3 p, q;
         cap.segment(pose, p, q);
-        samples.emplace_back(p, cap.radius());
-        samples.emplace_back((p + q) * 0.5, cap.radius());
-        samples.emplace_back(q, cap.radius());
+        samples.add(p, cap.radius());
+        samples.add((p + q) * 0.5, cap.radius());
+        samples.add(q, cap.radius());
         break;
       }
       case ShapeType::Box: {
@@ -180,7 +193,7 @@ sampleSpheres(const Geom &g)
             const Vec3 local{(i & 1) ? inner.x : -inner.x,
                              (i & 2) ? inner.y : -inner.y,
                              (i & 4) ? inner.z : -inner.z};
-            samples.emplace_back(pose.apply(local), r);
+            samples.add(pose.apply(local), r);
         }
         break;
       }
@@ -431,15 +444,15 @@ Narrowphase::collideOrdered(const Geom &a, const Geom &b,
             {c_local.x - r, c_local.y - r, c_local.z - r},
             {c_local.x + r, c_local.y + r, c_local.z + r}};
         int made = 0;
-        for (std::uint32_t tri : mesh.query(query)) {
+        mesh.visitOverlaps(query, [&](std::uint32_t tri) {
             Vec3 va, vb, vc;
             mesh.triangleCorners(tri, pb, va, vb, vc);
             if (auto rc = sphereTriangle(pa.position, r, va, vb, vc)) {
                 emit(*rc);
-                if (++made >= maxContactsPerPair)
-                    break;
+                return ++made < maxContactsPerPair;
             }
-        }
+            return true;
+        });
     } else if (sa == ShapeType::Box && sb == ShapeType::Box) {
         collideBoxBox(a, b, out, flipped);
     } else if (sa == ShapeType::Box && sb == ShapeType::Plane) {
@@ -608,9 +621,21 @@ Narrowphase::collideBoxBox(const Geom &a, const Geom &b,
     const Vec3 inc_u = inc_rot.column(iu) * inc_h[iu];
     const Vec3 inc_v = inc_rot.column(iv) * inc_h[iv];
 
-    std::vector<Vec3> poly{
-        inc_center + inc_u + inc_v, inc_center + inc_u - inc_v,
-        inc_center - inc_u - inc_v, inc_center - inc_u + inc_v};
+    // One clip turns n vertices into at most n + n/2: only an edge
+    // that leaves the half-space emits two, and it must be followed
+    // by one that starts outside and emits at most one. So four
+    // clips take the incident quad through at most 6, 9, 13 and 19
+    // vertices, under any rounding.
+    constexpr int clip_capacity = 20;
+    std::array<Vec3, clip_capacity> poly_a;
+    std::array<Vec3, clip_capacity> poly_b;
+    Vec3 *poly = poly_a.data();
+    Vec3 *clipped = poly_b.data();
+    int poly_size = 4;
+    poly[0] = inc_center + inc_u + inc_v;
+    poly[1] = inc_center + inc_u - inc_v;
+    poly[2] = inc_center - inc_u - inc_v;
+    poly[3] = inc_center - inc_u + inc_v;
 
     // Clip against the four side planes of the reference face.
     const int ru = (ref_face + 1) % 3;
@@ -627,50 +652,51 @@ Narrowphase::collideBoxBox(const Geom &a, const Geom &b,
          -ref_rot.column(rv).dot(ref_pose.position) + ref_h[rv]}};
 
     for (const ClipPlane &plane : clip_planes) {
-        std::vector<Vec3> clipped;
-        clipped.reserve(poly.size() + 1);
-        for (size_t i = 0; i < poly.size(); ++i) {
+        int clipped_size = 0;
+        for (int i = 0; i < poly_size; ++i) {
             const Vec3 &cur = poly[i];
-            const Vec3 &nxt = poly[(i + 1) % poly.size()];
+            const Vec3 &nxt = poly[(i + 1) % poly_size];
             const Real dc = plane.n.dot(cur) - plane.offset;
             const Real dn = plane.n.dot(nxt) - plane.offset;
             if (dc <= 0)
-                clipped.push_back(cur);
+                clipped[clipped_size++] = cur;
             if ((dc < 0 && dn > 0) || (dc > 0 && dn < 0)) {
                 const Real t = dc / (dc - dn);
-                clipped.push_back(cur + (nxt - cur) * t);
+                clipped[clipped_size++] = cur + (nxt - cur) * t;
             }
         }
-        poly = std::move(clipped);
-        if (poly.empty())
+        std::swap(poly, clipped);
+        poly_size = clipped_size;
+        if (poly_size == 0)
             break;
     }
 
     // Keep clipped points behind the reference face; their depth is
     // the distance below the face plane.
     struct Point { Vec3 pos; Real depth; };
-    std::vector<Point> points;
-    for (const Vec3 &p : poly) {
+    std::array<Point, clip_capacity> point_buf;
+    Point *points = point_buf.data();
+    int point_count = 0;
+    for (int i = 0; i < poly_size; ++i) {
         const Real separation =
-            ref_face_normal.dot(p - ref_face_center);
+            ref_face_normal.dot(poly[i] - ref_face_center);
         if (separation <= 0)
-            points.push_back({p, -separation});
+            points[point_count++] = {poly[i], -separation};
     }
 
-    if (points.empty()) {
+    if (point_count == 0) {
         // Edge-edge contact (or grazing): fall back to the midpoint
         // of the overlap along the separating axis.
-        points.push_back({(pa.position + pb.position) * 0.5,
-                          best_depth});
+        points[point_count++] = {(pa.position + pb.position) * 0.5,
+                                 best_depth};
     }
 
     // Keep the deepest points up to the manifold cap.
-    std::sort(points.begin(), points.end(),
+    std::sort(points, points + point_count,
               [](const Point &x, const Point &y) {
                   return x.depth > y.depth;
               });
-    const int keep = std::min<int>(static_cast<int>(points.size()),
-                                   maxContactsPerPair);
+    const int keep = std::min(point_count, maxContactsPerPair);
     for (int i = 0; i < keep; ++i) {
         Contact c;
         c.position = points[i].pos;
@@ -698,8 +724,8 @@ Narrowphase::collideBoxPlane(const Geom &a, const Geom &b,
     const Vec3 h = box.halfExtents();
 
     struct Corner { Vec3 pos; Real depth; };
-    std::vector<Corner> corners;
-    corners.reserve(8);
+    std::array<Corner, 8> corners;
+    int corner_count = 0;
     for (int i = 0; i < 8; ++i) {
         const Vec3 local{(i & 1) ? h.x : -h.x,
                          (i & 2) ? h.y : -h.y,
@@ -707,16 +733,20 @@ Narrowphase::collideBoxPlane(const Geom &a, const Geom &b,
         const Vec3 world = pose.apply(local);
         const Real dist = plane.distance(world);
         if (dist <= 0.0)
-            corners.push_back(Corner{world, -dist});
+            corners[corner_count++] = Corner{world, -dist};
     }
-    if (corners.empty())
+    if (corner_count == 0)
         return;
-    std::sort(corners.begin(), corners.end(),
+    // GCC 12 does not bound corner_count by 8 inside std::sort and
+    // flags its (unreachable) more-than-16-elements path.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Warray-bounds"
+    std::sort(corners.begin(), corners.begin() + corner_count,
               [](const Corner &x, const Corner &y) {
                   return x.depth > y.depth;
               });
-    const int keep = std::min<int>(static_cast<int>(corners.size()),
-                                   maxContactsPerPair);
+#pragma GCC diagnostic pop
+    const int keep = std::min(corner_count, maxContactsPerPair);
     for (int i = 0; i < keep; ++i) {
         Contact c;
         c.position = corners[i].pos;
@@ -813,13 +843,12 @@ Narrowphase::collideSampledVsStatic(const Geom &a, const Geom &b,
                  c_local.z - radius},
                 {c_local.x + radius, c_local.y + radius,
                  c_local.z + radius}};
-            for (std::uint32_t tri : mesh.query(query)) {
+            mesh.visitOverlaps(query, [&](std::uint32_t tri) {
                 Vec3 va, vb, vc;
                 mesh.triangleCorners(tri, pb, va, vb, vc);
                 rc = sphereTriangle(center, radius, va, vb, vc);
-                if (rc)
-                    break;
-            }
+                return !rc;
+            });
         }
         if (rc) {
             Contact c;

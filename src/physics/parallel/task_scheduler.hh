@@ -24,13 +24,14 @@
 #define PARALLAX_PHYSICS_PARALLEL_TASK_SCHEDULER_HH
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace parallax
@@ -127,10 +128,44 @@ class WorkStealingDeque
 class TaskScheduler
 {
   public:
-    /** Chunk body: [begin, end) iteration range + executing lane. */
-    using LoopBody =
-        std::function<void(std::size_t begin, std::size_t end,
-                           unsigned lane)>;
+    /**
+     * Chunk body: [begin, end) iteration range + executing lane.
+     *
+     * A non-owning reference to the caller's callable (no copy, no
+     * heap, whatever the capture size). Safe because parallelFor()
+     * blocks until every chunk has finished, so the referenced
+     * callable outlives every call through it. Never store one
+     * beyond the parallelFor() call it was built for.
+     */
+    class LoopBody
+    {
+      public:
+        template <typename F>
+            requires(!std::same_as<std::remove_cvref_t<F>, LoopBody> &&
+                     std::invocable<F &, std::size_t, std::size_t,
+                                    unsigned>)
+        LoopBody(F &&fn) noexcept
+            : fn_(const_cast<void *>(
+                  static_cast<const void *>(std::addressof(fn)))),
+              call_([](void *f, std::size_t begin, std::size_t end,
+                       unsigned lane) {
+                  (*static_cast<std::remove_reference_t<F> *>(f))(
+                      begin, end, lane);
+              })
+        {
+        }
+
+        void
+        operator()(std::size_t begin, std::size_t end,
+                   unsigned lane) const
+        {
+            call_(fn_, begin, end, lane);
+        }
+
+      private:
+        void *fn_;
+        void (*call_)(void *, std::size_t, std::size_t, unsigned);
+    };
 
     /** How parallelFor() will tile `count` iterations. */
     struct Tiling

@@ -131,10 +131,10 @@ std::vector<std::uint32_t>
 TriMeshShape::query(const Aabb &local_box) const
 {
     std::vector<std::uint32_t> hits;
-    for (std::uint32_t i = 0; i < triBounds_.size(); ++i) {
-        if (triBounds_[i].overlaps(local_box))
-            hits.push_back(i);
-    }
+    visitOverlaps(local_box, [&hits](std::uint32_t i) {
+        hits.push_back(i);
+        return true;
+    });
     return hits;
 }
 

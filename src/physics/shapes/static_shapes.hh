@@ -116,6 +116,21 @@ class TriMeshShape : public Shape
     /** Indices of triangles whose AABB overlaps the local-space box. */
     std::vector<std::uint32_t> query(const Aabb &local_box) const;
 
+    /**
+     * Allocation-free query: call `fn(index)` for each triangle whose
+     * AABB overlaps the local-space box, in index order, until `fn`
+     * returns false.
+     */
+    template <typename Fn>
+    void
+    visitOverlaps(const Aabb &local_box, Fn &&fn) const
+    {
+        for (std::uint32_t i = 0; i < triBounds_.size(); ++i) {
+            if (triBounds_[i].overlaps(local_box) && !fn(i))
+                return;
+        }
+    }
+
     /** World-space corners of one triangle. */
     void triangleCorners(std::uint32_t index, const Transform &pose,
                          Vec3 &a, Vec3 &b, Vec3 &c) const;

@@ -6,18 +6,18 @@ namespace parallax
 {
 
 MetricsRegistry::Entry &
-MetricsRegistry::entry(const std::string &name, Kind kind)
+MetricsRegistry::entry(std::string_view name, Kind kind)
 {
     auto it = index_.find(name);
     if (it != index_.end())
         return entries_[it->second];
-    index_.emplace(name, entries_.size());
-    entries_.push_back(Entry{name, kind, 0.0});
+    index_.emplace(std::string(name), entries_.size());
+    entries_.push_back(Entry{std::string(name), kind, 0.0});
     return entries_.back();
 }
 
 void
-MetricsRegistry::add(const std::string &name, double delta)
+MetricsRegistry::add(std::string_view name, double delta)
 {
     Entry &e = entry(name, Kind::Counter);
     if (delta > 0.0)
@@ -25,13 +25,13 @@ MetricsRegistry::add(const std::string &name, double delta)
 }
 
 void
-MetricsRegistry::set(const std::string &name, double value)
+MetricsRegistry::set(std::string_view name, double value)
 {
     entry(name, Kind::Gauge).value = value;
 }
 
 double
-MetricsRegistry::value(const std::string &name) const
+MetricsRegistry::value(std::string_view name) const
 {
     auto it = index_.find(name);
     return it != index_.end() ? entries_[it->second].value : 0.0;

@@ -19,7 +19,9 @@
 #define PARALLAX_PHYSICS_TRACE_METRICS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,14 +48,14 @@ class MetricsRegistry
     /** Add `delta` (>= 0) to the counter `name`, registering it on
      *  first use. Negative deltas are ignored — counters are
      *  monotonic by contract. */
-    void add(const std::string &name, double delta);
+    void add(std::string_view name, double delta);
 
     /** Set the gauge `name` to `value`, registering it on first
      *  use. */
-    void set(const std::string &name, double value);
+    void set(std::string_view name, double value);
 
     /** Current value of `name` (0 if never registered). */
-    double value(const std::string &name) const;
+    double value(std::string_view name) const;
 
     /** All metrics in registration order. */
     const std::vector<Entry> &entries() const { return entries_; }
@@ -65,10 +67,24 @@ class MetricsRegistry
     void clear();
 
   private:
-    Entry &entry(const std::string &name, Kind kind);
+    /** Transparent hash: lookups by string_view build no key string,
+     *  so updating a registered metric never touches the heap. */
+    struct NameHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view name) const
+        {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
+    Entry &entry(std::string_view name, Kind kind);
 
     std::vector<Entry> entries_;
-    std::unordered_map<std::string, std::size_t> index_;
+    std::unordered_map<std::string, std::size_t, NameHash,
+                       std::equal_to<>>
+        index_;
 };
 
 } // namespace parallax

@@ -165,13 +165,24 @@ namespace
 {
 
 // Committed per-item costs (ns) for the cost-model tiling: one
-// narrowphase pair test, one body integration, and one
-// constraint-row relaxation (one row, one sweep; island batch row
-// targets scale it by solver iterations). Constants, so every chunk
-// boundary is a pure function of item counts.
+// narrowphase pair test, one body integration, one constraint-row
+// relaxation (one row, one sweep; island batch row targets scale it
+// by solver iterations), and one geom bounds update. The broadphase
+// sweep's per-geom cost is SweepAndPrune::sweepNsPerGeom. Constants,
+// so every chunk boundary is a pure function of item counts.
 constexpr double narrowphaseNsPerPair = 800.0;
 constexpr double integrateNsPerBody = 60.0;
 constexpr double solverNsPerRowSweep = 60.0;
+constexpr double boundsNsPerGeom = 40.0;
+
+/** Warm-cache key of a contact: its geom pair, smaller id high. */
+std::uint64_t
+warmKey(const Contact &c)
+{
+    return (static_cast<std::uint64_t>(std::min(c.geomA, c.geomB))
+            << 32) |
+           std::max(c.geomA, c.geomB);
+}
 
 /** Reject invalid configs before any subsystem sees them. */
 WorldConfig
@@ -959,7 +970,8 @@ World::quarantineBody(BodyId id, const std::string &code)
     const std::uint32_t island = bodies_[id]->islandId();
     if (island != ~std::uint32_t(0) &&
         island < lastIslandList_.size()) {
-        members = lastIslandList_[island].bodies;
+        members.assign(lastIslandList_[island].bodies.begin(),
+                       lastIslandList_[island].bodies.end());
     } else {
         members.push_back(bodies_[id].get());
     }
@@ -1183,14 +1195,20 @@ World::phaseBroadphase()
 {
     // 2(b): find all pairs of objects potentially in contact. The
     // pointer list and pair output are persistent: once warm the
-    // whole phase runs without touching the heap.
+    // whole phase runs without touching the heap. Bounds are
+    // per-geom independent, so their update tiles like any kernel.
+    scheduler_.parallelFor(
+        geoms_.size(), config_.grainSize, boundsNsPerGeom,
+        [this](std::size_t begin, std::size_t end, unsigned) {
+            for (std::size_t i = begin; i < end; ++i)
+                geoms_[i]->updateBounds();
+        });
     geomPtrs_.clear();
     geomPtrs_.reserve(geoms_.size());
-    for (const auto &g : geoms_) {
-        g->updateBounds();
+    for (const auto &g : geoms_)
         geomPtrs_.push_back(g.get());
-    }
-    broadphase_.findPairsInto(geomPtrs_, lastPairs_);
+    broadphase_.findPairsInto(geomPtrs_, scheduler_, lastPairs_,
+                              &trace_, stepCount_);
 
     // Drop pairs whose bodies share a permanent joint (ODE's
     // dAreConnected rule): articulated segments do not self-collide.
@@ -1314,6 +1332,11 @@ World::phaseIslandCreation()
     // islands of objects interconnected by joints. Serial phase.
     contactJoints_.clear();
     JointId next_contact_id = static_cast<JointId>(joints_.size());
+    // Contacts arrive in ascending pair-key order (sorted broadphase
+    // pairs, each pair's contacts contiguous) and the warm cache is
+    // key-sorted, so the cache lookup is a cursor that only moves
+    // forward.
+    std::size_t warm_cursor = 0;
     for (const Contact &c : lastContacts_) {
         Geom *ga = geoms_[c.geomA].get();
         Geom *gb = geoms_[c.geomB].get();
@@ -1335,7 +1358,7 @@ World::phaseIslandCreation()
             continue;
         if (bb != nullptr && !bb->enabled())
             continue;
-        auto joint = std::make_unique<ContactJoint>(
+        ContactJoint &joint = contactJoints_.emplace_back(
             next_contact_id++, ba,
             (bb != nullptr && !bb->isStatic()) ? bb : nullptr,
             contact, config_.defaultMaterial);
@@ -1343,54 +1366,45 @@ World::phaseIslandCreation()
         // Warm start: inherit the impulses of the nearest matching
         // contact from the previous step (same geom pair, within a
         // small positional tolerance, compatible normal).
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(
-                 std::min(contact.geomA, contact.geomB))
-             << 32) |
-            std::max(contact.geomA, contact.geomB);
-        auto group = std::lower_bound(
-            warmCache_.begin(), warmCache_.end(), key,
-            [](const WarmEntry &e, std::uint64_t k) {
-                return e.key < k;
-            });
-        {
-            const CachedContact *best = nullptr;
-            Real best_d2 = 0.05 * 0.05;
-            for (auto it = group;
-                 it != warmCache_.end() && it->key == key; ++it) {
-                const Real d2 =
-                    (it->c.position - contact.position)
-                        .lengthSquared();
-                if (d2 < best_d2) {
-                    best_d2 = d2;
-                    best = &it->c;
-                }
-            }
-            // Only a cache entry whose normal still points the same
-            // way may seed the solve. Inheriting the normal impulse
-            // across a normal flip (contact side change, e.g. a body
-            // tunneling past a thin wall) pre-applies an impulse in
-            // the wrong direction — injected energy the iterations
-            // then have to claw back.
-            if (best != nullptr &&
-                best->normal.dot(contact.normal) > 0.95) {
-                joint->setWarmStart(best->lambdas[0],
-                                    best->lambdas[1],
-                                    best->lambdas[2]);
+        const std::uint64_t key = warmKey(contact);
+        while (warm_cursor < warmCache_.size() &&
+               warmCache_[warm_cursor].key < key)
+            ++warm_cursor;
+        const CachedContact *best = nullptr;
+        Real best_d2 = 0.05 * 0.05;
+        for (std::size_t i = warm_cursor;
+             i < warmCache_.size() && warmCache_[i].key == key; ++i) {
+            const Real d2 =
+                (warmCache_[i].c.position - contact.position)
+                    .lengthSquared();
+            if (d2 < best_d2) {
+                best_d2 = d2;
+                best = &warmCache_[i].c;
             }
         }
-        contactJoints_.push_back(std::move(joint));
+        // Only a cache entry whose normal still points the same way
+        // may seed the solve. Inheriting the normal impulse across a
+        // normal flip (contact side change, e.g. a body tunneling
+        // past a thin wall) pre-applies an impulse in the wrong
+        // direction — injected energy the iterations then have to
+        // claw back.
+        if (best != nullptr && best->normal.dot(contact.normal) > 0.95) {
+            joint.setWarmStart(best->lambdas[0], best->lambdas[1],
+                               best->lambdas[2]);
+        }
     }
     stepStats_.contactJointsCreated = contactJoints_.size();
 
+    // Pointers into the pool are taken only now that it has stopped
+    // growing for this step.
     allJointsScratch_.clear();
     allJointsScratch_.reserve(joints_.size() + contactJoints_.size());
     for (const auto &j : joints_) {
         if (!j->broken())
             allJointsScratch_.push_back(j.get());
     }
-    for (const auto &j : contactJoints_)
-        allJointsScratch_.push_back(j.get());
+    for (ContactJoint &j : contactJoints_)
+        allJointsScratch_.push_back(&j);
 
     islandBuilder_.build(bodyPtrs_, allJointsScratch_,
                          lastIslandList_);
@@ -1399,8 +1413,7 @@ World::phaseIslandCreation()
     for (const Island &island : lastIslandList_) {
         stepStats_.islands.push_back(IslandSummary{
             static_cast<int>(island.bodies.size()),
-            static_cast<int>(island.joints.size()),
-            island.rowCount()});
+            static_cast<int>(island.joints.size()), island.rows});
     }
 }
 
@@ -1422,25 +1435,29 @@ World::phaseIslandProcessing()
     // Thawed islands on probation retry at reduced dt: island
     // membership (via islandId stamped this step) decides which
     // bodies solve and integrate on the scaled clock.
-    std::unordered_set<std::uint32_t> probation_islands;
+    const std::size_t island_count = lastIslandList_.size();
+    islandOnProbation_.assign(island_count, 0);
+    bool any_probation = false;
     for (const auto &[id, until] : probationUntil_) {
         const std::uint32_t island = bodies_[id]->islandId();
-        if (island != ~std::uint32_t(0))
-            probation_islands.insert(island);
+        if (island < island_count) {
+            islandOnProbation_[island] = 1;
+            any_probation = true;
+        }
     }
     const Real probation_dt =
         config_.dt *
         static_cast<Real>(config_.quarantineRetryDtScale);
     auto bodyDt = [&](const RigidBody &body) {
-        return probation_islands.count(body.islandId()) != 0
+        const std::uint32_t island = body.islandId();
+        return island < island_count && islandOnProbation_[island] != 0
                    ? probation_dt
                    : config_.dt;
     };
     auto paramsFor = [&](const Island &island) {
         SolverParams p = params;
-        if (!probation_islands.empty() && !island.bodies.empty() &&
-            probation_islands.count(
-                island.bodies.front()->islandId()) != 0) {
+        if (any_probation && !island.bodies.empty() &&
+            islandOnProbation_[island.bodies.front()->islandId()] != 0) {
             p.dt = probation_dt;
         }
         return p;
@@ -1459,7 +1476,7 @@ World::phaseIslandProcessing()
                     per_body(*bodies_[i]);
             });
     };
-    if (probation_islands.empty()) {
+    if (!any_probation) {
         forEachBody([this](RigidBody &body) {
             body.integrateVelocities(config_.dt);
         });
@@ -1536,7 +1553,10 @@ World::phaseIslandProcessing()
             std::max(static_cast<std::size_t>(std::max(
                          1, config_.islandWorkQueueThreshold)),
                      cost_rows);
+        // At most one batch per island: sized by the island count,
+        // the offsets never grow on a batch-count maximum alone.
         islandBatchOffsets_.clear();
+        islandBatchOffsets_.reserve(island_count + 1);
         std::size_t batch_rows = target_rows; // open a batch at i=0
         std::size_t max_bodies = 0, max_rows = 0, max_joints = 0;
         for (std::size_t i = 0; i < solveIslands_.size(); ++i) {
@@ -1546,8 +1566,7 @@ World::phaseIslandProcessing()
                 batch_rows = 0;
             }
             const Island &island = *solveIslands_[i];
-            const auto rows =
-                static_cast<std::size_t>(island.rowCount());
+            const auto rows = static_cast<std::size_t>(island.rows);
             batch_rows += std::max<std::size_t>(1, rows);
             max_bodies = std::max(max_bodies, island.bodies.size());
             max_rows = std::max(max_rows, rows);
@@ -1596,7 +1615,7 @@ World::phaseIslandProcessing()
     // step. Wake the endpoints and veto this step's sleep decision
     // for their islands instead.
     std::uint64_t total_broken = 0;
-    std::unordered_set<std::uint32_t> broke_this_step;
+    islandJointBroke_.assign(island_count, 0);
     jointWasBroken_.resize(joints_.size(), false);
     for (std::size_t i = 0; i < joints_.size(); ++i) {
         Joint *joint = joints_[i].get();
@@ -1609,8 +1628,8 @@ World::phaseIslandProcessing()
                     if (body == nullptr || body->isStatic())
                         continue;
                     body->wake();
-                    if (body->islandId() != ~std::uint32_t(0))
-                        broke_this_step.insert(body->islandId());
+                    if (body->islandId() < island_count)
+                        islandJointBroke_[body->islandId()] = 1;
                 }
             }
         }
@@ -1618,7 +1637,7 @@ World::phaseIslandProcessing()
     stepStats_.jointsBroken = total_broken - totalJointsBroken_;
     totalJointsBroken_ = total_broken;
 
-    if (probation_islands.empty()) {
+    if (!any_probation) {
         forEachBody([this](RigidBody &body) {
             body.integratePositions(config_.dt);
         });
@@ -1634,7 +1653,7 @@ World::phaseIslandProcessing()
         for (std::uint32_t island_index = 0;
              island_index < lastIslandList_.size(); ++island_index) {
             Island &island = lastIslandList_[island_index];
-            if (broke_this_step.count(island_index))
+            if (islandJointBroke_[island_index] != 0)
                 continue; // A joint broke here: stay awake.
             bool all_asleep = !island.bodies.empty();
             for (const RigidBody *body : island.bodies)
@@ -1670,29 +1689,17 @@ World::phaseIslandProcessing()
     }
 
     // Persist this step's solved contact impulses for warm starting
-    // the next step's matching contacts. The flat cache is rebuilt
-    // in place: seq records insertion order so the stable (key, seq)
-    // sort groups entries per pair in the same order the old per-key
-    // vectors accumulated them.
+    // the next step's matching contacts. Contact joints are in
+    // ascending key order, so appending them in order leaves the
+    // flat cache key-sorted, each pair's entries in insertion order.
     warmCache_.clear();
-    std::uint32_t warm_seq = 0;
-    for (const auto &joint : contactJoints_) {
-        const Contact &c = joint->contact();
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(std::min(c.geomA, c.geomB))
-             << 32) |
-            std::max(c.geomA, c.geomB);
-        const Real *l = joint->solvedLambdas();
+    for (const ContactJoint &joint : contactJoints_) {
+        const Contact &c = joint.contact();
+        const Real *l = joint.solvedLambdas();
         warmCache_.push_back(WarmEntry{
-            key, warm_seq++,
-            CachedContact{c.position, c.normal,
-                          {l[0], l[1], l[2]}}});
+            warmKey(c),
+            CachedContact{c.position, c.normal, {l[0], l[1], l[2]}}});
     }
-    std::sort(warmCache_.begin(), warmCache_.end(),
-              [](const WarmEntry &x, const WarmEntry &y) {
-                  return x.key != y.key ? x.key < y.key
-                                        : x.seq < y.seq;
-              });
 }
 
 void
@@ -1721,31 +1728,39 @@ World::phaseCloth()
     if (cloths_.empty())
         return;
 
-    // Build per-cloth collider lists from bounding-volume overlap
-    // (the paper's "cloth contact list"). The nested lists are
-    // persistent scratch: clear() keeps their capacity so the warm
-    // steady state allocates nothing here.
-    std::vector<std::vector<const Geom *>> &colliders =
-        clothColliders_;
-    colliders.resize(cloths_.size());
-    for (auto &list : colliders)
-        list.clear();
-    for (size_t ci = 0; ci < cloths_.size(); ++ci) {
+    // Each cloth's collider list (the paper's "cloth contact list")
+    // comes from bounding-volume overlap, built by whichever lane
+    // steps that cloth. A cloth's bounds depend on its own particles
+    // only, and the geoms are read-only here, so building a list
+    // just before its cloth steps sees the same inputs as building
+    // them all up front. The lists are persistent: clear() keeps
+    // their capacity, so the warm steady state allocates nothing.
+    clothColliders_.resize(cloths_.size());
+    for (std::size_t ci = 0; ci < cloths_.size(); ++ci) {
         stepStats_.clothVertexCounts.push_back(
             cloths_[ci]->vertexCount());
+    }
+    auto stepCloth = [this, &frozen](std::size_t ci, unsigned lane,
+                                     ClothStats &out) {
+        std::vector<const Geom *> &colliders = clothColliders_[ci];
+        colliders.clear();
         if (frozen(ci))
-            continue;
+            return;
+        PAX_TRACE_SCOPE_ID(trace_, lane, "cloth_step", stepCount_,
+                           static_cast<std::int64_t>(ci));
         const Aabb cloth_bounds = cloths_[ci]->bounds();
         for (const auto &g : geoms_) {
             if (!g->enabled() || g->isBlast())
                 continue;
             if (g->shape().type() == ShapeType::Plane ||
                 g->bounds().overlaps(cloth_bounds)) {
-                colliders[ci].push_back(g.get());
-                ++stepStats_.clothColliderInsertions;
+                colliders.push_back(g.get());
             }
         }
-    }
+        cloths_[ci]->step(config_.dt, config_.gravity,
+                          plan_.clothIterations, colliders, out,
+                          kernelBackend_);
+    };
 
     if (scheduler_.workerCount() > 0 && cloths_.size() > 1) {
         // One chunk per cloth; relaxation sweeps within a cloth are
@@ -1756,20 +1771,10 @@ World::phaseCloth()
         locals.assign(cloths_.size(), ClothStats{});
         scheduler_.parallelFor(
             cloths_.size(), 1,
-            [this, &colliders, &locals, &frozen](std::size_t begin,
-                                                 std::size_t end,
-                                                 unsigned lane) {
-                for (std::size_t ci = begin; ci < end; ++ci) {
-                    if (frozen(ci))
-                        continue;
-                    PAX_TRACE_SCOPE_ID(
-                        trace_, lane, "cloth_step", stepCount_,
-                        static_cast<std::int64_t>(ci));
-                    cloths_[ci]->step(config_.dt, config_.gravity,
-                                      plan_.clothIterations,
-                                      colliders[ci], locals[ci],
-                                      kernelBackend_);
-                }
+            [&locals, &stepCloth](std::size_t begin, std::size_t end,
+                                  unsigned lane) {
+                for (std::size_t ci = begin; ci < end; ++ci)
+                    stepCloth(ci, lane, locals[ci]);
             });
         for (const ClothStats &ls : locals) {
             stats.clothsStepped += ls.clothsStepped;
@@ -1780,16 +1785,11 @@ World::phaseCloth()
             stats.kernels.merge(ls.kernels);
         }
     } else {
-        for (size_t ci = 0; ci < cloths_.size(); ++ci) {
-            if (frozen(ci))
-                continue;
-            PAX_TRACE_SCOPE_ID(trace_, 0, "cloth_step", stepCount_,
-                               static_cast<std::int64_t>(ci));
-            cloths_[ci]->step(config_.dt, config_.gravity,
-                              plan_.clothIterations, colliders[ci],
-                              stats, kernelBackend_);
-        }
+        for (std::size_t ci = 0; ci < cloths_.size(); ++ci)
+            stepCloth(ci, 0, stats);
     }
+    for (const std::vector<const Geom *> &colliders : clothColliders_)
+        stepStats_.clothColliderInsertions += colliders.size();
 }
 
 } // namespace parallax

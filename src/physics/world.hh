@@ -396,8 +396,7 @@ class World
     { return lastIslandList_; }
 
     /** Contact joints created during the last step. */
-    const std::vector<std::unique_ptr<ContactJoint>> &
-    lastContactJoints() const
+    const std::vector<ContactJoint> &lastContactJoints() const
     { return contactJoints_; }
 
     Real time() const { return time_; }
@@ -604,7 +603,10 @@ class World
     // step loop performs no heap allocations in these containers.
     std::vector<GeomPair> lastPairs_;
     std::vector<Contact> lastContacts_;
-    std::vector<std::unique_ptr<ContactJoint>> contactJoints_;
+    /** This step's contact joints, by value: the pool keeps its
+     *  capacity across steps, and pointers into it are taken only
+     *  once it is full for the step. */
+    std::vector<ContactJoint> contactJoints_;
     std::vector<Island> lastIslandList_;
     StepStats stepStats_;
     /** Geom pointer array handed to the broadphase each step. */
@@ -618,6 +620,10 @@ class World
      *  islandWorkQueueThreshold and the committed row cost. */
     std::vector<Island *> solveIslands_;
     std::vector<std::uint32_t> islandBatchOffsets_;
+    /** Per-island flags for this step: on quarantine probation
+     *  (reduced dt), and a permanent joint broke (no sleep). */
+    std::vector<std::uint8_t> islandOnProbation_;
+    std::vector<std::uint8_t> islandJointBroke_;
     /** One solver per lane for parallel island processing; each owns
      *  a persistent workspace, reserved each step for the largest
      *  awake island, that stops allocating once warm. */
@@ -742,18 +748,16 @@ class World
     };
 
     /**
-     * Flat warm cache: one entry per cached contact, sorted by
-     * (key, seq) where seq is the insertion index. Lookup is a
-     * lower_bound on key followed by a linear scan of the group in
-     * insertion order — the same entry order the previous per-key
-     * vector design produced, so best-match ties break identically.
-     * Rebuilt by clear + push_back + sort each step: no node
-     * allocations, capacity persists.
+     * Flat warm cache: one entry per cached contact, sorted by key,
+     * each pair's entries in insertion order. It is rebuilt each step
+     * by appending the contact joints in order, which are already in
+     * ascending key order, so it needs no sort; lookups walk it with
+     * a forward cursor. Restored caches must keep keys ascending
+     * (restoreState rejects any other order).
      */
     struct WarmEntry
     {
         std::uint64_t key;
-        std::uint32_t seq;
         CachedContact c;
     };
     std::vector<WarmEntry> warmCache_;

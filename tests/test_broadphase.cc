@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,19 @@ class BroadphaseFixture : public ::testing::Test
                 body_id, Transform(Quat(), pos), 1.0,
                 Mat3::identity()));
         }
+        const auto geom_id = static_cast<GeomId>(geoms_.size());
+        geoms_.push_back(std::make_unique<Geom>(
+            geom_id, shapes_.back().get(), bodies_.back().get()));
+        return geoms_.back().get();
+    }
+
+    Geom *
+    addBoxGeom(const Vec3 &pos, const Vec3 &half)
+    {
+        shapes_.push_back(std::make_unique<BoxShape>(half));
+        const auto body_id = static_cast<BodyId>(bodies_.size());
+        bodies_.push_back(std::make_unique<RigidBody>(
+            body_id, Transform(Quat(), pos), 1.0, Mat3::identity()));
         const auto geom_id = static_cast<GeomId>(geoms_.size());
         geoms_.push_back(std::make_unique<Geom>(
             geom_id, shapes_.back().get(), bodies_.back().get()));
@@ -234,8 +248,20 @@ TEST_F(SweepAndPruneTest, StatsPopulated)
     EXPECT_EQ(bp.stats().pairsFound, 0u);
 }
 
+/** Sweep chunks the broadphase tiles `bounded` geoms into. */
+std::size_t
+sweepChunks(const TaskScheduler &scheduler, std::size_t bounded)
+{
+    return scheduler
+        .tiling(bounded, scheduler.schedulerConfig().grainSize,
+                SweepAndPrune::sweepNsPerGeom)
+        .chunks;
+}
+
 // Property test: the broadphase finds exactly the brute-force set of
-// overlapping eligible pairs, across random scenes.
+// overlapping eligible pairs, across random scenes, at every worker
+// count: the same pair vector, order included, and the same number
+// of overlap tests as the single-lane sweep.
 class BroadphaseAgreement
     : public BroadphaseFixture,
       public ::testing::WithParamInterface<int>
@@ -245,15 +271,31 @@ class BroadphaseAgreement
 TEST_P(BroadphaseAgreement, MatchesBruteForce)
 {
     Rng rng(GetParam());
-    const int n = 30 + static_cast<int>(rng.below(40));
+    const int n = 600 + static_cast<int>(rng.below(400));
     for (int i = 0; i < n; ++i) {
         addSphereGeom({rng.uniform(-10, 10), rng.uniform(-10, 10),
                        rng.uniform(-10, 10)},
                       rng.uniform(0.3, 1.5), rng.chance(0.2));
     }
+    // One box across most of the x axis: the chunk holding its axis
+    // position scans far past its own end.
+    addBoxGeom({rng.uniform(-1, 1), rng.uniform(-5, 5), 0},
+               {9.0, 0.5, 0.5});
     const auto geoms = geomPtrs();
-    SweepAndPrune sap;
-    EXPECT_EQ(sap.findPairs(geoms), bruteForcePairs(geoms));
+    const std::vector<GeomPair> oracle = bruteForcePairs(geoms);
+    SweepAndPrune serial;
+    EXPECT_EQ(serial.findPairs(geoms), oracle);
+
+    for (unsigned workers : {0u, 2u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        TaskScheduler scheduler(SchedulerConfig{workers});
+        ASSERT_GE(sweepChunks(scheduler, geoms.size()), 2u);
+        SweepAndPrune sap;
+        std::vector<GeomPair> pairs;
+        sap.findPairsInto(geoms, scheduler, pairs);
+        EXPECT_EQ(pairs, oracle);
+        EXPECT_EQ(sap.stats().overlapTests, serial.stats().overlapTests);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScenes, BroadphaseAgreement,
@@ -311,7 +353,8 @@ TEST_F(SweepAndPruneTest, MembershipChangeTriggersRebuild)
 // The same oracle on every benchmark scene, step by step as motion
 // develops: planes, blast volumes, disabled debris and multi-geom
 // bodies go through the eligibility rules, and the persistent axis
-// goes through its incremental repair.
+// goes through its incremental repair. Each worker count must give
+// the single-lane pair vector and overlap-test count exactly.
 class BroadphaseSceneParity
     : public ::testing::TestWithParam<int>
 {
@@ -320,25 +363,45 @@ class BroadphaseSceneParity
 TEST_P(BroadphaseSceneParity, SapMatchesBruteForce)
 {
     const BenchmarkId id = allBenchmarks[GetParam()];
-    WorldConfig config;
-    config.workerThreads = 0;
-    auto world = buildBenchmark(id, config, 0.12);
+    for (unsigned workers : {0u, 2u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        WorldConfig config;
+        config.workerThreads = workers;
+        auto world = buildBenchmark(id, config, 0.12);
 
-    SweepAndPrune sap;
-    std::size_t pairs_seen = 0;
-    for (int i = 0; i < 10; ++i) {
-        world->step();
-        std::vector<Geom *> geoms;
-        for (const auto &g : world->geoms()) {
-            g->updateBounds();
-            geoms.push_back(g.get());
+        // A small chunk target (sixteen geoms a chunk) tiles even the
+        // smallest scene into several sweep chunks.
+        SchedulerConfig tiny_chunks{workers};
+        tiny_chunks.targetChunkNanos =
+            16 * SweepAndPrune::sweepNsPerGeom;
+        TaskScheduler scheduler(tiny_chunks);
+        SweepAndPrune serial;
+        SweepAndPrune sap;
+        std::vector<GeomPair> pairs;
+        std::size_t pairs_seen = 0;
+        for (int i = 0; i < 10; ++i) {
+            world->step();
+            std::vector<Geom *> geoms;
+            std::size_t bounded = 0;
+            for (const auto &g : world->geoms()) {
+                g->updateBounds();
+                geoms.push_back(g.get());
+                bounded += g->enabled() &&
+                           g->shape().type() != ShapeType::Plane;
+            }
+            ASSERT_GE(sweepChunks(scheduler, bounded), 2u);
+            sap.findPairsInto(geoms, scheduler, pairs);
+            ASSERT_EQ(pairs, bruteForcePairs(geoms))
+                << benchmarkInfo(id).shortName << " step " << i;
+            ASSERT_EQ(pairs, serial.findPairs(geoms))
+                << benchmarkInfo(id).shortName << " step " << i;
+            ASSERT_EQ(sap.stats().overlapTests,
+                      serial.stats().overlapTests)
+                << benchmarkInfo(id).shortName << " step " << i;
+            pairs_seen += pairs.size();
         }
-        const auto pairs = sap.findPairs(geoms);
-        ASSERT_EQ(pairs, bruteForcePairs(geoms))
-            << benchmarkInfo(id).shortName << " step " << i;
-        pairs_seen += pairs.size();
+        EXPECT_GT(pairs_seen, 0u) << benchmarkInfo(id).shortName;
     }
-    EXPECT_GT(pairs_seen, 0u) << benchmarkInfo(id).shortName;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenes, BroadphaseSceneParity,

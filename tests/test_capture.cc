@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -356,6 +357,79 @@ TEST(CaptureCorpus, ChecksumValidVersionBumpFailsReadably)
     EXPECT_NE(st.message().find("version"), std::string::npos)
         << st.toString();
     EXPECT_FALSE(world->restoreState(bytes).ok());
+}
+
+void
+writeU64(std::vector<std::uint8_t> &bytes, std::size_t offset,
+         std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+bool
+holdsU64(const std::vector<std::uint8_t> &bytes, std::size_t offset,
+         std::uint64_t v)
+{
+    if (offset + 8 > bytes.size())
+        return false;
+    for (int i = 0; i < 8; ++i) {
+        if (bytes[offset + i] != static_cast<std::uint8_t>(v >> (8 * i)))
+            return false;
+    }
+    return true;
+}
+
+TEST(CaptureCorpus, UnorderedWarmCacheKeysFailReadably)
+{
+    auto world = buildBenchmark(BenchmarkId::Mix, mixConfig(), 0.12);
+    for (int i = 0; i < 5; ++i)
+        world->step();
+
+    // The warm cache is this step's contact joints in order, one
+    // group per geom pair: u64 key, u32 count, 72 bytes per entry.
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> counts;
+    for (const ContactJoint &joint : world->lastContactJoints()) {
+        const Contact &c = joint.contact();
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(std::min(c.geomA, c.geomB))
+             << 32) |
+            std::max(c.geomA, c.geomB);
+        if (keys.empty() || keys.back() != key) {
+            keys.push_back(key);
+            counts.push_back(0);
+        }
+        ++counts.back();
+    }
+    ASSERT_GE(keys.size(), 2u);
+
+    std::vector<std::uint8_t> bytes = world->captureState();
+    // Locate the section: the group count, then the first group's key
+    // and count, then the second group's key right after its entries.
+    std::size_t first = 0;
+    for (std::size_t at = kPayloadOffset; at + 16 < bytes.size(); ++at) {
+        if (readU32(bytes, at) == keys.size() &&
+            holdsU64(bytes, at + 4, keys[0]) &&
+            readU32(bytes, at + 12) == counts[0] &&
+            holdsU64(bytes, at + 16 + 72 * counts[0], keys[1])) {
+            first = at + 4;
+            break;
+        }
+    }
+    ASSERT_NE(first, 0u) << "warm-cache section not found";
+    const std::size_t second = first + 12 + 72 * counts[0];
+
+    // Swap the first two group keys and re-seal the checksum: only
+    // the ordering is wrong, every count and length still adds up.
+    writeU64(bytes, first, keys[1]);
+    writeU64(bytes, second, keys[0]);
+    resealChecksum(bytes);
+
+    const Status st = world->restoreState(bytes);
+    EXPECT_EQ(st.code(), StatusCode::DataLoss) << st.toString();
+    EXPECT_NE(st.message().find("warm-cache"), std::string::npos)
+        << st.toString();
 }
 
 TEST(Capture, FileRoundTripAndMissingFile)

@@ -87,7 +87,7 @@ TEST_F(IslandTest, ChainFormsOneIsland)
     ASSERT_EQ(islands.size(), 1u);
     EXPECT_EQ(islands[0].bodies.size(), 10u);
     EXPECT_EQ(islands[0].joints.size(), 9u);
-    EXPECT_EQ(islands[0].rowCount(), 27); // 9 ball joints x 3 rows.
+    EXPECT_EQ(islands[0].rows, 27); // 9 ball joints x 3 rows.
 }
 
 TEST_F(IslandTest, StaticBodiesDoNotMergeIslands)

@@ -3,6 +3,8 @@
  * Tests for narrowphase contact generation across shape pairs.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -222,6 +224,63 @@ TEST_F(NarrowphaseTest, BoxBoxRotatedSeparatedByCrossAxis)
         Transform(Quat::fromAxisAngle({0, 1, 0}, M_PI / 2),
                   {0, 0.5, 0}));
     EXPECT_TRUE(collide(a, b).empty());
+}
+
+TEST_F(NarrowphaseTest, BoxBoxOctagonManifoldKeepsFourDeepest)
+{
+    // The incident box is turned 45 degrees about the contact normal
+    // (y), so its bottom face clipped against the reference box's top
+    // face is an octagon: the clip grows the polygon past four
+    // vertices. A slight tilt about a skew horizontal axis makes the
+    // eight depths distinct, so the four deepest are one definite,
+    // ordered set.
+    Geom *ref = makeGeom(std::make_unique<BoxShape>(Vec3{1, 1, 1}),
+                         Transform(Quat(), {0, 0, 0}));
+    const Transform inc_pose(
+        Quat::fromAxisAngle({0, 1, 0}, M_PI / 4) *
+            Quat::fromAxisAngle(Vec3{1, 0, 0.37}.normalized(), 0.02),
+        {0, 3.9, 0});
+    Geom *inc =
+        makeGeom(std::make_unique<BoxShape>(Vec3{1, 3, 1}), inc_pose);
+
+    // Oracle: where the incident bottom face's edges cross the
+    // reference face's side planes x = +-1 and z = +-1, with depth
+    // measured below the reference face at y = 1.
+    const Vec3 corner[4] = {inc_pose.apply({1, -3, 1}),
+                            inc_pose.apply({1, -3, -1}),
+                            inc_pose.apply({-1, -3, -1}),
+                            inc_pose.apply({-1, -3, 1})};
+    std::vector<Vec3> octagon;
+    for (int e = 0; e < 4; ++e) {
+        const Vec3 p = corner[e];
+        const Vec3 q = corner[(e + 1) % 4];
+        for (const Real side : {-1.0, 1.0}) {
+            const Real tx = (side - p.x) / (q.x - p.x);
+            const Vec3 on_x = p + (q - p) * tx;
+            if (tx > 0 && tx < 1 && std::fabs(on_x.z) <= 1)
+                octagon.push_back(on_x);
+            const Real tz = (side - p.z) / (q.z - p.z);
+            const Vec3 on_z = p + (q - p) * tz;
+            if (tz > 0 && tz < 1 && std::fabs(on_z.x) <= 1)
+                octagon.push_back(on_z);
+        }
+    }
+    ASSERT_EQ(octagon.size(), 8u);
+    std::sort(octagon.begin(), octagon.end(),
+              [](const Vec3 &a, const Vec3 &b) { return a.y < b.y; });
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_LT(octagon[i].y + 1e-6, octagon[i + 1].y)
+            << "octagon vertices " << i << " and " << i + 1 << " tie";
+    }
+
+    const auto contacts = collide(ref, inc);
+    ASSERT_EQ(contacts.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+        // Deepest first, each one of the four deepest vertices.
+        EXPECT_NEAR(contacts[i].depth, 1.0 - octagon[i].y, 1e-9);
+        EXPECT_NEAR((contacts[i].position - octagon[i]).length(), 0.0,
+                    1e-9);
+    }
 }
 
 TEST_F(NarrowphaseTest, SphereHeightfieldContact)

@@ -151,8 +151,36 @@ TEST(Trace, WorkerLanesOnlyCarryLeafSpans)
         const std::string name = e.name;
         EXPECT_TRUE(name == "island_solve" ||
                     name == "cloth_step" ||
-                    name == "narrowphase_chunk")
+                    name == "narrowphase_chunk" ||
+                    name == "broadphase_chunk")
             << "unexpected span '" << name << "' on lane " << e.lane;
+    }
+}
+
+TEST(Trace, BroadphaseSweepChunksAreSpans)
+{
+    // The mini-scene is one sweep chunk; Mix at 0.12 has ~2.3k
+    // bounded geoms, several chunks' worth, so every step records one
+    // broadphase_chunk span per chunk, tagged with its first axis
+    // position.
+    auto world = buildBenchmark(BenchmarkId::Mix, tracedConfig(2), 0.12);
+    const int steps = 3;
+    for (int i = 0; i < steps; ++i)
+        world->step();
+    std::map<std::uint64_t, std::vector<std::int64_t>> chunks;
+    for (const TraceEvent &e : world->trace().events()) {
+        if (e.type == TraceEvent::Type::Span &&
+            std::string(e.name) == "broadphase_chunk")
+            chunks[e.step].push_back(e.id);
+    }
+    ASSERT_EQ(chunks.size(), static_cast<std::size_t>(steps));
+    for (auto &[step, begins] : chunks) {
+        std::sort(begins.begin(), begins.end());
+        EXPECT_GE(begins.size(), 2u) << "step " << step;
+        EXPECT_EQ(begins.front(), 0) << "step " << step;
+        EXPECT_EQ(std::adjacent_find(begins.begin(), begins.end()),
+                  begins.end())
+            << "step " << step;
     }
 }
 

@@ -4,10 +4,13 @@
  * threading, and determinism.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "physics/world.hh"
 #include "sim/rng.hh"
+#include "workload/benchmarks.hh"
 
 namespace parallax
 {
@@ -223,11 +226,44 @@ TEST(World, JointedBodiesNeverCollide)
         for (const Contact &contact : world.lastContacts())
             EXPECT_FALSE(joined(contact.geomA, contact.geomB));
         EXPECT_GT(world.lastContactJoints().size(), 0u);
-        for (const auto &joint : world.lastContactJoints()) {
+        for (const ContactJoint &joint : world.lastContactJoints()) {
             const bool ab =
-                (joint->bodyA() == a && joint->bodyB() == b) ||
-                (joint->bodyA() == b && joint->bodyB() == a);
+                (joint.bodyA() == a && joint.bodyB() == b) ||
+                (joint.bodyA() == b && joint.bodyB() == a);
             EXPECT_FALSE(ab);
+        }
+    }
+}
+
+TEST(World, ContactPairKeysNeverDecrease)
+{
+    // Island creation warm-starts each contact through a cursor that
+    // only moves forward over the key-sorted warm cache. That is
+    // correct only while the narrowphase emits contacts in ascending
+    // geom-pair order, on the serial and the chunked path alike.
+    for (const BenchmarkId id : allBenchmarks) {
+        for (unsigned workers : {0u, 2u}) {
+            SCOPED_TRACE(std::string(benchmarkInfo(id).shortName) +
+                         " workers=" + std::to_string(workers));
+            WorldConfig config;
+            config.workerThreads = workers;
+            auto world = buildBenchmark(id, config, 0.12);
+            std::size_t contacts = 0;
+            for (int step = 0; step < 30; ++step) {
+                world->step();
+                std::uint64_t previous = 0;
+                for (const Contact &c : world->lastContacts()) {
+                    const std::uint64_t key =
+                        (static_cast<std::uint64_t>(
+                             std::min(c.geomA, c.geomB))
+                         << 32) |
+                        std::max(c.geomA, c.geomB);
+                    ASSERT_GE(key, previous) << "step " << step;
+                    previous = key;
+                }
+                contacts += world->lastContacts().size();
+            }
+            EXPECT_GT(contacts, 0u);
         }
     }
 }
