@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "physics/shapes/primitives.hh"
 #include "physics/shapes/static_shapes.hh"
@@ -116,13 +117,88 @@ Cloth::bounds(Real margin) const
     return box.inflated(margin);
 }
 
-bool
-Cloth::projectOut(const Geom &geom, Vec3 &point, Real margin)
+namespace
 {
-    const Transform pose = geom.worldPose();
-    switch (geom.shape().type()) {
+
+constexpr Real inf = std::numeric_limits<Real>::infinity();
+constexpr Aabb unbounded{{-inf, -inf, -inf}, {inf, inf, inf}};
+
+// Every reach box grows by this much more than its rule asks, so
+// that rounding in the exact tests never matters.
+constexpr Real reachPad = 1e-6;
+
+/**
+ * The skip rule's box half, written with < and > so that a NaN bound
+ * never culls an axis.
+ */
+bool
+outsideReach(const Aabb &r, const Vec3 &p)
+{
+    return p.x < r.lo.x || p.x > r.hi.x || p.y < r.lo.y ||
+        p.y > r.hi.y || p.z < r.lo.z || p.z > r.hi.z;
+}
+
+} // namespace
+
+ClothCollider
+poseClothCollider(const Geom &geom, Real margin)
+{
+    ClothCollider c;
+    c.geom = &geom;
+    c.type = geom.shape().type();
+    c.pose = geom.worldPose();
+    if (c.type == ShapeType::Capsule) {
+        static_cast<const CapsuleShape &>(geom.shape())
+            .segment(c.pose, c.a, c.b);
+    }
+
+    // The rules below need a finite pose and a rotation. A bodiless
+    // geom keeps its offset's quaternion as given, so it may not be
+    // unit; the comparison is false for a NaN or infinite one too.
+    const Quat &q = c.pose.rotation;
+    const Real norm2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z;
+    if (!finite(c.pose.position) || !(std::fabs(norm2 - 1.0) <= 1e-12)) {
+        c.reach = unbounded;
+        return c;
+    }
+    const Aabb shape_box = geom.shape().bounds(c.pose);
+    switch (c.type) {
+      case ShapeType::Sphere:
+      case ShapeType::Capsule:
+        c.reach = shape_box.inflated(margin + reachPad);
+        break;
+      case ShapeType::Box:
+        // |R|(h + m) <= |R|h + sqrt(3) m: a rotation's rows are unit
+        // vectors, so each row's L1 norm is at most sqrt(3).
+        c.reach = shape_box.inflated(std::sqrt(3.0) * margin + reachPad);
+        break;
+      case ShapeType::Heightfield:
+        c.reach = shape_box.inflated(margin + reachPad);
+        c.reach.lo.y = -inf;
+        break;
+      case ShapeType::Plane:
+        c.reach = unbounded;
+        break;
+      default:
+        break; // Aabb() is empty: every finite point is outside.
+    }
+    return c;
+}
+
+bool
+clothReachSkips(const ClothCollider &collider, const Vec3 &point)
+{
+    return finite(point) && outsideReach(collider.reach, point);
+}
+
+bool
+clothProjectOut(const ClothCollider &collider, Vec3 &point, Real margin)
+{
+    const Transform &pose = collider.pose;
+    const Shape &shape = collider.geom->shape();
+    switch (collider.type) {
       case ShapeType::Sphere: {
-        const auto &s = static_cast<const SphereShape &>(geom.shape());
+        const auto &s = static_cast<const SphereShape &>(shape);
         const Vec3 d = point - pose.position;
         const Real r = s.radius() + margin;
         const Real dist2 = d.lengthSquared();
@@ -134,11 +210,9 @@ Cloth::projectOut(const Geom &geom, Vec3 &point, Real margin)
         return true;
       }
       case ShapeType::Capsule: {
-        const auto &c =
-            static_cast<const CapsuleShape &>(geom.shape());
-        Vec3 a, b;
-        c.segment(pose, a, b);
-        const Vec3 ab = b - a;
+        const auto &c = static_cast<const CapsuleShape &>(shape);
+        const Vec3 &a = collider.a;
+        const Vec3 ab = collider.b - a;
         const Real len2 = ab.lengthSquared();
         const Real t = len2 > 1e-18
             ? std::clamp((point - a).dot(ab) / len2, 0.0, 1.0)
@@ -155,7 +229,7 @@ Cloth::projectOut(const Geom &geom, Vec3 &point, Real margin)
         return true;
       }
       case ShapeType::Box: {
-        const auto &bx = static_cast<const BoxShape &>(geom.shape());
+        const auto &bx = static_cast<const BoxShape &>(shape);
         const Vec3 h = bx.halfExtents() +
             Vec3{margin, margin, margin};
         const Vec3 local = pose.applyInverse(point);
@@ -178,7 +252,7 @@ Cloth::projectOut(const Geom &geom, Vec3 &point, Real margin)
         return true;
       }
       case ShapeType::Plane: {
-        const auto &pl = static_cast<const PlaneShape &>(geom.shape());
+        const auto &pl = static_cast<const PlaneShape &>(shape);
         const Real dist = pl.distance(point) - margin;
         if (dist >= 0)
             return false;
@@ -186,8 +260,7 @@ Cloth::projectOut(const Geom &geom, Vec3 &point, Real margin)
         return true;
       }
       case ShapeType::Heightfield: {
-        const auto &hf =
-            static_cast<const HeightfieldShape &>(geom.shape());
+        const auto &hf = static_cast<const HeightfieldShape &>(shape);
         const Vec3 local = point - pose.position;
         if (local.x < 0 || local.x > hf.width() || local.z < 0 ||
             local.z > hf.depth()) {
@@ -270,8 +343,12 @@ Cloth::step(Real dt, const Vec3 &gravity, int iterations,
     // constraint, then projects every vertex out of the colliders
     // (Jakobsen's scheme — collision is just another constraint).
     // Projection stays scalar (branchy per-shape code) and runs on
-    // the SoA streams between relaxation sweeps.
+    // the SoA streams between relaxation sweeps. The colliders are
+    // posed once here: bodies do not move during the cloth phase.
     const Real margin = 0.02;
+    posed_.clear();
+    for (const Geom *g : colliders)
+        posed_.push_back(poseClothCollider(*g, margin));
     for (int it = 0; it < iterations; ++it) {
         kb.clothRelax(pv, cv, stats.kernels);
         stats.constraintRelaxations += constraints_.size();
@@ -281,15 +358,23 @@ Cloth::step(Real dt, const Vec3 &gravity, int iterations,
             Vec3 pos{px_[i], py_[i], pz_[i]};
             Vec3 prev{qx_[i], qy_[i], qz_[i]};
             bool touched = false;
-            for (const Geom *g : colliders) {
-                ++stats.collisionTests;
-                if (projectOut(*g, pos, margin)) {
-                    ++stats.collisionsResolved;
-                    // Kill part of the velocity into the surface by
-                    // dragging the previous position along.
-                    prev = prev + (pos - prev) * 0.5;
-                    touched = true;
+            // Every listed pair counts, culled or not.
+            stats.collisionTests += posed_.size();
+            // clothReachSkips with its finite half hoisted out of the
+            // collider loop: pos changes only when a projection moves
+            // it.
+            bool pos_finite = finite(pos);
+            for (const ClothCollider &c : posed_) {
+                if ((pos_finite && outsideReach(c.reach, pos)) ||
+                    !clothProjectOut(c, pos, margin)) {
+                    continue;
                 }
+                pos_finite = finite(pos);
+                ++stats.collisionsResolved;
+                // Kill part of the velocity into the surface by
+                // dragging the previous position along.
+                prev = prev + (pos - prev) * 0.5;
+                touched = true;
             }
             if (touched) {
                 px_[i] = pos.x;

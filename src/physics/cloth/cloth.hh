@@ -45,6 +45,59 @@ struct ClothStats
 };
 
 /**
+ * One cloth collider, posed once per Cloth::step: the geom, its
+ * worldPose() at cloth time, what the exact projection derives from
+ * the pose alone, and a reach box outside which the projection
+ * cannot move a point.
+ */
+struct ClothCollider
+{
+    Aabb reach;
+    const Geom *geom = nullptr;
+    ShapeType type = ShapeType::Sphere;
+    Transform pose;
+    /** Capsule axis end points (CapsuleShape::segment at `pose`). */
+    Vec3 a;
+    Vec3 b;
+};
+
+/**
+ * Pose `geom` for one cloth step with projection margin `margin`.
+ * The reach box, padded by 1e-6 m so that rounding in the exact
+ * tests never matters, is per shape:
+ * - sphere, capsule: the shape's AABB at the pose, inflated by the
+ *   margin;
+ * - box: the AABB of the box with half extents h + margin, bounded
+ *   by the h-box's AABB inflated by sqrt(3) x margin (inflating it
+ *   by the margin alone is not conservative for a rotated box);
+ * - heightfield: the x/z footprint, from -inf up to the maximum
+ *   height plus the margin (points anywhere below the surface are
+ *   pushed up);
+ * - plane: unbounded (its exact test is one dot product);
+ * - trimesh: empty (clothProjectOut never moves a point).
+ * A pose that is not finite, or whose rotation is not a unit
+ * quaternion to 1e-12, gets an unbounded reach box.
+ */
+ClothCollider poseClothCollider(const Geom &geom, Real margin);
+
+/**
+ * The skip rule: true only when `point` is finite and outside the
+ * collider's reach box, so clothProjectOut(collider, point) would
+ * return false without touching `point`. Written as "outside" with
+ * < and >, so a NaN bound never culls, and a vertex with a NaN or
+ * infinite coordinate is never skipped.
+ */
+bool clothReachSkips(const ClothCollider &collider, const Vec3 &point);
+
+/**
+ * The exact vertex projection: push `point` out of the posed
+ * collider to `margin` off its surface; returns true if it was
+ * inside (closer than the margin).
+ */
+bool clothProjectOut(const ClothCollider &collider, Vec3 &point,
+                     Real margin);
+
+/**
  * A rectangular cloth patch: nx-by-ny particles joined by structural
  * and shear (diagonal) distance constraints, forming the triangular
  * mesh of the paper. Large cloths use 625 vertices (25x25); small
@@ -98,9 +151,12 @@ class Cloth
 
     /**
      * Advance the cloth one step: Verlet integration under gravity,
-     * `iterations` constraint-relaxation sweeps, then vertex
-     * projection out of the given collider geoms. Integration and
-     * relaxation run on the given kernel backend (nullptr = the
+     * then `iterations` sweeps that each relax every constraint and
+     * project every free vertex out of the given collider geoms, in
+     * list order. The colliders are posed once at the top of the
+     * step (poseClothCollider); a (vertex, collider) pair the skip
+     * rule culls still counts in `stats.collisionTests`. Integration
+     * and relaxation run on the given kernel backend (nullptr = the
      * scalar reference); collision projection is always scalar.
      */
     void step(Real dt, const Vec3 &gravity, int iterations,
@@ -109,9 +165,6 @@ class Cloth
               const KernelBackend *backend = nullptr);
 
   private:
-    /** Push a point out of a geom; returns true if it was inside. */
-    static bool projectOut(const Geom &geom, Vec3 &point, Real margin);
-
     /** Copy the AoS particle state into the SoA streams. */
     void syncSoa();
     /** Copy the SoA streams back into the AoS particle state. */
@@ -137,6 +190,10 @@ class Cloth
     std::vector<std::int32_t> coloredA_, coloredB_;
     std::vector<Real> coloredRest_;
     EdgeColoring coloring_;
+
+    // This step's posed colliders: cleared each step, so it grows
+    // only when the collider list does.
+    std::vector<ClothCollider> posed_;
 };
 
 } // namespace parallax

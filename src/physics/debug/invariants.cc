@@ -16,13 +16,6 @@ namespace
 {
 
 bool
-finite(const Vec3 &v)
-{
-    return std::isfinite(v.x) && std::isfinite(v.y) &&
-           std::isfinite(v.z);
-}
-
-bool
 finite(const Quat &q)
 {
     return std::isfinite(q.w) && std::isfinite(q.x) &&

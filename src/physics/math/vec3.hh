@@ -103,6 +103,13 @@ operator*(Real s, const Vec3 &v)
     return v * s;
 }
 
+/** True when no component is NaN or infinite. */
+inline bool
+finite(const Vec3 &v)
+{
+    return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+}
+
 } // namespace parallax
 
 #endif // PARALLAX_PHYSICS_MATH_VEC3_HH

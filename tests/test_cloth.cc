@@ -3,7 +3,14 @@
  * Tests for the position-based cloth simulation.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <ostream>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -83,24 +90,162 @@ TEST(Cloth, ConstraintsPreserveEdgeLengths)
     EXPECT_LT(worst, 0.15);
 }
 
-TEST(Cloth, DrapesOverSphereWithoutPenetration)
+/** Collider shapes the drape oracle drops a cloth onto. */
+enum class DrapeShape
 {
-    World world;
-    const SphereShape *s = world.addSphere(1.0);
-    RigidBody *ball = world.createStaticBody(
-        Transform(Quat(), {0.45, 2.0, 0.45}));
-    world.createGeom(s, ball);
+    Sphere,
+    Box,
+    Capsule,
+    Heightfield,
+};
 
+/**
+ * Drop a 10x10 cloth onto one static collider under the given kernel
+ * backend. After 200 steps no particle may lie more than 0.03 inside
+ * the shape, and the last step must still resolve collisions (the
+ * cloth rests on the shape rather than having slid off it).
+ */
+void
+expectDrapeWithoutPenetration(DrapeShape kind, SimdBackend backend)
+{
+    WorldConfig config;
+    config.simdBackend = backend;
+    World world(config);
+    const Vec3 center{0.45, 2.0, 0.45};
+    const Real tolerance = 0.03;
+    const Geom *geom = nullptr;
+    switch (kind) {
+      case DrapeShape::Sphere:
+        geom = world.createGeom(
+            world.addSphere(1.0),
+            world.createStaticBody(Transform(Quat(), center)));
+        break;
+      case DrapeShape::Box:
+        // Turned about two axes: the cloth lands on a tilted top
+        // face and hangs over its edges.
+        geom = world.createGeom(
+            world.addBox({0.6, 0.3, 0.6}),
+            world.createStaticBody(Transform(
+                Quat::fromAxisAngle({1, 0, 0}, 0.25) *
+                    Quat::fromAxisAngle({0, 0, 1}, 0.2),
+                center)));
+        break;
+      case DrapeShape::Capsule:
+        // A bar lying 20 degrees off horizontal.
+        geom = world.createGeom(
+            world.addCapsule(0.3, 0.6),
+            world.createStaticBody(Transform(
+                Quat::fromAxisAngle({0, 0, 1}, 1.92), center)));
+        break;
+      case DrapeShape::Heightfield: {
+        std::mt19937_64 rng(7);
+        std::uniform_real_distribution<Real> height(0.0, 0.3);
+        std::vector<Real> heights(8 * 8);
+        for (Real &h : heights)
+            h = height(rng);
+        geom = world.createGeom(
+            world.addHeightfield(heights, 8, 8, 0.25),
+            world.createStaticBody(
+                Transform(Quat(), {-0.4, 1.5, -0.4})));
+        break;
+      }
+    }
     Cloth *cloth = world.createCloth(10, 10, {0, 3.2, 0}, 0.1, 1.0);
     for (int i = 0; i < 200; ++i)
         world.step();
+    EXPECT_GT(world.lastStepStats().cloth.collisionsResolved, 0u);
 
-    // No particle may rest inside the sphere.
+    // Depth of a point inside the shape (<= 0 outside it).
+    const Transform pose = geom->worldPose();
+    auto depth = [&](const Vec3 &p) -> Real {
+        switch (kind) {
+          case DrapeShape::Sphere: {
+            const auto &s =
+                static_cast<const SphereShape &>(geom->shape());
+            return s.radius() - (p - pose.position).length();
+          }
+          case DrapeShape::Box: {
+            const Vec3 h =
+                static_cast<const BoxShape &>(geom->shape())
+                    .halfExtents();
+            const Vec3 local = pose.applyInverse(p);
+            return std::min({h.x - std::fabs(local.x),
+                             h.y - std::fabs(local.y),
+                             h.z - std::fabs(local.z)});
+          }
+          case DrapeShape::Capsule: {
+            const auto &c =
+                static_cast<const CapsuleShape &>(geom->shape());
+            Vec3 a, b;
+            c.segment(pose, a, b);
+            const Vec3 ab = b - a;
+            const Real t = std::clamp(
+                (p - a).dot(ab) / ab.lengthSquared(), 0.0, 1.0);
+            return c.radius() - (p - (a + ab * t)).length();
+          }
+          case DrapeShape::Heightfield: {
+            const auto &hf =
+                static_cast<const HeightfieldShape &>(geom->shape());
+            const Vec3 local = p - pose.position;
+            if (local.x < 0 || local.x > hf.width() || local.z < 0 ||
+                local.z > hf.depth()) {
+                return -1.0;
+            }
+            return hf.sampleHeight(local.x, local.z) - local.y;
+          }
+        }
+        return -1.0;
+    };
     for (const auto &p : cloth->particles()) {
-        const Real dist = (p.position - ball->position()).length();
-        EXPECT_GT(dist, 0.97);
+        if (p.invMass != 0.0) {
+            EXPECT_LT(depth(p.position), tolerance);
+        }
     }
 }
+
+TEST(Cloth, DrapesOverSphereWithoutPenetration)
+{
+    for (SimdBackend backend : {SimdBackend::Scalar, SimdBackend::Native})
+        expectDrapeWithoutPenetration(DrapeShape::Sphere, backend);
+}
+
+/** One drape oracle run: a collider shape under a kernel backend. */
+struct DrapeCase
+{
+    DrapeShape shape;
+    SimdBackend backend;
+    const char *name;
+};
+
+// Printed as its name, which ctest then uses as the test suffix.
+void
+PrintTo(const DrapeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ClothDrape : public ::testing::TestWithParam<DrapeCase>
+{
+};
+
+TEST_P(ClothDrape, DrapesWithoutPenetration)
+{
+    expectDrapeWithoutPenetration(GetParam().shape, GetParam().backend);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Colliders, ClothDrape,
+    ::testing::Values(
+        DrapeCase{DrapeShape::Box, SimdBackend::Scalar, "BoxScalar"},
+        DrapeCase{DrapeShape::Box, SimdBackend::Native, "BoxNative"},
+        DrapeCase{DrapeShape::Capsule, SimdBackend::Scalar,
+                  "CapsuleScalar"},
+        DrapeCase{DrapeShape::Capsule, SimdBackend::Native,
+                  "CapsuleNative"},
+        DrapeCase{DrapeShape::Heightfield, SimdBackend::Scalar,
+                  "HeightfieldScalar"},
+        DrapeCase{DrapeShape::Heightfield, SimdBackend::Native,
+                  "HeightfieldNative"}));
 
 TEST(Cloth, RestsOnPlane)
 {
@@ -149,14 +294,204 @@ TEST(Cloth, BoundsCoverAllParticles)
 TEST(Cloth, StatsAccumulate)
 {
     World world;
+    // Two listed colliders: a ground plane no vertex reaches and a
+    // sphere under the middle of the sheet that some vertices do.
+    world.createGeom(world.addPlane({0, 1, 0}, 0.0),
+                     world.createStaticBody(Transform()));
+    world.createGeom(world.addSphere(0.15),
+                     world.createStaticBody(
+                         Transform(Quat(), {0.2, 5.0, 0.2})));
     world.createCloth(5, 5, {0, 5, 0}, 0.1, 1.0);
     world.step();
     const ClothStats &stats = world.lastStepStats().cloth;
+    const auto sweeps =
+        static_cast<std::uint64_t>(world.config().clothIterations);
     EXPECT_EQ(stats.clothsStepped, 1u);
     EXPECT_EQ(stats.verticesIntegrated, 25u);
     // 56 constraints x clothIterations sweeps.
-    EXPECT_EQ(stats.constraintRelaxations,
-              56u * world.config().clothIterations);
+    EXPECT_EQ(stats.constraintRelaxations, 56u * sweeps);
+    // Every (free vertex, listed collider) pair counts each sweep,
+    // whether or not its reach box culls it.
+    EXPECT_EQ(stats.collisionTests, 25u * 2u * sweeps);
+    EXPECT_GT(stats.collisionsResolved, 0u);
+}
+
+/** Region the reach test samples: the reach box (or, where the reach
+ *  is empty, the shape's own box), with infinite bounds cut at 4 m. */
+Aabb
+sampleRegion(const ClothCollider &c)
+{
+    Aabb r = c.reach.valid() ? c.reach : c.geom->shape().bounds(c.pose);
+    for (int i = 0; i < 3; ++i) {
+        if (std::isinf(r.lo[i]))
+            r.lo[i] = -4.0;
+        if (std::isinf(r.hi[i]))
+            r.hi[i] = 4.0;
+    }
+    return r;
+}
+
+bool
+sameBits(const Vec3 &a, const Vec3 &b)
+{
+    return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+}
+
+TEST(Cloth, ReachBoxNeverHidesAProjection)
+{
+    World world;
+    const Real margin = 0.02;
+    auto place = [&world](const Shape *shape, const Transform &pose) {
+        return world.createGeom(shape, world.createStaticBody(pose));
+    };
+    std::mt19937_64 rng(16);
+    std::uniform_real_distribution<Real> unit(0.0, 1.0);
+    std::vector<Real> heights(6 * 5);
+    for (Real &h : heights)
+        h = 0.6 * unit(rng) - 0.1;
+    const std::vector<Geom *> geoms{
+        place(world.addSphere(0.4), Transform(Quat(), {1.0, 2.0, -0.5})),
+        place(world.addCapsule(0.15, 0.5),
+              Transform(Quat::fromAxisAngle({0, 0, 1}, 0.52),
+                        {-1.0, 1.0, 0.5})),
+        place(world.addBox({0.5, 0.3, 0.2}),
+              Transform(Quat::fromAxisAngle({1, 0, 0}, 0.6) *
+                            Quat::fromAxisAngle({0, 1, 0}, 0.8),
+                        {0.5, 1.5, 1.0})),
+        place(world.addPlane({0.3, 1.0, -0.2}, 0.4), Transform()),
+        place(world.addHeightfield(heights, 6, 5, 0.4),
+              Transform(Quat(), {-1.0, 0.2, -0.8})),
+        place(world.addTriMesh({{0, 0, 0}, {2, 0, 0}, {0, 0.5, 2}},
+                               {{0, 1, 2}}),
+              Transform(Quat(), {0.5, 0.0, 0.0}))};
+
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    const Real inf = std::numeric_limits<Real>::infinity();
+    for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
+        Geom *g = geoms[gi];
+        const std::string name = std::string(shapeTypeName(
+                                     g->shape().type())) +
+            " #" + std::to_string(gi);
+        const ClothCollider c = poseClothCollider(*g, margin);
+        const Aabb region = sampleRegion(c);
+        int hidden = 0;
+        int projected = 0;
+        auto check = [&](const Vec3 &p) {
+            Vec3 q = p;
+            const bool moved = clothProjectOut(c, q, margin);
+            projected += moved;
+            if (clothReachSkips(c, p) && (moved || !sameBits(p, q)))
+                ++hidden;
+        };
+
+        // Seeded points in a box twice the size of the reach box.
+        const Vec3 mid = region.center();
+        const Vec3 half = region.extents() * 2.0;
+        for (int i = 0; i < 10000; ++i) {
+            check({mid.x + half.x * (2 * unit(rng) - 1),
+                   mid.y + half.y * (2 * unit(rng) - 1),
+                   mid.z + half.z * (2 * unit(rng) - 1)});
+        }
+        EXPECT_EQ(hidden, 0) << name << ": random points";
+        if (g->shape().type() == ShapeType::TriMesh)
+            EXPECT_EQ(projected, 0) << name;
+        else
+            EXPECT_GT(projected, 0) << name << ": vacuous sample";
+
+        // A grid on each finite reach-box face, one ulp outward:
+        // every such point is culled, and none may project.
+        hidden = 0;
+        int kept = 0;
+        int faces = 0;
+        const int n = 101;
+        for (int axis = 0; axis < 3 && c.reach.valid(); ++axis) {
+            const int u = (axis + 1) % 3;
+            const int v = (axis + 2) % 3;
+            for (int side = 0; side < 2; ++side) {
+                const Real bound = side == 0 ? c.reach.lo[axis]
+                                             : c.reach.hi[axis];
+                if (!std::isfinite(bound))
+                    continue;
+                ++faces;
+                for (int i = 0; i < n; ++i) {
+                    for (int j = 0; j < n; ++j) {
+                        Vec3 p;
+                        p[axis] = std::nextafter(
+                            bound, side == 0 ? -inf : inf);
+                        p[u] = region.lo[u] +
+                            (region.hi[u] - region.lo[u]) * i / (n - 1);
+                        p[v] = region.lo[v] +
+                            (region.hi[v] - region.lo[v]) * j / (n - 1);
+                        kept += !clothReachSkips(c, p);
+                        check(p);
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(kept, 0) << name << ": face points not culled";
+        EXPECT_EQ(hidden, 0) << name << ": face points";
+        if (g->shape().type() != ShapeType::Plane &&
+            g->shape().type() != ShapeType::TriMesh) {
+            EXPECT_GE(faces, 5) << name;
+        }
+
+        // A non-finite coordinate is never culled, however far out
+        // the other two lie.
+        for (const Real bad : {nan, inf, -inf}) {
+            for (int axis = 0; axis < 3; ++axis) {
+                Vec3 p{100.0, -100.0, 100.0};
+                p[axis] = bad;
+                EXPECT_FALSE(clothReachSkips(c, p))
+                    << name << " culls a non-finite vertex";
+            }
+        }
+
+        // A collider whose pose holds a NaN never culls any point.
+        const Transform good = g->body()->pose();
+        for (const Transform &bad_pose :
+             {Transform(good.rotation, {nan, 0.0, 0.0}),
+              Transform(Quat(nan, 0.0, 0.0, 0.0), good.position)}) {
+            g->body()->setPose(bad_pose);
+            const ClothCollider posed = poseClothCollider(*g, margin);
+            int culled = 0;
+            for (int i = 0; i < 1000; ++i) {
+                culled += clothReachSkips(
+                    posed, {16 * unit(rng) - 8, 16 * unit(rng) - 8,
+                            16 * unit(rng) - 8});
+            }
+            EXPECT_EQ(culled, 0) << name << " culls for a NaN pose";
+        }
+        g->body()->setPose(good);
+    }
+
+    // A bodiless geom keeps its offset's rotation as given. This one
+    // is not a unit quaternion, so it is not a rotation and the box
+    // rule does not bound it: the reach must be unbounded.
+    const BoxShape squashed_box({0.5, 0.3, 0.2});
+    const Geom squashed(0, &squashed_box, nullptr,
+                        Transform(Quat(0.0, 0.5, 0.0, 0.0), {}));
+    const ClothCollider sc = poseClothCollider(squashed, margin);
+    Vec3 above{0.0, 0.5, 0.0};
+    EXPECT_FALSE(clothReachSkips(sc, above));
+    EXPECT_TRUE(clothProjectOut(sc, above, margin));
+
+    // The same through Cloth::step, which hoists the finite half of
+    // the rule out of its collider loop. A heightfield posed at
+    // y = +inf (unbounded reach) lifts every vertex to y = +inf; each
+    // vertex must then still meet the exact test of a box no finite
+    // vertex can reach, and that test reports it as resolved. One
+    // sweep, so relaxation never sees the infinite coordinate.
+    const HeightfieldShape ground({0, 0, 0, 0}, 2, 2, 1.0);
+    const Geom lifted(0, &ground, nullptr,
+                      Transform(Quat(), {-0.5, inf, -0.5}));
+    const BoxShape far_box({0.5, 0.5, 0.5});
+    const Geom far(1, &far_box, nullptr,
+                   Transform(Quat(), {100.0, 0.0, 0.0}));
+    Cloth cloth(0, 3, 3, {0, 0, 0}, 0.1, 1.0);
+    ClothStats stats;
+    cloth.step(0.01, {0, -9.81, 0}, 1, {&lifted, &far}, stats);
+    EXPECT_EQ(stats.collisionTests, 9u * 2u);
+    EXPECT_EQ(stats.collisionsResolved, 9u * 2u);
 }
 
 TEST(Cloth, InvalidConstructionRejected)
