@@ -26,6 +26,7 @@ opsPerFrame(BenchmarkId id, bool auto_disable)
 {
     WorldConfig config;
     config.autoDisable = auto_disable;
+    config.simdBackend = simdBackendFromEnv(SimdBackend::Scalar);
     auto world = buildBenchmark(id, config, 1.0);
     for (int i = 0; i < 12; ++i)
         world->step();

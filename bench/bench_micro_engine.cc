@@ -21,6 +21,7 @@ void
 BM_WorldStepSphereRain(benchmark::State &state)
 {
     WorldConfig config;
+    config.simdBackend = simdBackendFromEnv(SimdBackend::Scalar);
     World world(config);
     const SphereShape *s = world.addSphere(0.4);
     const PlaneShape *p = world.addPlane({0, 1, 0}, 0.0);
@@ -42,9 +43,10 @@ BENCHMARK(BM_WorldStepSphereRain)->Arg(100)->Arg(400);
 void
 BM_BenchmarkSceneStep(benchmark::State &state)
 {
+    WorldConfig config;
+    config.simdBackend = simdBackendFromEnv(SimdBackend::Scalar);
     auto world = buildBenchmark(
-        static_cast<BenchmarkId>(state.range(0)), WorldConfig(),
-        0.25);
+        static_cast<BenchmarkId>(state.range(0)), config, 0.25);
     for (auto _ : state)
         world->step();
 }
@@ -62,7 +64,7 @@ BM_SteppedSceneWorkers(benchmark::State &state)
 {
     WorldConfig config;
     config.workerThreads = static_cast<unsigned>(state.range(0));
-    config.deterministic = true; // Identical work at every count.
+    config.simdBackend = simdBackendFromEnv(SimdBackend::Scalar);
     auto world = buildBenchmark(BenchmarkId::Mix, config, 1.0);
     // Warm up past scene settling so steps are comparable.
     for (int i = 0; i < 12; ++i)

@@ -61,8 +61,8 @@ timedRun(BenchmarkId id, double scale, bool tracing, int warmup,
          int steps)
 {
     WorldConfig config;
-    config.deterministic = true;
     config.tracing = tracing;
+    config.simdBackend = hostSimdBackend();
     auto world = buildBenchmark(id, config, scale);
     for (int i = 0; i < warmup; ++i)
         world->step();

@@ -42,8 +42,8 @@ smallWorldConfig(double tick_dt)
 {
     WorldConfig config;
     config.dt = tick_dt;
-    config.deterministic = true;
     config.workerThreads = 0;
+    config.simdBackend = hostSimdBackend();
     return config;
 }
 

@@ -108,13 +108,6 @@ parseCommonFlags(int *argc, char **argv)
                              value);
                 std::exit(2);
             }
-            // World applies the PAX_SIMD override on top of its
-            // config; mirror the flag there so it wins over an
-            // inherited environment value.
-            setenv("PAX_SIMD",
-                   hostSimd == SimdBackend::Native ? "native"
-                                                   : "scalar",
-                   1);
         } else
             argv[out++] = argv[i];
     }
@@ -228,15 +221,11 @@ runSweep(std::size_t count,
         return;
     }
 
-    // One chunk per sweep point (deterministic mode keeps grain 1),
-    // so idle lanes steal whole points.
-    SchedulerConfig sched;
-    sched.workerThreads = static_cast<unsigned>(lanes - 1);
-    sched.deterministic = true;
-    TaskScheduler scheduler(sched);
+    // One chunk per sweep point, so idle lanes steal whole points.
+    TaskScheduler scheduler(
+        SchedulerConfig{static_cast<unsigned>(lanes - 1)});
     scheduler.parallelFor(
-        count, 1,
-        [&fn](std::size_t begin, std::size_t end, unsigned) {
+        count, [&fn](std::size_t begin, std::size_t end, unsigned) {
             for (std::size_t i = begin; i < end; ++i)
                 fn(i);
         });
@@ -266,8 +255,6 @@ MeasureOptions::worldConfig() const
 {
     WorldConfig config;
     config.workerThreads = hostWorkers;
-    config.grainSize = hostGrainSize;
-    config.deterministic = hostDeterministic;
     if (invariantChecksEnabled())
         config.invariantMode = InvariantMode::HardFail;
     // --frame-budget: measure under real-time degradation. The
@@ -590,7 +577,6 @@ measureHostPhases(BenchmarkId id, unsigned workers, double scale,
 {
     WorldConfig config;
     config.workerThreads = workers;
-    config.deterministic = true; // Same work at every worker count.
     if (invariantChecksEnabled())
         config.invariantMode = InvariantMode::HardFail;
     config.tracing = !hostTracePath().empty();

@@ -57,11 +57,6 @@ struct MeasureOptions
     /** Host-side work-stealing workers driving the simulation
      *  itself (independent of the modeled `threads` above). */
     unsigned hostWorkers = 0;
-    /** Host scheduler grain (pairs/islands/cloths per chunk). */
-    unsigned hostGrainSize = 16;
-    /** Fixed-grain tiling on the host scheduler
-     *  (WorldConfig::deterministic): moves chunk boundaries only. */
-    bool hostDeterministic = true;
 
     /** WorldConfig carrying the host scheduler knobs. */
     WorldConfig worldConfig() const;

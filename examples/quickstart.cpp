@@ -9,8 +9,7 @@
  *
  * Build and run:
  *     cmake -B build -G Ninja && cmake --build build
- *     ./build/examples/quickstart [--workers N] [--grain N]
- *                                 [--deterministic]
+ *     ./build/examples/quickstart [--workers N]
  */
 
 #include <cstdio>
@@ -47,23 +46,13 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
             config.workerThreads = parseCount("--workers", argv[++i]);
-        } else if (std::strcmp(argv[i], "--grain") == 0 &&
-                   i + 1 < argc) {
-            config.grainSize = parseCount("--grain", argv[++i]);
-        } else if (std::strcmp(argv[i], "--deterministic") == 0) {
-            config.deterministic = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--workers N] [--grain N] "
-                         "[--deterministic]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [--workers N]\n", argv[0]);
             return 1;
         }
     }
     World world(config);
-    std::printf("workers=%u grain=%u deterministic=%s\n",
-                world.config().workerThreads, world.config().grainSize,
-                world.config().deterministic ? "yes" : "no");
+    std::printf("workers=%u\n", world.config().workerThreads);
 
     // Static environment: the ground plane.
     const PlaneShape *ground = world.addPlane({0, 1, 0}, 0.0);

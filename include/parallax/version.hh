@@ -10,7 +10,10 @@
  * export; v4 dropped the frame-arena block-size options, the arena
  * stats and the narrowphase cost observer; v5 made contact joints a
  * value pool, islands spans, and the scheduler's loop body a
- * non-owning reference, see docs/API.md); the
+ * non-owning reference; v6 dropped the World and scheduler tiling
+ * options, the scheduling mode, the default-grain loops and two
+ * island-routing step counters, ignores WorldConfig::deterministic
+ * and stops reading PAX_SIMD inside World, see docs/API.md); the
  * minor number bumps when the surface grows compatibly. Internal
  * headers under src/ carry no compatibility promise at all —
  * consumers that reach past include/parallax/ are on their own, and
@@ -21,7 +24,7 @@
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 5
+#define PARALLAX_API_VERSION_MAJOR 6
 #define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */

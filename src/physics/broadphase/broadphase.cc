@@ -122,40 +122,41 @@ SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
     }
 
     // The sweep. Scans from different axis positions are independent,
-    // so chunks of positions tile across lanes, each writing its own
-    // slot; the slots are concatenated in chunk order. With one lane
-    // or a single chunk the scan writes straight into `out`.
+    // so chunks of positions tile across lanes. Chunk 0 writes `out`
+    // itself and chunk c >= 1 its own slot, slots_[c - 1]; the slots
+    // are appended in chunk order, so a one-chunk sweep touches no
+    // slot at all.
     const std::size_t n = axis_.size();
-    const TaskScheduler::Tiling tile = scheduler.tiling(
-        n, scheduler.schedulerConfig().grainSize, sweepNsPerGeom);
-    if (scheduler.laneCount() == 1 || tile.chunks < 2) {
-        stats_.overlapTests += sweep(0, n, out);
-    } else {
-        if (slots_.size() < tile.chunks)
-            slots_.resize(tile.chunks);
-        scheduler.parallelFor(
-            n, scheduler.schedulerConfig().grainSize, sweepNsPerGeom,
-            [this, &tile, trace, step](std::size_t begin,
-                                       std::size_t end,
-                                       unsigned lane) {
-                const bool tracing =
-                    trace != nullptr && trace->enabled();
-                const double t0 = tracing ? trace->nowUs() : 0.0;
-                SweepSlot &slot = slots_[tile.chunkOf(begin)];
+    const TaskScheduler::Tiling tile =
+        scheduler.tilingByCost(n, sweepNsPerGeom);
+    if (slots_.size() + 1 < tile.chunks)
+        slots_.resize(tile.chunks - 1);
+    std::uint64_t first_tests = 0;
+    scheduler.parallelForByCost(
+        n, sweepNsPerGeom,
+        [this, &tile, &out, &first_tests, trace,
+         step](std::size_t begin, std::size_t end, unsigned lane) {
+            const bool tracing = trace != nullptr && trace->enabled();
+            const double t0 = tracing ? trace->nowUs() : 0.0;
+            const std::size_t chunk = tile.chunkOf(begin);
+            if (chunk == 0) {
+                first_tests = sweep(begin, end, out);
+            } else {
+                SweepSlot &slot = slots_[chunk - 1];
                 slot.pairs.clear();
                 slot.overlapTests = sweep(begin, end, slot.pairs);
-                if (tracing) {
-                    trace->recordSpan(
-                        lane, "broadphase_chunk", step, t0,
-                        trace->nowUs(),
-                        static_cast<std::int64_t>(begin));
-                }
-            });
-        for (std::size_t c = 0; c < tile.chunks; ++c) {
-            out.insert(out.end(), slots_[c].pairs.begin(),
-                       slots_[c].pairs.end());
-            stats_.overlapTests += slots_[c].overlapTests;
-        }
+            }
+            if (tracing) {
+                trace->recordSpan(lane, "broadphase_chunk", step, t0,
+                                  trace->nowUs(),
+                                  static_cast<std::int64_t>(begin));
+            }
+        });
+    stats_.overlapTests += first_tests;
+    for (std::size_t c = 1; c < tile.chunks; ++c) {
+        const SweepSlot &slot = slots_[c - 1];
+        out.insert(out.end(), slot.pairs.begin(), slot.pairs.end());
+        stats_.overlapTests += slot.overlapTests;
     }
 
     sortPairs(out, id_limit);

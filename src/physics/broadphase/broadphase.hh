@@ -74,9 +74,9 @@ struct BroadphaseStats
  * a full rebuild.
  *
  * The forward scans are independent per axis position, so the sweep
- * tiles across lanes; each chunk writes its own slot, and a final
- * counting sort puts the pairs in canonical order whichever lane
- * found them.
+ * tiles across lanes; chunk 0 writes the output and every later
+ * chunk its own slot, and a final counting sort puts the pairs in
+ * canonical order whichever lane found them.
  */
 class SweepAndPrune
 {
@@ -92,8 +92,8 @@ class SweepAndPrune
      * static) are filtered; pairs sharing a body are filtered. Pair
      * ordering is canonical (a < b), sorted by (a, b), and does not
      * depend on the scheduler's lane count. With a trace collector,
-     * every parallel sweep chunk records a `broadphase_chunk` span
-     * on its lane, tagged with `step`.
+     * every sweep chunk records a `broadphase_chunk` span on its
+     * lane, tagged with `step`.
      */
     void findPairsInto(const std::vector<Geom *> &geoms,
                        TaskScheduler &scheduler,
@@ -109,8 +109,9 @@ class SweepAndPrune
     void resetStats() { stats_.reset(); }
 
   private:
-    /** One parallel sweep chunk's output. Cache-line aligned so
-     *  adjacent chunks on different lanes never share a line. */
+    /** One sweep chunk's output (chunks after the first; chunk 0
+     *  writes the caller's vector). Cache-line aligned so adjacent
+     *  chunks on different lanes never share a line. */
     struct alignas(64) SweepSlot
     {
         std::vector<GeomPair> pairs;
@@ -137,7 +138,7 @@ class SweepAndPrune
      *  means the geom is in this step's bounded set. */
     std::vector<std::uint32_t> stamp_;
     std::uint32_t gen_ = 0;
-    /** Parallel sweep output, one slot per chunk. */
+    /** Sweep output of chunks 1..n-1: slots_[c - 1] is chunk c's. */
     std::vector<SweepSlot> slots_;
     /** Counting-sort scratch: id histogram and the pass-1 output. */
     std::vector<std::uint32_t> idCounts_;

@@ -246,9 +246,6 @@ writeConfig(Writer &w, const WorldConfig &config)
     w.i32(config.solverIterations);
     w.i32(config.clothIterations);
     w.u32(config.workerThreads);
-    w.i32(config.islandWorkQueueThreshold);
-    w.u32(config.grainSize);
-    w.u8(config.deterministic ? 1 : 0);
     w.f64(config.defaultMaterial.friction);
     w.f64(config.defaultMaterial.restitution);
     w.f64(config.defaultMaterial.restitutionThreshold);
@@ -269,10 +266,6 @@ readConfig(Reader &r)
     config.solverIterations = r.i32("config.solverIterations");
     config.clothIterations = r.i32("config.clothIterations");
     config.workerThreads = r.u32("config.workerThreads");
-    config.islandWorkQueueThreshold =
-        r.i32("config.islandWorkQueueThreshold");
-    config.grainSize = r.u32("config.grainSize");
-    config.deterministic = r.u8("config.deterministic") != 0;
     config.defaultMaterial.friction = r.f64("config.friction");
     config.defaultMaterial.restitution = r.f64("config.restitution");
     config.defaultMaterial.restitutionThreshold =

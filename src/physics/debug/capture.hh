@@ -7,9 +7,8 @@
  * the effects subsystem (pending explosives, active blasts, fracture
  * flags), simulation time, and the world configuration. Restoring a
  * snapshot into a world with the same scene structure reproduces the
- * subsequent trajectory bitwise (for any worker count, in either
- * scheduling mode), which turns "scene misbehaves at step 2843" into
- * "load snapshot, step once".
+ * subsequent trajectory bitwise (for any worker count), which turns
+ * "scene misbehaves at step 2843" into "load snapshot, step once".
  *
  * Blast volumes are the one structural mutation a running scene
  * performs (EffectsManager::triggerExplosion adds a shape, a static
@@ -46,7 +45,7 @@ struct WorldConfig;
 class World;
 
 /** Current snapshot format version (bumped on layout changes). */
-constexpr std::uint32_t snapshotVersion = 2;
+constexpr std::uint32_t snapshotVersion = 3;
 
 /** Current snapshot-delta format version. */
 constexpr std::uint32_t snapshotDeltaVersion = 1;

@@ -54,9 +54,6 @@ class Narrowphase
     const NarrowphaseStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
-    /** Merge a worker instance's counters (parallel narrowphase). */
-    void mergeStats(const NarrowphaseStats &o) { stats_.merge(o); }
-
   private:
     /**
      * Dispatch with canonical type ordering; `flipped` records that

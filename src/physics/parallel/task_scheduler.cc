@@ -83,8 +83,6 @@ WorkStealingDeque::empty() const
 TaskScheduler::TaskScheduler(SchedulerConfig config)
     : config_(config), workerCount_(config.workerThreads)
 {
-    if (config_.grainSize == 0)
-        config_.grainSize = 1;
     if (workerCount_ > maxWorkers) {
         warn("workerThreads %u exceeds the scheduler cap of %u; "
              "clamping",
@@ -119,25 +117,7 @@ TaskScheduler::~TaskScheduler()
 }
 
 TaskScheduler::Tiling
-TaskScheduler::tiling(std::size_t count, std::size_t grain) const
-{
-    Tiling t;
-    t.grain = std::max<std::size_t>(1, grain);
-    if (!config_.deterministic) {
-        // Widen the grain so the loop yields at most a handful of
-        // chunks per lane; tiling then depends on the lane count
-        // (results do not, as long as reductions are ordered).
-        const std::size_t target =
-            static_cast<std::size_t>(laneCount()) * 8;
-        t.grain = std::max(t.grain, (count + target - 1) / target);
-    }
-    t.chunks = count == 0 ? 0 : (count + t.grain - 1) / t.grain;
-    return t;
-}
-
-TaskScheduler::Tiling
-TaskScheduler::tiling(std::size_t count, std::size_t minGrain,
-                      double nsPerItem) const
+TaskScheduler::tilingByCost(std::size_t count, double nsPerItem) const
 {
     // Widen the grain until one chunk is worth ~targetChunkNanos of
     // estimated work. The result depends only on the iteration count
@@ -153,24 +133,22 @@ TaskScheduler::tiling(std::size_t count, std::size_t minGrain,
     // Round down to a power of two, so a chunk never exceeds the
     // target.
     Tiling t;
-    t.grain = std::max(std::max<std::size_t>(1, minGrain),
-                       std::bit_floor(cost_grain));
-    t.chunks = count == 0 ? 0 : (count + t.grain - 1) / t.grain;
+    t.grain = std::bit_floor(cost_grain);
+    t.chunks = (count + t.grain - 1) / t.grain;
     return t;
 }
 
 void
-TaskScheduler::parallelFor(std::size_t count, std::size_t grain,
-                           const LoopBody &body)
+TaskScheduler::parallelFor(std::size_t count, const LoopBody &body)
 {
-    runLoop(count, tiling(count, grain), body);
+    runLoop(count, Tiling{1, count}, body);
 }
 
 void
-TaskScheduler::parallelFor(std::size_t count, std::size_t minGrain,
-                           double nsPerItem, const LoopBody &body)
+TaskScheduler::parallelForByCost(std::size_t count, double nsPerItem,
+                                 const LoopBody &body)
 {
-    runLoop(count, tiling(count, minGrain, nsPerItem), body);
+    runLoop(count, tilingByCost(count, nsPerItem), body);
 }
 
 void

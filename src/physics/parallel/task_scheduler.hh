@@ -13,11 +13,12 @@
  * deque (LIFO, cache-friendly); thieves steal from the top (FIFO,
  * takes the largest outstanding split first).
  *
- * Callers that need a reduction combine per-chunk partial results in
- * chunk-index order ("ordered reduction"), so the result does not
- * depend on which lane ran which chunk. Deterministic mode only pins
- * the fixed-grain tiling to the configured grain size (chunk
- * boundaries, never results).
+ * Chunk boundaries depend only on the iteration count and the loop
+ * site (one item per chunk, or a grain from the site's per-item
+ * cost), never on the lane count. Callers that need a reduction
+ * combine per-chunk partial results in chunk-index order ("ordered
+ * reduction"), so the result does not depend on which lane ran which
+ * chunk.
  */
 
 #ifndef PARALLAX_PHYSICS_PARALLEL_TASK_SCHEDULER_HH
@@ -44,28 +45,14 @@ struct SchedulerConfig
     unsigned workerThreads = 0;
 
     /**
-     * Loop-tiling grain: iterations per chunk handed to one lane.
-     * Small grains balance better; large grains amortize dispatch.
-     */
-    std::size_t grainSize = 16;
-
-    /**
-     * Tile fixed-grain loops (parallelFor(count, grain, ...)) at
-     * exactly `grain` regardless of worker count instead of widening
-     * them to a few chunks per lane. Moves chunk boundaries only:
-     * the engine's reductions are ordered, so results never depend
-     * on it.
-     */
-    bool deterministic = false;
-
-    /**
      * Adaptive grain sizing: target nanoseconds of work per chunk
-     * for the cost-model tiling overloads. Dispatch plus steal
-     * overhead is a few hundred nanoseconds per chunk, so 50 us
-     * chunks keep that overhead under ~1% of chunk work while still
-     * yielding tens of stealable chunks per millisecond of phase
-     * time. A pure tuning knob: it moves chunk boundaries, never
-     * results.
+     * for the cost-model tiling (parallelForByCost) and for World's
+     * island batches. Dispatch plus steal overhead is a few hundred
+     * nanoseconds per chunk, so 50 us chunks keep that overhead
+     * under ~1% of chunk work while still yielding tens of stealable
+     * chunks per millisecond of phase time. It moves chunk
+     * boundaries, never results; tests shrink it to tile a small
+     * scene into many chunks.
      */
     double targetChunkNanos = 50 * 1000.0;
 };
@@ -167,7 +154,7 @@ class TaskScheduler
         void (*call_)(void *, std::size_t, std::size_t, unsigned);
     };
 
-    /** How parallelFor() will tile `count` iterations. */
+    /** How parallelForByCost() will tile `count` iterations. */
     struct Tiling
     {
         std::size_t grain = 1;
@@ -198,44 +185,31 @@ class TaskScheduler
     /** Execution lanes: workers plus the calling thread. */
     unsigned laneCount() const { return workerCount_ + 1; }
 
-    bool deterministic() const { return config_.deterministic; }
     const SchedulerConfig &schedulerConfig() const { return config_; }
 
     /**
-     * The tiling parallelFor(count, grain, ...) will use. In
-     * deterministic mode this is exactly `grain`; otherwise the
-     * grain is widened so no loop produces more than a few chunks
-     * per lane (less dispatch overhead, tiling varies with lanes).
+     * Cost-model tiling: the largest power-of-two grain (at least
+     * 1) at which one chunk is worth at most
+     * SchedulerConfig::targetChunkNanos of estimated work
+     * (`nsPerItem` per iteration), so dispatch+steal overhead stays
+     * a small fraction of chunk cost. The estimate is a constant of
+     * the loop site, so the tiling depends only on the iteration
+     * count — never on the lane count or the wall clock. Chunks
+     * execute exactly on these boundaries.
      */
-    Tiling tiling(std::size_t count, std::size_t grain) const;
-    Tiling tiling(std::size_t count) const
-    { return tiling(count, config_.grainSize); }
+    Tiling tilingByCost(std::size_t count, double nsPerItem) const;
+
+    /** parallelFor with cost-model tiling (see tilingByCost). */
+    void parallelForByCost(std::size_t count, double nsPerItem,
+                           const LoopBody &body);
 
     /**
-     * Cost-model tiling: widen the grain beyond `minGrain` until one
-     * chunk is worth at least SchedulerConfig::targetChunkNanos of
-     * estimated work (`nsPerItem` per iteration), so dispatch+steal
-     * overhead stays a small fraction of chunk cost. The estimate is
-     * a constant of the loop site, so the tiling depends only on the
-     * iteration count — never on the lane count or the wall clock —
-     * in both scheduling modes.
+     * Run `body` over [0, count), one item per chunk, and wait for
+     * completion; each chunk runs on exactly one lane. For coarse
+     * items (an island batch, a cloth, a hosted world, a sweep point)
+     * that are each worth stealing on their own.
      */
-    Tiling tiling(std::size_t count, std::size_t minGrain,
-                  double nsPerItem) const;
-
-    /** parallelFor with cost-model tiling (see tiling above). */
-    void parallelFor(std::size_t count, std::size_t minGrain,
-                     double nsPerItem, const LoopBody &body);
-
-    /**
-     * Run `body` over [0, count) in parallel and wait for
-     * completion. Chunks execute exactly on the boundaries reported
-     * by tiling(); each chunk runs on exactly one lane.
-     */
-    void parallelFor(std::size_t count, std::size_t grain,
-                     const LoopBody &body);
-    void parallelFor(std::size_t count, const LoopBody &body)
-    { parallelFor(count, config_.grainSize, body); }
+    void parallelFor(std::size_t count, const LoopBody &body);
 
     // --- Execution counters (since construction). ---
     std::uint64_t tasksExecuted() const;

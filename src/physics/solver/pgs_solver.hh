@@ -103,9 +103,6 @@ class PgsSolver
     const SolverStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
-    /** Merge a worker instance's counters (parallel islands). */
-    void mergeStats(const SolverStats &o) { stats_.merge(o); }
-
   private:
     /**
      * Persistent per-solver scratch, reused across islands and

@@ -48,8 +48,6 @@ StepStats::reset()
     contactsCreated = 0;
     contactJointsCreated = 0;
     jointsBroken = 0;
-    islandsToWorkQueue = 0;
-    islandsOnMainThread = 0;
     clothColliderInsertions = 0;
     islandsAsleep = 0;
     bodiesAsleep = 0;
@@ -82,15 +80,9 @@ WorldConfig::validate() const
     check(clothIterations >= 1,
           "clothIterations must be >= 1 (got " +
               std::to_string(clothIterations) + ")");
-    check(islandWorkQueueThreshold >= 0,
-          "islandWorkQueueThreshold must be >= 0 (got " +
-              std::to_string(islandWorkQueueThreshold) + ")");
     check(workerThreads <= 1024,
           "workerThreads must be <= 1024 (got " +
               std::to_string(workerThreads) + ")");
-    check(grainSize >= 1,
-          "grainSize must be >= 1 (got " +
-              std::to_string(grainSize) + ")");
     check(std::isfinite(erp) && erp >= 0 && erp <= 1,
           "erp must be in [0, 1] (got " + std::to_string(erp) + ")");
     check(std::isfinite(cfm) && cfm >= 0,
@@ -205,20 +197,15 @@ validatedConfig(WorldConfig config)
 
 World::World(WorldConfig config)
     : config_(validatedConfig(std::move(config))),
-      solver_(config_.solverIterations),
-      scheduler_(SchedulerConfig{config_.workerThreads,
-                                 config_.grainSize,
-                                 config_.deterministic}),
+      scheduler_(SchedulerConfig{config_.workerThreads}),
       governor_(config_.frameBudget, config_.governor,
                 config_.solverIterations, config_.clothIterations),
       plan_(governor_.planForLevel(0))
 {
-    // Resolve the kernel backend once: PAX_SIMD overrides the config,
-    // and Native degrades to Scalar on hosts without SIMD support.
-    kernelBackend_ =
-        &kernelBackendFor(simdBackendFromEnv(config_.simdBackend));
-    solver_.setBackend(kernelBackend_);
-    narrowphase_.setBackend(kernelBackend_);
+    // Resolve the kernel backend once from the config alone (the
+    // environment never reaches a World): Native degrades to Scalar
+    // on hosts without SIMD support.
+    kernelBackend_ = &kernelBackendFor(config_.simdBackend);
     // One persistent solver and narrowphase per lane; their
     // workspaces warm up once and are reused every step after.
     laneSolvers_.reserve(scheduler_.laneCount());
@@ -483,9 +470,11 @@ World::step()
 
     stepStats_.reset();
     broadphase_.resetStats();
-    narrowphase_.resetStats();
+    for (Narrowphase &np : npLocals_)
+        np.resetStats();
     islandBuilder_.resetStats();
-    solver_.resetStats();
+    for (PgsSolver &s : laneSolvers_)
+        s.resetStats();
     // Effects stats are cumulative across the run (blasts and
     // fractures are one-shot events, not per-step rates).
     pairsDeferredThisStep_ = 0;
@@ -556,11 +545,14 @@ World::step()
             lanesBefore_[i].itemsProcessed;
     }
 
-    // Collect stats snapshots.
+    // Collect stats snapshots. The lane narrowphases and solvers
+    // hold plain counters, so their merge order does not matter.
     stepStats_.broadphase = broadphase_.stats();
-    stepStats_.narrowphase = narrowphase_.stats();
+    for (const Narrowphase &np : npLocals_)
+        stepStats_.narrowphase.merge(np.stats());
     stepStats_.island = islandBuilder_.stats();
-    stepStats_.solver = solver_.stats();
+    for (const PgsSolver &s : laneSolvers_)
+        stepStats_.solver.merge(s.stats());
     stepStats_.effects = effects_.stats();
 
     // Mocked clock (governor determinism tests): the injected
@@ -1197,8 +1189,8 @@ World::phaseBroadphase()
     // pointer list and pair output are persistent: once warm the
     // whole phase runs without touching the heap. Bounds are
     // per-geom independent, so their update tiles like any kernel.
-    scheduler_.parallelFor(
-        geoms_.size(), config_.grainSize, boundsNsPerGeom,
+    scheduler_.parallelForByCost(
+        geoms_.size(), boundsNsPerGeom,
         [this](std::size_t begin, std::size_t end, unsigned) {
             for (std::size_t i = begin; i < end; ++i)
                 geoms_[i]->updateBounds();
@@ -1247,40 +1239,29 @@ void
 World::phaseNarrowphase()
 {
     // 2(c).i: compute contact points for each pair. Object-pairs are
-    // independent: the scheduler tiles them into chunks that idle
-    // lanes steal, each chunk appending to its own contact store
-    // (the paper's per-thread joint group that removes ODE's
-    // artificial serialization).
-    lastContacts_.clear();
-
-    // Adaptive grain: chunks sized so each is worth roughly
-    // targetChunkNanos of pair tests at the committed per-pair cost,
-    // with config grainSize as the floor. Contact order is the pair
-    // order in both branches below, so the trajectory is invariant
-    // to the grain and the worker count — only dispatch overhead
-    // moves.
+    // independent: the scheduler tiles them into chunks sized so each
+    // is worth roughly targetChunkNanos of pair tests at the
+    // committed per-pair cost, and idle lanes steal chunks. Each
+    // chunk appends to its own contact store (the paper's per-thread
+    // joint group that removes ODE's artificial serialization):
+    // chunk 0 writes lastContacts_ itself, chunk c >= 1 its slot
+    // chunkContacts_[c - 1], and the slots are appended in chunk
+    // order. The contact list is therefore in pair order whichever
+    // lane ran which chunk, and a one-chunk step copies nothing.
     const std::size_t pairs = lastPairs_.size();
-    const TaskScheduler::Tiling tile = scheduler_.tiling(
-        pairs, config_.grainSize, narrowphaseNsPerPair);
-    if (scheduler_.laneCount() == 1 || tile.chunks < 2) {
-        narrowphase_.batchClear();
-        for (const GeomPair &pair : lastPairs_)
-            narrowphase_.batchAdd(geoms_[pair.a].get(),
-                                  geoms_[pair.b].get());
-        narrowphase_.batchRun(lastContacts_);
-        stepStats_.contactsCreated = lastContacts_.size();
-        return;
-    }
+    const TaskScheduler::Tiling tile =
+        scheduler_.tilingByCost(pairs, narrowphaseNsPerPair);
+    const std::size_t slots = tile.chunks > 0 ? tile.chunks - 1 : 0;
 
-    // One persistent slot per chunk, reserved for the most contacts
-    // a chunk can produce, so no chunk body ever reallocates: slots
-    // are created (and counted) only when the pair count needs more
-    // chunks than any step before.
+    // Each slot is reserved for the most contacts a chunk can
+    // produce, so no chunk body ever reallocates: slots are created
+    // (and counted) only when the pair count needs more chunks than
+    // any step before.
     const std::size_t slot_capacity =
         tile.grain * static_cast<std::size_t>(maxContactsPerPair);
-    if (chunkContacts_.size() < tile.chunks)
-        chunkContacts_.resize(tile.chunks);
-    for (std::size_t c = 0; c < tile.chunks; ++c) {
+    if (chunkContacts_.size() < slots)
+        chunkContacts_.resize(slots);
+    for (std::size_t c = 0; c < slots; ++c) {
         std::vector<Contact> &slot = chunkContacts_[c].contacts;
         if (slot.capacity() < slot_capacity) {
             slot.reserve(slot_capacity);
@@ -1288,23 +1269,21 @@ World::phaseNarrowphase()
         }
     }
 
-    // Worker narrowphase instances keep stats races away; their
-    // counters (plain integers, order-independent) merge after the
-    // loop. Each chunk body runs exactly once and owns its slot, so
-    // the writes are race-free, and concatenating the slots in chunk
-    // order makes the contact list independent of which lane ran
-    // which chunk.
-    for (Narrowphase &local : npLocals_)
-        local.resetStats();
-    scheduler_.parallelFor(
-        pairs, config_.grainSize, narrowphaseNsPerPair,
+    // Lane narrowphase instances keep stats races away (step()
+    // merges their counters). Each chunk body runs exactly once and
+    // owns its output, so the writes are race-free.
+    lastContacts_.clear();
+    scheduler_.parallelForByCost(
+        pairs, narrowphaseNsPerPair,
         [this, &tile](std::size_t begin, std::size_t end,
                       unsigned lane) {
             PAX_TRACE_SCOPE_ID(trace_, lane, "narrowphase_chunk",
                                stepCount_,
                                static_cast<std::int64_t>(begin));
+            const std::size_t chunk = tile.chunkOf(begin);
             std::vector<Contact> &out =
-                chunkContacts_[tile.chunkOf(begin)].contacts;
+                chunk == 0 ? lastContacts_
+                           : chunkContacts_[chunk - 1].contacts;
             out.clear();
             Narrowphase &np = npLocals_[lane];
             np.batchClear();
@@ -1315,13 +1294,11 @@ World::phaseNarrowphase()
             }
             np.batchRun(out);
         });
-    for (std::size_t c = 0; c < tile.chunks; ++c) {
+    for (std::size_t c = 0; c < slots; ++c) {
         const std::vector<Contact> &chunk = chunkContacts_[c].contacts;
         lastContacts_.insert(lastContacts_.end(), chunk.begin(),
                              chunk.end());
     }
-    for (const Narrowphase &local : npLocals_)
-        narrowphase_.mergeStats(local.stats());
     stepStats_.contactsCreated = lastContacts_.size();
 }
 
@@ -1421,29 +1398,22 @@ void
 World::phaseIslandProcessing()
 {
     // 2(e): for each island compute loads and new velocities, then
-    // integrate. Islands are independent: big ones go to the work
-    // queue, small ones execute on the main thread (paper threshold:
-    // 25 degrees of freedom removed).
+    // integrate.
     SolverParams params;
     params.dt = config_.dt;
     params.erp = config_.erp;
     params.cfm = config_.cfm;
 
-    // Governor: this step's (possibly degraded) solver iterations.
-    solver_.setIterations(plan_.solverIterations);
-
     // Thawed islands on probation retry at reduced dt: island
     // membership (via islandId stamped this step) decides which
-    // bodies solve and integrate on the scaled clock.
+    // bodies solve and integrate on the scaled clock; every other
+    // body gets config_.dt.
     const std::size_t island_count = lastIslandList_.size();
     islandOnProbation_.assign(island_count, 0);
-    bool any_probation = false;
     for (const auto &[id, until] : probationUntil_) {
         const std::uint32_t island = bodies_[id]->islandId();
-        if (island < island_count) {
+        if (island < island_count)
             islandOnProbation_[island] = 1;
-            any_probation = true;
-        }
     }
     const Real probation_dt =
         config_.dt *
@@ -1456,10 +1426,8 @@ World::phaseIslandProcessing()
     };
     auto paramsFor = [&](const Island &island) {
         SolverParams p = params;
-        if (any_probation && !island.bodies.empty() &&
-            islandOnProbation_[island.bodies.front()->islandId()] != 0) {
-            p.dt = probation_dt;
-        }
+        if (!island.bodies.empty())
+            p.dt = bodyDt(*island.bodies.front());
         return p;
     };
 
@@ -1468,23 +1436,17 @@ World::phaseIslandProcessing()
     // order at any worker count (the committed body cost keeps
     // chunks coarse enough to amortize dispatch).
     auto forEachBody = [this](auto &&per_body) {
-        scheduler_.parallelFor(
-            bodies_.size(), 1, integrateNsPerBody,
+        scheduler_.parallelForByCost(
+            bodies_.size(), integrateNsPerBody,
             [this, &per_body](std::size_t begin, std::size_t end,
                               unsigned) {
                 for (std::size_t i = begin; i < end; ++i)
                     per_body(*bodies_[i]);
             });
     };
-    if (!any_probation) {
-        forEachBody([this](RigidBody &body) {
-            body.integrateVelocities(config_.dt);
-        });
-    } else {
-        forEachBody([&bodyDt](RigidBody &body) {
-            body.integrateVelocities(bodyDt(body));
-        });
-    }
+    forEachBody([&bodyDt](RigidBody &body) {
+        body.integrateVelocities(bodyDt(body));
+    });
 
     // Auto-disable, part 1: islands sleep and wake as a unit. An
     // island that mixes sleeping and awake bodies has been disturbed
@@ -1505,14 +1467,14 @@ World::phaseIslandProcessing()
         }
     }
 
-    // Every awake island is stealable work. Small islands no longer
-    // serialize on the main thread: they pack (in island index
-    // order) into batches carrying at least `target_rows` constraint
-    // rows, so a scene of many tiny islands still spreads across all
-    // lanes while per-task dispatch stays amortized. Islands touch
-    // disjoint body sets, so results are bitwise identical whichever
-    // lane solves them; per-lane solver instances keep stats
-    // counters race-free and reuse their workspaces across steps.
+    // Every awake island is stealable work: islands pack (in island
+    // index order) into batches carrying at least `target_rows`
+    // constraint rows, one batch per chunk, so a scene of many tiny
+    // islands still spreads across all lanes while per-task dispatch
+    // stays amortized. Islands touch disjoint body sets, so results
+    // are bitwise identical whichever lane solves them; per-lane
+    // solver instances keep stats counters race-free and reuse their
+    // workspaces across steps.
     solveIslands_.clear();
     for (Island &island : lastIslandList_) {
         // Fully sleeping islands are not solved or integrated.
@@ -1527,82 +1489,62 @@ World::phaseIslandProcessing()
         solveIslands_.push_back(&island);
     }
 
-    const Island *island_base = lastIslandList_.data();
-    if (scheduler_.workerCount() == 0 || solveIslands_.size() <= 1) {
-        stepStats_.islandsOnMainThread = solveIslands_.size();
-        for (Island *island : solveIslands_) {
-            PAX_TRACE_SCOPE_ID(
-                trace_, 0, "island_solve", stepCount_,
-                static_cast<std::int64_t>(island - island_base));
-            solver_.solve(*island, paramsFor(*island));
+    // The committed per-row cost, scaled by this step's (possibly
+    // governor-degraded) solver iterations, sizes one batch to
+    // roughly targetChunkNanos of solver work. All inputs are
+    // step-stable, so batch boundaries — and a fortiori the
+    // trajectory — never depend on wall clock or worker count.
+    const double row_ns =
+        solverNsPerRowSweep * std::max(1, plan_.solverIterations);
+    const auto target_rows = static_cast<std::size_t>(std::max(
+        1.0, scheduler_.schedulerConfig().targetChunkNanos / row_ns));
+    // At most one batch per island: sized by the island count, the
+    // offsets never grow on a batch-count maximum alone.
+    islandBatchOffsets_.clear();
+    islandBatchOffsets_.reserve(island_count + 1);
+    std::size_t batch_rows = target_rows; // open a batch at i=0
+    std::size_t max_bodies = 0, max_rows = 0, max_joints = 0;
+    for (std::size_t i = 0; i < solveIslands_.size(); ++i) {
+        if (batch_rows >= target_rows) {
+            islandBatchOffsets_.push_back(static_cast<std::uint32_t>(i));
+            batch_rows = 0;
         }
-    } else {
-        stepStats_.islandsToWorkQueue = solveIslands_.size();
-        // islandWorkQueueThreshold is the batching floor; the
-        // committed per-row cost (scaled by this step's solver
-        // iterations) widens it so one batch is worth roughly
-        // targetChunkNanos of solver work. All inputs are
-        // step-stable, so batch boundaries — and a fortiori the
-        // trajectory — never depend on wall clock or worker count.
-        const double row_ns = solverNsPerRowSweep *
-                              std::max(1, plan_.solverIterations);
-        const auto cost_rows = static_cast<std::size_t>(std::max(
-            1.0,
-            scheduler_.schedulerConfig().targetChunkNanos / row_ns));
-        const std::size_t target_rows =
-            std::max(static_cast<std::size_t>(std::max(
-                         1, config_.islandWorkQueueThreshold)),
-                     cost_rows);
-        // At most one batch per island: sized by the island count,
-        // the offsets never grow on a batch-count maximum alone.
-        islandBatchOffsets_.clear();
-        islandBatchOffsets_.reserve(island_count + 1);
-        std::size_t batch_rows = target_rows; // open a batch at i=0
-        std::size_t max_bodies = 0, max_rows = 0, max_joints = 0;
-        for (std::size_t i = 0; i < solveIslands_.size(); ++i) {
-            if (batch_rows >= target_rows) {
-                islandBatchOffsets_.push_back(
-                    static_cast<std::uint32_t>(i));
-                batch_rows = 0;
-            }
-            const Island &island = *solveIslands_[i];
-            const auto rows = static_cast<std::size_t>(island.rows);
-            batch_rows += std::max<std::size_t>(1, rows);
-            max_bodies = std::max(max_bodies, island.bodies.size());
-            max_rows = std::max(max_rows, rows);
-            max_joints = std::max(max_joints, island.joints.size());
-        }
-        islandBatchOffsets_.push_back(
-            static_cast<std::uint32_t>(solveIslands_.size()));
-
-        // Any lane may steal the largest island, so every lane
-        // solver is reserved for it up front: workspace growth then
-        // follows the scene, never the steal pattern.
-        for (PgsSolver &s : laneSolvers_) {
-            s.setIterations(plan_.solverIterations);
-            s.resetStats();
-            s.reserve(max_bodies, max_rows, max_joints);
-        }
-        scheduler_.parallelFor(
-            islandBatchOffsets_.size() - 1, 1,
-            [this, island_base, &paramsFor](
-                std::size_t begin, std::size_t end, unsigned lane) {
-                for (std::size_t b = begin; b < end; ++b) {
-                    for (std::uint32_t i = islandBatchOffsets_[b];
-                         i < islandBatchOffsets_[b + 1]; ++i) {
-                        Island *island = solveIslands_[i];
-                        PAX_TRACE_SCOPE_ID(
-                            trace_, lane, "island_solve", stepCount_,
-                            static_cast<std::int64_t>(island -
-                                                      island_base));
-                        laneSolvers_[lane].solve(*island,
-                                                 paramsFor(*island));
-                    }
-                }
-            });
-        for (const PgsSolver &s : laneSolvers_)
-            solver_.mergeStats(s.stats());
+        const Island &island = *solveIslands_[i];
+        const auto rows = static_cast<std::size_t>(island.rows);
+        batch_rows += std::max<std::size_t>(1, rows);
+        max_bodies = std::max(max_bodies, island.bodies.size());
+        max_rows = std::max(max_rows, rows);
+        max_joints = std::max(max_joints, island.joints.size());
     }
+    islandBatchOffsets_.push_back(
+        static_cast<std::uint32_t>(solveIslands_.size()));
+
+    // Any lane may steal the largest island, so every lane solver is
+    // reserved for it up front: workspace growth then follows the
+    // scene, never the steal pattern.
+    for (PgsSolver &s : laneSolvers_) {
+        s.setIterations(plan_.solverIterations);
+        s.reserve(max_bodies, max_rows, max_joints);
+    }
+    const Island *island_base = lastIslandList_.data();
+    scheduler_.parallelFor(
+        islandBatchOffsets_.size() - 1,
+        [this, island_base, &paramsFor](std::size_t begin,
+                                        std::size_t end,
+                                        unsigned lane) {
+            for (std::size_t b = begin; b < end; ++b) {
+                for (std::uint32_t i = islandBatchOffsets_[b];
+                     i < islandBatchOffsets_[b + 1]; ++i) {
+                    Island *island = solveIslands_[i];
+                    PAX_TRACE_SCOPE_ID(
+                        trace_, lane, "island_solve", stepCount_,
+                        static_cast<std::int64_t>(island -
+                                                  island_base));
+                    laneSolvers_[lane].solve(*island,
+                                             paramsFor(*island));
+                }
+            }
+        });
 
     // 2(f): check all breakable joints. This must run between the
     // solve (which records the impulses that break joints) and the
@@ -1637,15 +1579,9 @@ World::phaseIslandProcessing()
     stepStats_.jointsBroken = total_broken - totalJointsBroken_;
     totalJointsBroken_ = total_broken;
 
-    if (!any_probation) {
-        forEachBody([this](RigidBody &body) {
-            body.integratePositions(config_.dt);
-        });
-    } else {
-        forEachBody([&bodyDt](RigidBody &body) {
-            body.integratePositions(bodyDt(body));
-        });
-    }
+    forEachBody([&bodyDt](RigidBody &body) {
+        body.integratePositions(bodyDt(body));
+    });
 
     // Auto-disable, part 2: with post-solve velocities (resting
     // contacts cancelled gravity), decide which islands go to sleep.
@@ -1725,8 +1661,6 @@ World::phaseCloth()
     }
 
     stepStats_.clothVertexCounts.clear();
-    if (cloths_.empty())
-        return;
 
     // Each cloth's collider list (the paper's "cloth contact list")
     // comes from bounding-volume overlap, built by whichever lane
@@ -1740,53 +1674,47 @@ World::phaseCloth()
         stepStats_.clothVertexCounts.push_back(
             cloths_[ci]->vertexCount());
     }
-    auto stepCloth = [this, &frozen](std::size_t ci, unsigned lane,
-                                     ClothStats &out) {
-        std::vector<const Geom *> &colliders = clothColliders_[ci];
-        colliders.clear();
-        if (frozen(ci))
-            return;
-        PAX_TRACE_SCOPE_ID(trace_, lane, "cloth_step", stepCount_,
-                           static_cast<std::int64_t>(ci));
-        const Aabb cloth_bounds = cloths_[ci]->bounds();
-        for (const auto &g : geoms_) {
-            if (!g->enabled() || g->isBlast())
-                continue;
-            if (g->shape().type() == ShapeType::Plane ||
-                g->bounds().overlaps(cloth_bounds)) {
-                colliders.push_back(g.get());
-            }
-        }
-        cloths_[ci]->step(config_.dt, config_.gravity,
-                          plan_.clothIterations, colliders, out,
-                          kernelBackend_);
-    };
 
-    if (scheduler_.workerCount() > 0 && cloths_.size() > 1) {
-        // One chunk per cloth; relaxation sweeps within a cloth are
-        // sequential, so cloths are the stealable unit. Per-cloth
-        // stats buffers reduce in cloth order (deterministic either
-        // way: each cloth is touched by exactly one lane).
-        std::vector<ClothStats> &locals = clothLocalStats_;
-        locals.assign(cloths_.size(), ClothStats{});
-        scheduler_.parallelFor(
-            cloths_.size(), 1,
-            [&locals, &stepCloth](std::size_t begin, std::size_t end,
-                                  unsigned lane) {
-                for (std::size_t ci = begin; ci < end; ++ci)
-                    stepCloth(ci, lane, locals[ci]);
-            });
-        for (const ClothStats &ls : locals) {
-            stats.clothsStepped += ls.clothsStepped;
-            stats.verticesIntegrated += ls.verticesIntegrated;
-            stats.constraintRelaxations += ls.constraintRelaxations;
-            stats.collisionTests += ls.collisionTests;
-            stats.collisionsResolved += ls.collisionsResolved;
-            stats.kernels.merge(ls.kernels);
-        }
-    } else {
-        for (std::size_t ci = 0; ci < cloths_.size(); ++ci)
-            stepCloth(ci, 0, stats);
+    // One chunk per cloth; relaxation sweeps within a cloth are
+    // sequential, so cloths are the stealable unit. Per-cloth stats
+    // buffers reduce in cloth order (each cloth is touched by
+    // exactly one lane).
+    std::vector<ClothStats> &locals = clothLocalStats_;
+    locals.assign(cloths_.size(), ClothStats{});
+    scheduler_.parallelFor(
+        cloths_.size(),
+        [this, &frozen, &locals](std::size_t begin, std::size_t end,
+                                 unsigned lane) {
+            for (std::size_t ci = begin; ci < end; ++ci) {
+                std::vector<const Geom *> &colliders =
+                    clothColliders_[ci];
+                colliders.clear();
+                if (frozen(ci))
+                    continue;
+                PAX_TRACE_SCOPE_ID(trace_, lane, "cloth_step",
+                                   stepCount_,
+                                   static_cast<std::int64_t>(ci));
+                const Aabb cloth_bounds = cloths_[ci]->bounds();
+                for (const auto &g : geoms_) {
+                    if (!g->enabled() || g->isBlast())
+                        continue;
+                    if (g->shape().type() == ShapeType::Plane ||
+                        g->bounds().overlaps(cloth_bounds)) {
+                        colliders.push_back(g.get());
+                    }
+                }
+                cloths_[ci]->step(config_.dt, config_.gravity,
+                                  plan_.clothIterations, colliders,
+                                  locals[ci], kernelBackend_);
+            }
+        });
+    for (const ClothStats &ls : locals) {
+        stats.clothsStepped += ls.clothsStepped;
+        stats.verticesIntegrated += ls.verticesIntegrated;
+        stats.constraintRelaxations += ls.constraintRelaxations;
+        stats.collisionTests += ls.collisionTests;
+        stats.collisionsResolved += ls.collisionsResolved;
+        stats.kernels.merge(ls.kernels);
     }
     for (const std::vector<const Geom *> &colliders : clothColliders_)
         stepStats_.clothColliderInsertions += colliders.size();

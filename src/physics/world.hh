@@ -68,34 +68,20 @@ struct WorldConfig
      *  interleaved with every sweep, Jakobsen-style; the paper uses
      *  20 relaxation iterations for its constraint solvers). */
     int clothIterations = 20;
-    /** Persistent worker threads (0 = single-threaded). */
+    /** Persistent worker threads (0 = single-threaded). Every phase
+     *  runs the same chunks at any count; 0 runs them inline. */
     unsigned workerThreads = 0;
-    /** Island batching hint: small islands are packed together into
-     *  shared stealable chunks of at least this many constraint rows
-     *  (paper: 25). Every awake island is a candidate for any lane —
-     *  the threshold shapes chunk size, it no longer serializes
-     *  small islands onto the main thread. */
-    int islandWorkQueueThreshold = 25;
-    /** parallel_for tiling floor: minimum iterations (pair tests,
-     *  islands, cloths) per scheduler chunk. The effective grain is
-     *  usually wider — see SchedulerConfig::targetChunkNanos and the
-     *  per-phase cost constants in world.cc. Moves chunk boundaries,
-     *  never results. */
-    unsigned grainSize = 16;
-    /** Tile the fixed-grain loops (island batches, cloths) at
-     *  exactly their grain instead of widening them to a few chunks
-     *  per lane (SchedulerConfig::deterministic). Chunk boundaries
-     *  only: every reduction is ordered by chunk index, so
-     *  simulation state is bitwise identical for any worker count
-     *  with or without it. */
+    /** Ignored: nothing reads it (chunk boundaries depend on no
+     *  mode). It remains only so existing assignments compile; not
+     *  serialized in snapshots. */
     bool deterministic = false;
     /** Kernel backend for the SoA hot loops (PGS relaxation, cloth
      *  integrate/relax, batched narrowphase). Scalar is the bitwise
      *  reference; Native vectorizes with SIMD when the host supports
      *  it (silently degrading to Scalar otherwise) and is
-     *  tolerance-bounded, not bitwise, against Scalar. Overridable
-     *  at runtime with the PAX_SIMD environment variable. Not
-     *  serialized in snapshots. */
+     *  tolerance-bounded, not bitwise, against Scalar. The world
+     *  reads only this field (tools map --simd and PAX_SIMD onto
+     *  it). Not serialized in snapshots. */
     SimdBackend simdBackend = SimdBackend::Scalar;
     ContactMaterial defaultMaterial;
     Real erp = 0.2;
@@ -230,8 +216,6 @@ struct StepStats
     std::uint64_t contactsCreated = 0;
     std::uint64_t contactJointsCreated = 0;
     std::uint64_t jointsBroken = 0;
-    std::uint64_t islandsToWorkQueue = 0;
-    std::uint64_t islandsOnMainThread = 0;
     std::uint64_t clothColliderInsertions = 0;
     std::uint64_t islandsAsleep = 0;
     std::uint64_t bodiesAsleep = 0;
@@ -240,8 +224,8 @@ struct StepStats
     std::uint64_t parTasksExecuted = 0;
     std::uint64_t parTasksStolen = 0;
 
-    /** Parallel-narrowphase contact slots created or re-reserved
-     *  during this step (0 once warm). */
+    /** Narrowphase contact slots (one per chunk after the first)
+     *  created or re-reserved during this step (0 once warm). */
     std::uint64_t arenaGrowths = 0;
 
     /** Per-lane scheduler counters for this step alone (deltas of
@@ -423,9 +407,8 @@ class World
     const MetricsRegistry &metrics() const { return metrics_; }
 
     /** The kernel backend this world resolved at construction:
-     *  config.simdBackend after the PAX_SIMD override and the
-     *  CPU-capability degrade (Native on an unsupported host runs
-     *  Scalar). */
+     *  config.simdBackend after the CPU-capability degrade (Native
+     *  on an unsupported host runs Scalar). */
     const KernelBackend &kernelBackend() const { return *kernelBackend_; }
 
     /**
@@ -586,12 +569,10 @@ class World
     std::unordered_set<std::uint64_t> connectedPairs_;
 
     SweepAndPrune broadphase_;
-    Narrowphase narrowphase_;
     IslandBuilder islandBuilder_;
-    PgsSolver solver_;
-    /** Resolved kernel backend (config.simdBackend after the PAX_SIMD
-     *  override and CPU-capability degrade), shared by the solver
-     *  lanes, narrowphase and cloth. Never null after construction. */
+    /** Resolved kernel backend (config.simdBackend after the
+     *  CPU-capability degrade), shared by the solver lanes,
+     *  narrowphase lanes and cloth. Never null after construction. */
     const KernelBackend *kernelBackend_ = nullptr;
     EffectsManager effects_;
     TaskScheduler scheduler_;
@@ -616,22 +597,23 @@ class World
     /** Awake islands in index order, and batch offsets into that
      *  list: batch b spans solveIslands_[islandBatchOffsets_[b] ..
      *  islandBatchOffsets_[b+1]). Small islands pack together until
-     *  a batch carries at least the row target derived from
-     *  islandWorkQueueThreshold and the committed row cost. */
+     *  a batch carries at least the row target derived from the
+     *  committed row cost. */
     std::vector<Island *> solveIslands_;
     std::vector<std::uint32_t> islandBatchOffsets_;
     /** Per-island flags for this step: on quarantine probation
      *  (reduced dt), and a permanent joint broke (no sleep). */
     std::vector<std::uint8_t> islandOnProbation_;
     std::vector<std::uint8_t> islandJointBroke_;
-    /** One solver per lane for parallel island processing; each owns
-     *  a persistent workspace, reserved each step for the largest
+    /** One solver per lane for island processing; each owns a
+     *  persistent workspace, reserved each step for the largest
      *  awake island, that stops allocating once warm. */
     std::vector<PgsSolver> laneSolvers_;
     /** Per-lane narrowphase instances (race-free stats counters). */
     std::vector<Narrowphase> npLocals_;
     /**
-     * Parallel-narrowphase contact slots, one per chunk, each
+     * Narrowphase contact slots for chunks 1..n-1 (chunk 0 writes
+     * lastContacts_ itself): chunkContacts_[c - 1] is chunk c's, each
      * reserved for grain × maxContactsPerPair contacts so a chunk
      * never reallocates its slot. Persistent across steps; the array
      * grows only when the pair count needs more chunks. Cache-line

@@ -3,11 +3,11 @@
  * Multi-world server implementation. See server.hh for the model.
  *
  * The scheduling trick is a single parallelFor over the sessions
- * with pending ticks, grain 1: each chunk is one whole session, so
- * an idle lane steals an entire world's tick burst at once. A
- * session is only ever touched by the one lane executing its chunk,
- * which makes the per-session bookkeeping (tick counters, cost
- * samples) race-free without any locks.
+ * with pending ticks, one per chunk: each chunk is one whole
+ * session, so an idle lane steals an entire world's tick burst at
+ * once. A session is only ever touched by the one lane executing its
+ * chunk, which makes the per-session bookkeeping (tick counters,
+ * cost samples) race-free without any locks.
  *
  * Everything the self-healing layer decides — fault firing, watchdog
  * classification, the recovery ladder, checkpoint cadence — runs on
@@ -170,8 +170,7 @@ ServerConfig::validate() const
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      // Grain 1: one session per chunk, maximal stealing surface.
-      scheduler_(SchedulerConfig{config_.workerThreads, 1, true})
+      scheduler_(SchedulerConfig{config_.workerThreads})
 {
     const std::vector<std::string> errors = config_.validate();
     if (!errors.empty())
@@ -515,8 +514,9 @@ Server::runPendingTicks()
     }
 
     const auto wall_start = std::chrono::steady_clock::now();
+    // One session per chunk: the maximal stealing surface.
     scheduler_.parallelFor(
-        active.size(), 1,
+        active.size(),
         [this, &active](std::size_t begin, std::size_t end,
                         unsigned /*lane*/) {
             for (std::size_t i = begin; i < end; ++i) {

@@ -252,9 +252,7 @@ TEST_F(SweepAndPruneTest, StatsPopulated)
 std::size_t
 sweepChunks(const TaskScheduler &scheduler, std::size_t bounded)
 {
-    return scheduler
-        .tiling(bounded, scheduler.schedulerConfig().grainSize,
-                SweepAndPrune::sweepNsPerGeom)
+    return scheduler.tilingByCost(bounded, SweepAndPrune::sweepNsPerGeom)
         .chunks;
 }
 

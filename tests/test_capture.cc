@@ -27,8 +27,6 @@ mixConfig(unsigned workers = 2)
 {
     WorldConfig config;
     config.workerThreads = workers;
-    config.deterministic = true;
-    config.grainSize = 8;
     return config;
 }
 
@@ -87,7 +85,6 @@ TEST(Capture, DescribeReportsSceneAndCounts)
     EXPECT_EQ(info.joints, static_cast<std::uint32_t>(
                                world->jointCount()));
     EXPECT_EQ(config.workerThreads, 2u);
-    EXPECT_TRUE(config.deterministic);
 }
 
 /** Capture mid-run, keep stepping, then rewind the same world and
@@ -315,12 +312,12 @@ TEST(CaptureCorpus, HostileArrayCountFailsWithoutAllocating)
     std::vector<std::uint8_t> bytes = world->captureState();
 
     // Locate the blast-spawn count: sceneTag str (4 + L), stepCount
-    // + time + totalJointsBroken (24), serialized config (114), four
+    // + time + totalJointsBroken (24), serialized config (105), four
     // entity counts (16). The Mix scene has no blasts at step 1, so
     // the field must read zero — a loud canary against layout drift.
     const std::uint32_t tag_len = readU32(bytes, kPayloadOffset);
     const std::size_t spawns_offset =
-        kPayloadOffset + 4 + tag_len + 24 + 114 + 16;
+        kPayloadOffset + 4 + tag_len + 24 + 105 + 16;
     ASSERT_LT(spawns_offset + 4, bytes.size());
     ASSERT_EQ(readU32(bytes, spawns_offset), 0u)
         << "snapshot layout drifted; update the offsets above";

@@ -31,8 +31,6 @@ mixConfig(unsigned workers = 0)
 {
     WorldConfig config;
     config.workerThreads = workers;
-    config.deterministic = true;
-    config.grainSize = 8;
     return config;
 }
 

@@ -169,7 +169,6 @@ TEST(Invariants, MixSceneSweepStaysClean)
     for (unsigned workers : {0u, 2u}) {
         WorldConfig config;
         config.workerThreads = workers;
-        config.deterministic = true;
         config.invariantMode = InvariantMode::HardFail;
         config.snapshotDir = testing::TempDir();
         auto world = buildBenchmark(BenchmarkId::Mix, config, 0.1);

@@ -18,8 +18,10 @@
  */
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -87,13 +89,22 @@ TEST(KernelDispatch, ParseAndDispatch)
 
 TEST(KernelDispatch, WorldHonorsConfigBackend)
 {
-    // The env override must not leak into this test.
-    unsetenv("PAX_SIMD");
+    // A World reads its config alone: a stray PAX_SIMD in the
+    // environment must not switch it (tools map the variable onto
+    // WorldConfig::simdBackend themselves).
+    const char *inherited = std::getenv("PAX_SIMD");
+    const std::string saved = inherited != nullptr ? inherited : "";
+    setenv("PAX_SIMD", "native", 1);
     WorldConfig config;
     config.simdBackend = SimdBackend::Scalar;
     World scalarWorld(config);
     EXPECT_EQ(scalarWorld.kernelBackend().kind(),
               SimdBackend::Scalar);
+    EXPECT_STREQ(scalarWorld.kernelBackend().name(), "scalar");
+    if (inherited != nullptr)
+        setenv("PAX_SIMD", saved.c_str(), 1);
+    else
+        unsetenv("PAX_SIMD");
 
     config.simdBackend = SimdBackend::Native;
     World nativeWorld(config);
@@ -956,7 +967,6 @@ TEST(KernelScene, NativeHoldsInvariantsOnEveryScene)
     for (BenchmarkId id : allBenchmarks) {
         WorldConfig config;
         config.workerThreads = 0;
-        config.deterministic = true;
         config.simdBackend = SimdBackend::Native;
         config.invariantMode = InvariantMode::Warn;
         std::unique_ptr<World> world =
@@ -979,7 +989,6 @@ TEST(KernelScene, NativeLongRunHoldsInvariants)
     // scenes x worker counts.
     WorldConfig config;
     config.workerThreads = 0;
-    config.deterministic = true;
     config.simdBackend = SimdBackend::Native;
     config.invariantMode = InvariantMode::Warn;
     std::unique_ptr<World> world = buildBenchmark(

@@ -2,8 +2,8 @@
  * @file
  * Tests for the work-stealing task scheduler and the deterministic
  * parallel pipeline: stealing under unbalanced load, parallel_for
- * correctness against a serial reference, fixed tiling, and a
- * bitwise determinism sweep across worker counts.
+ * correctness against a serial reference, lane-independent tiling,
+ * and a bitwise determinism sweep across worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -42,56 +42,75 @@ TEST(TaskScheduler, ParallelForMatchesSerialReference)
 
     SchedulerConfig config;
     config.workerThreads = 4;
-    config.grainSize = 8;
     TaskScheduler scheduler(config);
-    std::vector<std::uint64_t> parallel(n, 0);
-    scheduler.parallelFor(
-        n, [&parallel](std::size_t begin, std::size_t end, unsigned) {
+    // Both entries: one item per chunk, and cost-tiled chunks.
+    for (bool by_cost : {false, true}) {
+        std::vector<std::uint64_t> parallel(n, 0);
+        auto body = [&parallel](std::size_t begin, std::size_t end,
+                                unsigned) {
             for (std::size_t i = begin; i < end; ++i)
                 parallel[i] = i * i + 17;
-        });
+        };
+        if (by_cost)
+            scheduler.parallelForByCost(n, 1000.0, body);
+        else
+            scheduler.parallelFor(n, body);
+        EXPECT_EQ(parallel, serial) << "by_cost=" << by_cost;
+    }
 
-    EXPECT_EQ(parallel, serial);
-    // Every iteration ran exactly once (writes would only mask a
-    // double-run; the item counter exposes it).
+    // Every iteration ran exactly once per loop (writes would only
+    // mask a double-run; the item counter exposes it).
     EXPECT_EQ(scheduler.laneStats().size(), 5u);
     std::uint64_t items = 0;
     for (const LaneStats &lane : scheduler.laneStats())
         items += lane.itemsProcessed;
-    EXPECT_EQ(items, n);
+    EXPECT_EQ(items, 2 * n);
 }
 
 TEST(TaskScheduler, InlineModeRunsChunksInOrder)
 {
     SchedulerConfig config;
     config.workerThreads = 0;
-    config.grainSize = 10;
-    config.deterministic = true;
     TaskScheduler scheduler(config);
 
+    // 6250 ns per item tiles 50 us chunks of 8 items.
     std::vector<std::size_t> begins;
-    scheduler.parallelFor(
-        35, [&begins](std::size_t begin, std::size_t end,
-                      unsigned lane) {
+    scheduler.parallelForByCost(
+        35, 6250.0,
+        [&begins](std::size_t begin, std::size_t end, unsigned lane) {
             EXPECT_EQ(lane, 0u);
-            EXPECT_LE(end - begin, 10u);
+            EXPECT_LE(end - begin, 8u);
             begins.push_back(begin);
         });
-    const std::vector<std::size_t> expected{0, 10, 20, 30};
-    EXPECT_EQ(begins, expected);
+    EXPECT_EQ(begins, (std::vector<std::size_t>{0, 8, 16, 24, 32}));
+
+    begins.clear();
+    scheduler.parallelFor(
+        4, [&begins](std::size_t begin, std::size_t end, unsigned) {
+            EXPECT_EQ(end - begin, 1u);
+            begins.push_back(begin);
+        });
+    EXPECT_EQ(begins, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(TaskScheduler, DeterministicTilingIgnoresWorkerCount)
 {
+    // Both entries run the same chunks whatever the lane count: one
+    // per item, or the cost tiling (3125 ns per item: grain 16).
     for (unsigned workers : {0u, 1u, 3u, 7u}) {
-        SchedulerConfig config;
-        config.workerThreads = workers;
-        config.grainSize = 16;
-        config.deterministic = true;
-        TaskScheduler scheduler(config);
-        const TaskScheduler::Tiling tile = scheduler.tiling(1000);
+        TaskScheduler scheduler(SchedulerConfig{workers});
+        const TaskScheduler::Tiling tile =
+            scheduler.tilingByCost(1000, 3125.0);
         EXPECT_EQ(tile.grain, 16u);
         EXPECT_EQ(tile.chunks, 63u);
+
+        auto noop = [](std::size_t, std::size_t, unsigned) {};
+        scheduler.parallelForByCost(1000, 3125.0, noop);
+        EXPECT_EQ(scheduler.tasksExecuted(), 63u)
+            << "workers=" << workers;
+        scheduler.parallelFor(1000, noop);
+        EXPECT_EQ(scheduler.tasksExecuted(), 63u + 1000u)
+            << "workers=" << workers;
     }
 }
 
@@ -106,7 +125,6 @@ TEST(TaskScheduler, UnbalancedLoadIsStolenByAllWorkers)
     // hosts.
     SchedulerConfig config;
     config.workerThreads = 3;
-    config.grainSize = 1;
     TaskScheduler scheduler(config);
     const std::size_t tasks = 4000;
 
@@ -114,7 +132,7 @@ TEST(TaskScheduler, UnbalancedLoadIsStolenByAllWorkers)
     for (int round = 0; round < 50 && !all_stole; ++round) {
         std::atomic<std::uint64_t> ran{0};
         scheduler.parallelFor(
-            tasks, 1,
+            tasks,
             [&ran](std::size_t begin, std::size_t end, unsigned) {
                 for (std::size_t i = begin; i < end; ++i) {
                     burn(i < 400 ? 5000 : 100);
@@ -147,7 +165,6 @@ TEST(TaskScheduler, ManySmallLoopsComplete)
     // hang when workers from the previous loop are still parked.
     SchedulerConfig config;
     config.workerThreads = 2;
-    config.grainSize = 4;
     TaskScheduler scheduler(config);
     for (int loop = 0; loop < 200; ++loop) {
         std::atomic<int> ran{0};
@@ -189,12 +206,10 @@ worldState(const World &world)
 
 /** Step the Mix scene (all five phases active) at `workers`. */
 std::vector<double>
-runMixScene(unsigned workers, bool deterministic = true)
+runMixScene(unsigned workers)
 {
     WorldConfig config;
     config.workerThreads = workers;
-    config.deterministic = deterministic;
-    config.grainSize = 8;
     auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
     for (int i = 0; i < 30; ++i)
         world->step();
@@ -203,23 +218,18 @@ runMixScene(unsigned workers, bool deterministic = true)
 
 TEST(Determinism, MixSceneBitwiseIdenticalAcrossWorkerCounts)
 {
-    // Both scheduling modes must land on the deterministic 0-worker
-    // state: the mode moves chunk boundaries, never results.
+    // Every worker count must land on the 0-worker state.
     const std::vector<double> base = runMixScene(0);
     ASSERT_FALSE(base.empty());
-    for (bool deterministic : {true, false}) {
-        for (unsigned workers : {1u, 2u, 8u}) {
-            const std::vector<double> state =
-                runMixScene(workers, deterministic);
-            ASSERT_EQ(state.size(), base.size());
-            // Bitwise comparison: memcmp of the raw doubles, not an
-            // epsilon test.
-            EXPECT_EQ(std::memcmp(state.data(), base.data(),
-                                  base.size() * sizeof(double)),
-                      0)
-                << "state diverged at " << workers << " workers"
-                << (deterministic ? "" : " in default mode");
-        }
+    for (unsigned workers : {1u, 2u, 8u}) {
+        const std::vector<double> state = runMixScene(workers);
+        ASSERT_EQ(state.size(), base.size());
+        // Bitwise comparison: memcmp of the raw doubles, not an
+        // epsilon test.
+        EXPECT_EQ(std::memcmp(state.data(), base.data(),
+                              base.size() * sizeof(double)),
+                  0)
+            << "state diverged at " << workers << " workers";
     }
 }
 
@@ -243,10 +253,8 @@ TEST(WorldConfigValidate, ReportsEveryProblem)
     WorldConfig config;
     config.dt = -0.01;
     config.solverIterations = -3;
-    config.islandWorkQueueThreshold = -1;
-    config.grainSize = 0;
     const std::vector<std::string> errors = config.validate();
-    EXPECT_EQ(errors.size(), 4u);
+    EXPECT_EQ(errors.size(), 2u);
     // Messages are human-readable: they name the field and value.
     bool mentions_dt = false;
     for (const std::string &e : errors)
@@ -297,7 +305,6 @@ TEST(Stats, PerLaneCountsCoverOneStepOnly)
     // must sum to exactly the step's task count, every step.
     WorldConfig config;
     config.workerThreads = 2;
-    config.deterministic = true;
     auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
     for (int i = 0; i < 10; ++i) {
         world->step();
@@ -355,8 +362,6 @@ TEST(Determinism, InjectedLaneStallsDoNotPerturbSimulation)
     auto run = [](bool stalled) {
         WorldConfig config;
         config.workerThreads = 2;
-        config.deterministic = true;
-        config.grainSize = 8;
         if (stalled) {
             FaultEvent e;
             e.step = 5;
@@ -381,34 +386,28 @@ TEST(Determinism, InjectedLaneStallsDoNotPerturbSimulation)
 TEST(TaskScheduler, CostModelTilingIsLaneIndependent)
 {
     // Adaptive grains come from the count and the loop site's
-    // constant per-item cost only — never the worker count or the
-    // scheduling mode — so chunk boundaries cannot depend on how
-    // many lanes exist. The grain is rounded down to a power of two
-    // and floored at minGrain.
+    // constant per-item cost only — never the worker count — so
+    // chunk boundaries cannot depend on how many lanes exist. The
+    // grain is rounded down to a power of two.
     const double ns_per_item = 1000.0; // -> 50 raw, 32 rounded
     TaskScheduler::Tiling reference{};
-    for (bool deterministic : {true, false}) {
-        for (unsigned workers : {0u, 1u, 3u, 7u}) {
-            SchedulerConfig config;
-            config.workerThreads = workers;
-            config.deterministic = deterministic;
-            TaskScheduler scheduler(config);
-            const TaskScheduler::Tiling tile =
-                scheduler.tiling(10000, 4, ns_per_item);
-            EXPECT_EQ(tile.grain, 32u);
-            if (deterministic && workers == 0)
-                reference = tile;
-            EXPECT_EQ(tile.grain, reference.grain);
-            EXPECT_EQ(tile.chunks, reference.chunks);
-        }
+    for (unsigned workers : {0u, 1u, 3u, 7u}) {
+        TaskScheduler scheduler(SchedulerConfig{workers});
+        const TaskScheduler::Tiling tile =
+            scheduler.tilingByCost(10000, ns_per_item);
+        EXPECT_EQ(tile.grain, 32u);
+        if (workers == 0)
+            reference = tile;
+        EXPECT_EQ(tile.chunks, reference.chunks);
     }
 
     TaskScheduler scheduler(SchedulerConfig{});
-    // Cheap items widen the grain; the floor still binds.
-    EXPECT_EQ(scheduler.tiling(10000, 4, 10.0).grain, 4096u);
-    EXPECT_EQ(scheduler.tiling(10000, 512, 50000.0).grain, 512u);
+    // Cheap items widen the grain; an item worth more than one
+    // target chunk gets a chunk of its own.
+    EXPECT_EQ(scheduler.tilingByCost(10000, 10.0).grain, 4096u);
+    EXPECT_EQ(scheduler.tilingByCost(10000, 200000.0).grain, 1u);
     // A loop cheaper than one target chunk collapses to one chunk.
-    EXPECT_EQ(scheduler.tiling(20, 1, 1000.0).chunks, 1u);
+    EXPECT_EQ(scheduler.tilingByCost(20, 1000.0).chunks, 1u);
 }
 
 TEST(TaskScheduler, NoStealsCountedWithoutWorkers)
@@ -418,7 +417,6 @@ TEST(TaskScheduler, NoStealsCountedWithoutWorkers)
     // must stay at exactly zero no matter how many loops run.
     SchedulerConfig config;
     config.workerThreads = 0;
-    config.grainSize = 1;
     TaskScheduler scheduler(config);
     for (int loop = 0; loop < 20; ++loop) {
         std::atomic<int> ran{0};
@@ -446,15 +444,13 @@ TEST(TaskScheduler, NoStealsCountedWithoutWorkers)
 
 TEST(Islands, TinyIslandsEngageAllLanes)
 {
-    // islandWorkQueueThreshold is a batching hint, not a routing
-    // cliff: a scene made entirely of islands far below the
-    // threshold (jointed pairs, 3 rows each) must still spread
+    // Islands pack into cost-sized batches, so a scene made entirely
+    // of tiny islands (jointed pairs, 3 rows each) must still spread
     // across every lane. Steps repeat until the workers have been
     // observed running chunks, which keeps the test robust on
     // loaded single-core hosts.
     WorldConfig config;
     config.workerThreads = 2;
-    config.deterministic = true;
     World world(config);
     const SphereShape *s = world.addSphere(0.2);
     for (int i = 0; i < 200; ++i) {
@@ -473,9 +469,8 @@ TEST(Islands, TinyIslandsEngageAllLanes)
     for (int step = 0; step < 200 && !all_lanes_ran; ++step) {
         world.step();
         const StepStats &stats = world.lastStepStats();
-        // Every awake island is stealable work now.
-        EXPECT_EQ(stats.islandsToWorkQueue, 200u);
-        EXPECT_EQ(stats.islandsOnMainThread, 0u);
+        // Every awake island is solved, whichever lane ran it.
+        EXPECT_EQ(stats.solver.islandsSolved, 200u);
         all_lanes_ran = true;
         const std::vector<LaneStats> lanes =
             world.scheduler().laneStats();
@@ -499,7 +494,6 @@ TEST(Determinism, AdaptiveGrainSweepAcrossScenes)
         auto run = [id](unsigned workers) {
             WorldConfig config;
             config.workerThreads = workers;
-            config.deterministic = true;
             auto world = buildBenchmark(id, config, 0.1);
             for (int i = 0; i < 12; ++i)
                 world->step();

@@ -30,7 +30,6 @@ WorldConfig
 quarantineConfig()
 {
     WorldConfig config;
-    config.deterministic = true;
     config.invariantMode = InvariantMode::Quarantine;
     config.snapshotDir = testing::TempDir();
     // No bounce: the dropped boxes settle into persistent plane
@@ -223,7 +222,6 @@ TEST(Quarantine, ContainmentIsBitwiseDeterministicAcrossWorkers)
     auto run = [](unsigned workers) {
         WorldConfig config = quarantineConfig();
         config.workerThreads = workers;
-        config.grainSize = 8;
         config.faultPlan.events = {nanAt(12, 3)};
         auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
         for (int i = 0; i < 40; ++i)

@@ -30,7 +30,6 @@ WorldConfig
 hostedConfig()
 {
     WorldConfig config;
-    config.deterministic = true;
     config.workerThreads = 0; // The server supplies the parallelism.
     return config;
 }
@@ -511,7 +510,6 @@ TEST(Churn, CreateEvictCreateLeaksNothing)
     sc.checkpointRingSize = 2;
     Server server(sc);
     WorldConfig cfg;
-    cfg.deterministic = true;
 
     // Metric keys registered by the end of one warm-up cycle; the
     // registry must not grow past this set over a thousand sessions.

@@ -25,7 +25,6 @@ WorldConfig
 hostedConfig()
 {
     WorldConfig config;
-    config.deterministic = true;
     config.workerThreads = 0; // The server supplies the parallelism.
     return config;
 }

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,12 +52,7 @@ tracedConfig(unsigned workers)
 {
     WorldConfig config;
     config.workerThreads = workers;
-    config.deterministic = true;
     config.tracing = true;
-    // Narrowphase tiles (and their chunk spans) need pairs >= two
-    // grains; the mini-scene has a handful of pairs, so shrink the
-    // grain rather than inflate the scene.
-    config.grainSize = 1;
     return config;
 }
 
@@ -95,6 +91,18 @@ TEST(Trace, EveryPhaseSpansEveryStep)
         }
         EXPECT_GT(count["island_solve"], 0) << "workers=" << workers;
         EXPECT_GT(count["cloth_step"], 0) << "workers=" << workers;
+        // The sweep and the narrowphase run as chunks at every worker
+        // count, 0 included: at least one chunk span each per step.
+        std::map<std::string, std::set<std::uint64_t>> chunk_steps;
+        for (const TraceEvent &e : world.trace().events()) {
+            if (e.type == TraceEvent::Type::Span)
+                chunk_steps[e.name].insert(e.step);
+        }
+        for (const char *chunk : {"broadphase_chunk", "narrowphase_chunk"}) {
+            EXPECT_EQ(chunk_steps[chunk].size(),
+                      static_cast<std::size_t>(steps))
+                << chunk << " workers=" << workers;
+        }
         EXPECT_EQ(world.trace().droppedEvents(), 0u);
     }
 }
@@ -330,8 +338,8 @@ TEST(Trace, GoldenNormalizedEventSequence)
 TEST(Trace, MetricsLineStableAcrossWorkerCounts)
 {
     // metricsLine() reports only deterministic simulation state, so
-    // in deterministic mode the line is identical at any worker
-    // count — the property that makes it diffable across runs.
+    // the line is identical at any worker count — the property that
+    // makes it diffable across runs.
     std::vector<std::string> lines;
     for (unsigned workers : {0u, 2u, 8u}) {
         World world(tracedConfig(workers));

@@ -5,6 +5,9 @@
  */
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,11 +130,9 @@ TEST(World, ThreadedRunMatchesSingleThreaded)
 
 TEST(World, AllAwakeIslandsAreStealableWork)
 {
-    // islandWorkQueueThreshold is a batching hint, not a routing
-    // cliff: with workers available, every awake island — the big
-    // chain and the lonely single alike — is submitted to the
-    // scheduler (small ones packed into shared batches). Nothing is
-    // pinned to the main thread.
+    // Every awake island — the big chain and the lonely single
+    // alike — is scheduler work at any worker count (small ones
+    // packed into shared batches), and each is solved exactly once.
     auto build = [](World &world) {
         const SphereShape *s = world.addSphere(0.3);
         std::vector<RigidBody *> chain;
@@ -150,23 +151,134 @@ TEST(World, AllAwakeIslandsAreStealableWork)
         world.createGeom(s, lonely);
     };
 
-    WorldConfig config;
-    config.workerThreads = 2;
-    config.islandWorkQueueThreshold = 25;
-    World world(config);
-    build(world);
-    world.step();
-    const StepStats &stats = world.lastStepStats();
-    EXPECT_EQ(stats.islandsToWorkQueue, 2u);
-    EXPECT_EQ(stats.islandsOnMainThread, 0u);
+    for (unsigned workers : {0u, 2u}) {
+        WorldConfig config;
+        config.workerThreads = workers;
+        World world(config);
+        build(world);
+        world.step();
+        const StepStats &stats = world.lastStepStats();
+        ASSERT_EQ(stats.islands.size(), 2u) << "workers=" << workers;
+        EXPECT_EQ(stats.islandsAsleep, 0u) << "workers=" << workers;
+        EXPECT_EQ(stats.solver.islandsSolved, 2u)
+            << "workers=" << workers;
+    }
+}
 
-    // Single-threaded worlds solve everything inline.
-    config.workerThreads = 0;
-    World serial(config);
-    build(serial);
-    serial.step();
-    EXPECT_EQ(serial.lastStepStats().islandsToWorkQueue, 0u);
-    EXPECT_EQ(serial.lastStepStats().islandsOnMainThread, 2u);
+using NamedCounters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/** Every StepStats counter that describes the scene, by name. Left
+ *  out are the ones that measure the schedule: phase times, lane and
+ *  task counters, contact-slot growths (arenaGrowths), broadphase
+ *  storage growths and solver workspace growths and reuses. */
+NamedCounters
+sceneCounters(const StepStats &s)
+{
+    NamedCounters c;
+    auto add = [&c](std::string name, std::uint64_t value) {
+        c.emplace_back(std::move(name), value);
+    };
+    auto kernels = [&add](const std::string &prefix,
+                          const KernelStats &k) {
+        add(prefix + ".kernels.rowsVectorized", k.rowsVectorized);
+        add(prefix + ".kernels.remainderRows", k.remainderRows);
+        add(prefix + ".kernels.contactUnits", k.contactUnits);
+    };
+    add("pairsFound", s.pairsFound);
+    add("contactsCreated", s.contactsCreated);
+    add("contactJointsCreated", s.contactJointsCreated);
+    add("jointsBroken", s.jointsBroken);
+    add("islands.size", s.islands.size());
+    add("islandsAsleep", s.islandsAsleep);
+    add("bodiesAsleep", s.bodiesAsleep);
+    add("clothColliderInsertions", s.clothColliderInsertions);
+    add("broadphase.geomsConsidered", s.broadphase.geomsConsidered);
+    add("broadphase.overlapTests", s.broadphase.overlapTests);
+    add("broadphase.pairsFound", s.broadphase.pairsFound);
+    add("broadphase.structureUpdates", s.broadphase.structureUpdates);
+    add("narrowphase.pairsTested", s.narrowphase.pairsTested);
+    add("narrowphase.pairsColliding", s.narrowphase.pairsColliding);
+    add("narrowphase.contactsCreated", s.narrowphase.contactsCreated);
+    for (int i = 0; i < 6; ++i) {
+        for (int j = 0; j < 6; ++j) {
+            add("narrowphase.testsByType[" + std::to_string(i) + "][" +
+                    std::to_string(j) + "]",
+                s.narrowphase.testsByType[i][j]);
+        }
+    }
+    kernels("narrowphase", s.narrowphase.kernels);
+    add("island.bodiesVisited", s.island.bodiesVisited);
+    add("island.jointsVisited", s.island.jointsVisited);
+    add("island.unionOps", s.island.unionOps);
+    add("island.findOps", s.island.findOps);
+    add("island.islandsCreated", s.island.islandsCreated);
+    add("island.largestIslandRows", s.island.largestIslandRows);
+    add("island.largestIslandBodies", s.island.largestIslandBodies);
+    add("solver.islandsSolved", s.solver.islandsSolved);
+    add("solver.rowsBuilt", s.solver.rowsBuilt);
+    add("solver.rowIterations", s.solver.rowIterations);
+    add("solver.bodiesIntegrated", s.solver.bodiesIntegrated);
+    kernels("solver", s.solver.kernels);
+    add("cloth.clothsStepped", s.cloth.clothsStepped);
+    add("cloth.verticesIntegrated", s.cloth.verticesIntegrated);
+    add("cloth.constraintRelaxations", s.cloth.constraintRelaxations);
+    add("cloth.collisionTests", s.cloth.collisionTests);
+    add("cloth.collisionsResolved", s.cloth.collisionsResolved);
+    kernels("cloth", s.cloth.kernels);
+    return c;
+}
+
+TEST(World, StepStatsDoNotDependOnWorkerCount)
+{
+    // Every phase runs the same chunks at any worker count, so the
+    // counters describe the scene, never the schedule — under the
+    // Native backend too, whose kernel counters see each batch the
+    // chunking hands them.
+    for (SimdBackend backend :
+         {SimdBackend::Scalar, SimdBackend::Native}) {
+        for (BenchmarkId id : allBenchmarks) {
+            auto run = [backend, id](unsigned workers) {
+                WorldConfig config;
+                config.workerThreads = workers;
+                config.simdBackend = backend;
+                auto world = buildBenchmark(id, config, 0.12);
+                std::vector<NamedCounters> steps;
+                for (int i = 0; i < 30; ++i) {
+                    world->step();
+                    steps.push_back(
+                        sceneCounters(world->lastStepStats()));
+                }
+                return steps;
+            };
+            const std::vector<NamedCounters> base = run(0);
+            for (unsigned workers : {1u, 2u, 8u}) {
+                const std::vector<NamedCounters> steps = run(workers);
+                ASSERT_EQ(steps.size(), base.size());
+                int differing = 0;
+                std::string first;
+                for (std::size_t i = 0; i < base.size(); ++i) {
+                    for (std::size_t k = 0; k < base[i].size(); ++k) {
+                        if (steps[i][k].second == base[i][k].second)
+                            continue;
+                        if (differing++ == 0) {
+                            first = "step " + std::to_string(i) + " " +
+                                    base[i][k].first + ": " +
+                                    std::to_string(steps[i][k].second) +
+                                    " vs " +
+                                    std::to_string(base[i][k].second) +
+                                    " at 0 workers";
+                        }
+                    }
+                }
+                EXPECT_EQ(differing, 0)
+                    << benchmarkInfo(id).shortName << " "
+                    << (backend == SimdBackend::Native ? "native"
+                                                       : "scalar")
+                    << " at " << workers
+                    << " workers; first: " << first;
+            }
+        }
+    }
 }
 
 TEST(World, DisabledBodiesSkipAllPhases)

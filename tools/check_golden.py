@@ -6,7 +6,10 @@ tools/CMakeLists.txt): `tools/state_hash 60 0.25 --simd=scalar` prints
 one FNV-1a fingerprint per benchmark scene and worker count, so a
 change that promises bitwise-unchanged trajectories must reproduce
 tests/golden/state_hash.golden byte for byte. Only the scalar backend
-is pinned: the native fingerprint depends on the host ISA.
+is pinned: the native fingerprint depends on the host ISA. The
+`fault_storm_json` and `server_storm_json` tests pin the JSON summary
+lines of those drivers (quarantine, rollback and eviction counts)
+the same way.
 
 On a mismatch it prints the first differing line and exits 1. With
 PAX_UPDATE_GOLDEN=1 in the environment it rewrites the golden from

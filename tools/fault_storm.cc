@@ -99,7 +99,7 @@ struct ServerStormResult
  *  permanent stall). Replays at {0,2,8} workers and demands bitwise
  *  identical recovery logs and surviving-world hashes. */
 ServerStormResult
-runServerStorm(double scale)
+runServerStorm(double scale, SimdBackend simd)
 {
     struct Outcome
     {
@@ -134,9 +134,9 @@ runServerStorm(double scale)
         Server server(sc);
         for (BenchmarkId id : allBenchmarks) {
             WorldConfig config;
-            config.deterministic = true;
             config.workerThreads = 0;
             config.dt = sc.tickDt;
+            config.simdBackend = simd;
             WorldId wid = invalidWorldId;
             if (!server
                      .adoptWorld(buildBenchmark(id, config, scale),
@@ -214,10 +214,6 @@ main(int argc, char **argv)
                              value);
                 return 2;
             }
-            setenv("PAX_SIMD",
-                   simd == SimdBackend::Native ? "native"
-                                               : "scalar",
-                   1);
         } else if (npos == 0) {
             steps = std::atoi(argv[i]);
             ++npos;
@@ -252,7 +248,6 @@ main(int argc, char **argv)
         for (unsigned workers : worker_counts) {
             WorldConfig config;
             config.workerThreads = workers;
-            config.deterministic = true;
             config.simdBackend = simd;
             config.tracing = !trace_path.empty();
             config.invariantMode = InvariantMode::Quarantine;
@@ -413,7 +408,7 @@ main(int argc, char **argv)
                      numBenchmarks);
         std::fflush(stderr);
     }
-    const ServerStormResult sv = runServerStorm(scale);
+    const ServerStormResult sv = runServerStorm(scale, simd);
     if (!quiet) {
         std::fprintf(
             stderr,

@@ -69,10 +69,6 @@ main(int argc, char **argv)
                              value);
                 return 2;
             }
-            setenv("PAX_SIMD",
-                   simd == SimdBackend::Native ? "native"
-                                               : "scalar",
-                   1);
         } else if (npos == 0) {
             positional[npos++] = std::atoi(argv[i]);
         } else if (npos == 1) {
@@ -97,7 +93,6 @@ main(int argc, char **argv)
         for (unsigned workers : worker_counts) {
             WorldConfig config;
             config.workerThreads = workers;
-            config.deterministic = true;
             config.simdBackend = simd;
             config.tracing = !trace_path.empty();
             config.invariantMode = json ? InvariantMode::Warn

@@ -9,6 +9,9 @@
  * snapshot dumped on a violation reproduces the failure in a single
  * step.
  *
+ * Snapshots do not record the kernel backend: the replay runs the
+ * one PAX_SIMD names (scalar or native; default scalar).
+ *
  * Run: ./build/tools/replay_snapshot <file.paxsnap> [steps]
  * Exit: 0 clean, 1 usage/load error, 2 invariant violation.
  */
@@ -94,6 +97,7 @@ main(int argc, char **argv)
         return 1;
     }
 
+    config.simdBackend = simdBackendFromEnv(SimdBackend::Scalar);
     std::unique_ptr<World> world = buildBenchmark(id, config, scale);
     st = world->restoreState(bytes);
     if (!st.ok()) {

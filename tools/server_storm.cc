@@ -46,7 +46,6 @@ smallWorldConfig(double tick_dt)
 {
     WorldConfig config;
     config.dt = tick_dt;
-    config.deterministic = true;
     config.workerThreads = 0;
     return config;
 }

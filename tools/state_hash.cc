@@ -69,10 +69,6 @@ main(int argc, char **argv)
                              value);
                 return 2;
             }
-            setenv("PAX_SIMD",
-                   simd == SimdBackend::Native ? "native"
-                                               : "scalar",
-                   1);
         } else {
             argv[out++] = argv[i];
         }
@@ -92,7 +88,6 @@ main(int argc, char **argv)
         for (unsigned workers : worker_counts) {
             WorldConfig config;
             config.workerThreads = workers;
-            config.deterministic = true;
             config.simdBackend = simd;
             std::unique_ptr<World> world =
                 buildBenchmark(id, config, scale);
