@@ -10,7 +10,7 @@
  *                          scheduler tuning, fault plans.
  *  - parallax/world.hh     World, bodies/joints/cloth/shapes,
  *                          raycasts, RenderState + interpolate,
- *                          invariants, tracing, metrics.
+ *                          invariants, tracing, metrics line.
  *  - parallax/snapshot.hh  .paxsnap capture/replay, snapshot file
  *                          I/O, delta streaming, worldStateHash.
  *  - parallax/server.hh    Server: N worlds over one scheduler,

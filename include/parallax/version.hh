@@ -13,18 +13,19 @@
  * non-owning reference; v6 dropped the World and scheduler tiling
  * options, the scheduling mode, the default-grain loops and two
  * island-routing step counters, ignores WorldConfig::deterministic
- * and stops reading PAX_SIMD inside World, see docs/API.md); the
- * minor number bumps when the surface grows compatibly. Internal
- * headers under src/ carry no compatibility promise at all —
- * consumers that reach past include/parallax/ are on their own, and
- * the check_public_api ctest guard keeps the in-tree benches,
- * examples and tools honest about it.
+ * and stops reading PAX_SIMD inside World; v7 dropped the
+ * string-keyed metrics registry of World and Server, see
+ * docs/API.md); the minor number bumps when the surface grows
+ * compatibly. Internal headers under src/ carry no compatibility
+ * promise at all — consumers that reach past include/parallax/ are
+ * on their own, and the check_public_api ctest guard keeps the
+ * in-tree benches, examples and tools honest about it.
  */
 
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 6
+#define PARALLAX_API_VERSION_MAJOR 7
 #define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */

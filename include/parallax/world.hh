@@ -3,7 +3,8 @@
  * Public engine surface: World and everything reachable from it —
  * WorldConfig, StepStats, RigidBody, Geom, Joint, Cloth, shapes,
  * raycasts, RenderState + World::interpolate (fixed-tick render
- * decoupling), the invariant checker, tracing and metrics.
+ * decoupling), the invariant checker, tracing and the per-step
+ * metrics line.
  *
  * Part of the versioned include/parallax/ header set (version.hh).
  * One World is one simulation session; to serve many of them over a
@@ -18,7 +19,6 @@
 
 #include "physics/debug/invariants.hh"
 #include "physics/raycast.hh"
-#include "physics/trace/metrics.hh"
 #include "physics/trace/trace.hh"
 #include "physics/world.hh"
 

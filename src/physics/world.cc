@@ -591,7 +591,6 @@ World::step()
             handleViolations(violations, mode);
     }
 
-    updateMetrics();
     if (trace_.enabled()) {
         recordStepTraceCounters();
         trace_.recordSpan(0, "step", stepCount_, step_begin_us,
@@ -634,85 +633,6 @@ World::recordStepTraceCounters()
                                  s.laneTasks[i].rangesStolen),
                              static_cast<std::int64_t>(i));
     }
-}
-
-void
-World::updateMetrics()
-{
-    const StepStats &s = stepStats_;
-    // Monotonic counters: run totals.
-    metrics_.add("steps", 1.0);
-    metrics_.add("pairs_found",
-                 static_cast<double>(s.pairsFound));
-    metrics_.add("contacts_created",
-                 static_cast<double>(s.contactsCreated));
-    metrics_.add("contact_joints",
-                 static_cast<double>(s.contactJointsCreated));
-    metrics_.add("joints_broken",
-                 static_cast<double>(s.jointsBroken));
-    metrics_.add("tasks_executed",
-                 static_cast<double>(s.parTasksExecuted));
-    metrics_.add("tasks_stolen",
-                 static_cast<double>(s.parTasksStolen));
-    metrics_.add("governor_degradations",
-                 static_cast<double>(s.governor.degradations) -
-                     metrics_.value("governor_degradations"));
-    metrics_.add("governor_recoveries",
-                 static_cast<double>(s.governor.recoveries) -
-                     metrics_.value("governor_recoveries"));
-    metrics_.add("deadline_misses",
-                 static_cast<double>(s.governor.deadlineMisses) -
-                     metrics_.value("deadline_misses"));
-    metrics_.add("pairs_deferred",
-                 static_cast<double>(s.governor.pairsDeferred) -
-                     metrics_.value("pairs_deferred"));
-    metrics_.add("faults_injected",
-                 static_cast<double>(s.faultsInjected));
-    metrics_.add("invariant_violations",
-                 static_cast<double>(invariantViolations_) -
-                     metrics_.value("invariant_violations"));
-    metrics_.add("quarantine_events",
-                 static_cast<double>(quarantineEvents_) -
-                     metrics_.value("quarantine_events"));
-    metrics_.add("trace_events_dropped",
-                 static_cast<double>(trace_.droppedEvents()) -
-                     metrics_.value("trace_events_dropped"));
-    // Allocation-free hot path: solver workspace reuse events.
-    metrics_.add("solver.reuse",
-                 static_cast<double>(s.solver.workspaceReuses));
-    // Vector-engine counters, summed across the solver, cloth and
-    // narrowphase kernels (all zero under the Scalar backend).
-    // Registry-only: metricsLine() keys are a frozen format.
-    metrics_.add("kernel.rows_vectorized",
-                 static_cast<double>(s.solver.kernels.rowsVectorized +
-                                     s.cloth.kernels.rowsVectorized +
-                                     s.narrowphase.kernels
-                                         .rowsVectorized));
-    metrics_.add("kernel.remainder_rows",
-                 static_cast<double>(s.solver.kernels.remainderRows +
-                                     s.cloth.kernels.remainderRows +
-                                     s.narrowphase.kernels
-                                         .remainderRows));
-    // Contact triplets routed through the fused fp32 fast path
-    // (solver-only; zero when islands fall back to the generic
-    // per-row sweep or under the Scalar backend).
-    metrics_.add("kernel.contact_units",
-                 static_cast<double>(s.solver.kernels.contactUnits));
-    metrics_.set("kernel.width",
-                 static_cast<double>(kernelBackend_->width()));
-    // Gauges: the latest observation.
-    metrics_.set("governor_rung",
-                 static_cast<double>(s.governor.ladderLevel));
-    metrics_.set("islands",
-                 static_cast<double>(s.islands.size()));
-    metrics_.set("islands_asleep",
-                 static_cast<double>(s.islandsAsleep));
-    metrics_.set("bodies_asleep",
-                 static_cast<double>(s.bodiesAsleep));
-    metrics_.set("bodies_quarantined",
-                 static_cast<double>(quarantinedBodies_.size()));
-    metrics_.set("workers",
-                 static_cast<double>(scheduler_.workerCount()));
 }
 
 std::string

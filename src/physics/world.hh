@@ -34,7 +34,6 @@
 #include "physics/shapes/primitives.hh"
 #include "physics/shapes/static_shapes.hh"
 #include "physics/solver/pgs_solver.hh"
-#include "physics/trace/metrics.hh"
 #include "physics/trace/trace.hh"
 #include "parallax/status.hh"
 
@@ -402,10 +401,6 @@ class World
      */
     std::string writeTrace(const std::string &path) const;
 
-    /** Run-cumulative counters and gauges, updated every step
-     *  regardless of the tracing flag. */
-    const MetricsRegistry &metrics() const { return metrics_; }
-
     /** The kernel backend this world resolved at construction:
      *  config.simdBackend after the CPU-capability degrade (Native
      *  on an unsupported host runs Scalar). */
@@ -553,8 +548,6 @@ class World
     /** Counter tracks + per-lane scheduler deltas for this step
      *  (only called when tracing is enabled). */
     void recordStepTraceCounters();
-    /** Accumulate this step into the metrics registry (always). */
-    void updateMetrics();
 
     WorldConfig config_;
     std::vector<std::unique_ptr<Shape>> shapes_;
@@ -577,7 +570,6 @@ class World
     EffectsManager effects_;
     TaskScheduler scheduler_;
     TraceCollector trace_;
-    MetricsRegistry metrics_;
 
     // Per-step scratch state. Everything here persists across steps
     // so its capacity is paid once: after warm-up, the steady-state

@@ -212,7 +212,6 @@ Server::admit(std::unique_ptr<World> world,
     if (config_.maxWorlds > 0 &&
         sessions_.size() >= config_.maxWorlds) {
         ++stats_.admissionRejects;
-        metrics_.add("server.admission_rejects", 1.0);
         return resourceExhausted(
             "admission refused: server hosts " +
             std::to_string(sessions_.size()) + " worlds, cap is " +
@@ -407,7 +406,6 @@ Server::shedPendingTicks()
                 s->shedCalmUpdates = 0;
                 applyDegradationFloor(*s);
                 ++stats_.demotions;
-                metrics_.add("server.demotions", 1.0);
                 projected +=
                     s->pendingTicks * tickCostEstimate(*s);
                 progress = true;
@@ -426,8 +424,6 @@ Server::shedPendingTicks()
             break;
         projected -= s->pendingTicks * tickCostEstimate(*s);
         stats_.ticksShed += s->pendingTicks;
-        metrics_.add("server.ticks_shed",
-                     static_cast<double>(s->pendingTicks));
         s->pendingTicks = 0;
     }
     return true;
@@ -469,7 +465,6 @@ Server::injectFaults()
             continue;
         faultFired_[i] = true;
         ++stats_.faultsInjected;
-        metrics_.add("server.faults_injected", 1.0);
         switch (e.kind) {
         case ServerFaultKind::NanState:
         case ServerFaultKind::HugeImpulse: {
@@ -561,7 +556,6 @@ Server::runPendingTicks()
         s->pendingTicks = 0;
     }
     stats_.ticksRun += ran;
-    metrics_.add("server.ticks", static_cast<double>(ran));
 }
 
 WorldFailure
@@ -650,7 +644,6 @@ Server::watchdogSweep()
                              " rollbacks (" +
                              worldFailureName(s.lastFailure) + ")"));
                 ++stats_.evictions;
-                metrics_.add("server.evictions", 1.0);
                 evict.push_back(s.id);
             }
             continue;
@@ -666,7 +659,6 @@ Server::watchdogSweep()
                 s.lastFailure = WorldFailure::None;
                 applyDegradationFloor(s);
                 ++stats_.recoveries;
-                metrics_.add("server.recoveries", 1.0);
                 recordRecovery(s, WorldFailure::None,
                                RecoveryAction::Heal, 0, okStatus());
                 s.world->markRecoveryEvent(
@@ -677,7 +669,6 @@ Server::watchdogSweep()
         }
 
         ++stats_.watchdogTrips;
-        metrics_.add("server.watchdog_trips", 1.0);
         s.lastFailure = failure;
         // Backoff: a world that keeps re-tripping right after a
         // rollback must not consume the server in a rollback storm;
@@ -691,7 +682,6 @@ Server::watchdogSweep()
             s.health = HealthState::Frozen;
             s.frozenUpdates = 0;
             ++stats_.freezes;
-            metrics_.add("server.freezes", 1.0);
             recordRecovery(
                 s, failure, RecoveryAction::Freeze, 0,
                 unavailable("world " + std::to_string(s.id) +
@@ -708,7 +698,6 @@ Server::watchdogSweep()
             s.health = HealthState::Frozen;
             s.frozenUpdates = 0;
             ++stats_.freezes;
-            metrics_.add("server.freezes", 1.0);
             recordRecovery(s, failure, RecoveryAction::Freeze, 0,
                            std::move(st));
             s.world->markRecoveryEvent(
@@ -719,7 +708,6 @@ Server::watchdogSweep()
         ++s.consecutiveRollbacks;
         ++s.totalRollbacks;
         ++stats_.rollbacks;
-        metrics_.add("server.rollbacks", 1.0);
         RecoveryAction action = RecoveryAction::Rollback;
         const int rung =
             std::min(StepGovernor::maxLadderLevel,
@@ -728,7 +716,6 @@ Server::watchdogSweep()
         if (rung > s.recoveryRung) {
             s.recoveryRung = rung;
             ++stats_.demotions;
-            metrics_.add("server.demotions", 1.0);
             action = RecoveryAction::RollbackDemote;
         }
         applyDegradationFloor(s);
@@ -770,7 +757,6 @@ Server::takeCheckpoints()
             s.ticksRun + static_cast<std::uint64_t>(
                              config_.checkpointIntervalTicks);
         ++stats_.checkpoints;
-        metrics_.add("server.checkpoints", 1.0);
     }
 }
 
@@ -817,7 +803,6 @@ Server::advance(double elapsed)
         watchdogSweep();
         takeCheckpoints();
     }
-    updateMetrics();
     return okStatus();
 }
 
@@ -838,7 +823,6 @@ Server::tickAll(int ticks)
         watchdogSweep();
         takeCheckpoints();
     }
-    updateMetrics();
     return okStatus();
 }
 
@@ -870,7 +854,6 @@ Server::streamSnapshot(WorldId id,
             // gets instead (detectable via isSnapshotDelta) restarts
             // the chain from shared ground truth.
             ++stats_.resyncFulls;
-            metrics_.add("server.resync_fulls", 1.0);
         }
         s->streamDirty = false;
         out = std::move(full);
@@ -927,22 +910,6 @@ Server::sessionHealth(WorldId id, SessionHealth &out) const
     out.lastCheckpointTick =
         s->ring.empty() ? 0 : s->ring.tickAt(0);
     return okStatus();
-}
-
-void
-Server::updateMetrics()
-{
-    metrics_.set("server.worlds",
-                 static_cast<double>(sessions_.size()));
-    metrics_.set("server.workers",
-                 static_cast<double>(scheduler_.workerCount()));
-    if (selfHealingEnabled()) {
-        std::size_t bytes = 0;
-        for (const Session &s : sessions_)
-            bytes += s.ring.bytesUsed();
-        metrics_.set("server.checkpoint_bytes",
-                     static_cast<double>(bytes));
-    }
 }
 
 std::string

@@ -67,7 +67,6 @@
 
 #include "parallax/status.hh"
 #include "physics/parallel/task_scheduler.hh"
-#include "physics/trace/metrics.hh"
 #include "physics/world.hh"
 #include "server/checkpoint_ring.hh"
 #include "server/server_faults.hh"
@@ -482,10 +481,6 @@ class Server
     /** The shared scheduler (for lane/steal counters). */
     const TaskScheduler &scheduler() const { return scheduler_; }
 
-    /** Server-level counters and gauges (admission, shedding, tick
-     *  throughput, recovery), updated every advance()/tickAll(). */
-    const MetricsRegistry &metrics() const { return metrics_; }
-
     /**
      * One single-line JSON object of server-level metrics, fixed key
      * order ("pax_server" marker). Per-world lines come from
@@ -597,11 +592,8 @@ class Server
                         RecoveryAction action,
                         std::uint64_t restoredTick, Status status);
 
-    void updateMetrics();
-
     ServerConfig config_;
     TaskScheduler scheduler_;
-    MetricsRegistry metrics_;
     std::vector<Session> sessions_;
     WorldId nextId_ = 1;
     ServerStats stats_;

@@ -3,8 +3,8 @@
  * Multi-world server tests (src/server/): the session lifecycle, the
  * bitwise solo-vs-hosted trajectory guarantee at several worker
  * counts, fixed-tick accumulator stepping and interpolation phase,
- * deterministic admission/shedding, delta-snapshot streaming, and
- * per-world metrics scoping.
+ * deterministic admission/shedding, delta-snapshot streaming,
+ * per-world metrics scoping, and the server metrics line.
  */
 
 #include <cmath>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics_fields.hh"
 #include "parallax.hh"
 
 namespace parallax
@@ -484,6 +485,72 @@ TEST(Server, MetricsAreScopedPerWorld)
     EXPECT_EQ(released->metricsLine().find("world."),
               std::string::npos);
     EXPECT_EQ(server.worldCount(), 0u);
+}
+
+TEST(Server, MetricsLineReadsServerStats)
+{
+    // The server line is ServerStats, the session count and the ring
+    // bytes, field for field and in the documented key order. A
+    // refused third session and one poisoned world make the admission
+    // and recovery counters live.
+    ServerConfig sc;
+    sc.maxWorlds = 2;
+    sc.checkpointIntervalTicks = 2;
+    sc.faultPlan.events.push_back(
+        {6, 1, ServerFaultKind::NanState, 0, 0.0});
+    Server server(sc);
+    std::vector<WorldId> ids;
+    for (int i = 0; i < 3; ++i) {
+        WorldId id = invalidWorldId;
+        if (server.adoptWorld(buildScene(BenchmarkId::Mix), id).ok())
+            ids.push_back(id);
+    }
+    ASSERT_EQ(ids.size(), 2u);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(server.tickAll(2).ok());
+
+    std::uint64_t checkpoint_bytes = 0;
+    for (WorldId id : server.worldIds()) {
+        SessionHealth health;
+        ASSERT_TRUE(server.sessionHealth(id, health).ok());
+        checkpoint_bytes += health.checkpointBytes;
+    }
+    const ServerStats &st = server.stats();
+    const MetricsFields want = {
+        {"pax_server", 1},
+        {"worlds", server.worldCount()},
+        {"updates", st.updates},
+        {"ticks_total", st.ticksRun},
+        {"ticks_shed_total", st.ticksShed},
+        {"admission_rejects", st.admissionRejects},
+        {"checkpoints", st.checkpoints},
+        {"checkpoint_bytes", checkpoint_bytes},
+        {"watchdog_trips", st.watchdogTrips},
+        {"rollbacks", st.rollbacks},
+        {"recoveries", st.recoveries},
+        {"demotions", st.demotions},
+        {"freezes", st.freezes},
+        {"evictions", st.evictions},
+        {"faults_injected", st.faultsInjected},
+        {"resync_fulls", st.resyncFulls},
+    };
+    EXPECT_EQ(metricsFields(server.metricsLine()), want);
+    EXPECT_EQ(st.admissionRejects, 1u);
+    EXPECT_EQ(st.rollbacks, 1u);
+    EXPECT_GT(checkpoint_bytes, 0u);
+
+    // A hosted world's line carries its scope on every key but the
+    // format marker.
+    for (WorldId id : ids) {
+        const std::string scope = "world." + std::to_string(id) + ".";
+        const MetricsFields fields =
+            metricsFields(server.world(id)->metricsLine());
+        ASSERT_EQ(fields.size(), 17u);
+        EXPECT_EQ(fields[0].first, "pax_metrics");
+        for (std::size_t k = 1; k < fields.size(); ++k)
+            EXPECT_EQ(fields[k].first.rfind(scope, 0), 0u)
+                << fields[k].first;
+    }
 }
 
 } // namespace

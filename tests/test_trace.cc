@@ -3,8 +3,8 @@
  * Tests for the observability layer (physics/trace/): per-phase span
  * coverage and nesting at several worker counts, the "disabled
  * tracing is free" bitwise guarantee, Chrome trace JSON shape
- * (checked against a golden normalized event sequence), and the
- * stable per-step metrics line.
+ * (checked against a golden normalized event sequence), the lane
+ * buffer bound, and the stable per-step metrics line.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics_fields.hh"
 #include "parallax.hh"
 
 #ifndef PAX_TESTS_DIR
@@ -353,37 +354,64 @@ TEST(Trace, MetricsLineStableAcrossWorkerCounts)
     EXPECT_EQ(lines[0], lines[2]);
 }
 
-TEST(Trace, MetricsRegistryCountersAndGauges)
+TEST(Trace, MetricsLineReadsStepStats)
 {
-    MetricsRegistry reg;
-    reg.add("steps", 1);
-    reg.add("steps", 2);
-    reg.add("steps", -5); // Ignored: counters are monotonic.
-    reg.set("rung", 3);
-    reg.set("rung", 1);
-    EXPECT_EQ(reg.value("steps"), 3.0);
-    EXPECT_EQ(reg.value("rung"), 1.0);
-    EXPECT_EQ(reg.value("never"), 0.0);
-    // Registration order, single line.
-    EXPECT_EQ(reg.toJson(), "{\"steps\":3,\"rung\":1}");
-    reg.clear();
-    EXPECT_TRUE(reg.entries().empty());
-}
-
-TEST(Trace, WorldMetricsAccumulate)
-{
+    // The line is the last step's StepStats plus three run totals,
+    // field for field and in the documented key order. Floor 6 defers
+    // the calm pairs on odd steps, so pairs_deferred is live, and its
+    // run total is the sum of the per-step values.
     World world(tracedConfig(0));
     buildScene(world);
-    for (int i = 0; i < 10; ++i)
+    world.setDegradationFloor(6);
+    std::uint64_t deferred_total = 0;
+    for (int i = 0; i < 10; ++i) {
         world.step();
-    const MetricsRegistry &m = world.metrics();
-    EXPECT_EQ(m.value("steps"), 10.0);
-    EXPECT_GT(m.value("contacts_created"), 0.0);
-    EXPECT_GE(m.value("pairs_found"), m.value("contacts_created") > 0
-                                          ? 1.0 : 0.0);
-    EXPECT_EQ(m.value("governor_rung"), 0.0);
-    EXPECT_TRUE(jsonBalanced(m.toJson()));
-    EXPECT_TRUE(jsonBalanced(world.metricsLine()));
+        const StepStats &s = world.lastStepStats();
+        deferred_total += s.governor.pairsDeferred;
+        const MetricsFields want = {
+            {"pax_metrics", 1},
+            {"step", world.stepCount() - 1},
+            {"steps_total", world.stepCount()},
+            {"pairs", s.pairsFound},
+            {"contacts", s.contactsCreated},
+            {"contact_joints", s.contactJointsCreated},
+            {"islands", s.islands.size()},
+            {"islands_asleep", s.islandsAsleep},
+            {"bodies_asleep", s.bodiesAsleep},
+            {"joints_broken", s.jointsBroken},
+            {"cloth_vertices", s.cloth.verticesIntegrated},
+            {"governor_rung",
+             static_cast<std::uint64_t>(s.governor.ladderLevel)},
+            {"pairs_deferred", s.governor.pairsDeferred},
+            {"faults_injected", s.faultsInjected},
+            {"quarantine_events", s.quarantineEvents},
+            {"violations_total", world.invariantViolationCount()},
+            {"quarantines_total", world.quarantineEventCount()},
+        };
+        EXPECT_EQ(metricsFields(world.metricsLine()), want)
+            << "step " << i;
+        EXPECT_EQ(s.governor.ladderLevel, 6);
+    }
+    EXPECT_EQ(deferred_total, 25u);
+}
+
+TEST(Trace, FullLaneBufferDropsAndCounts)
+{
+    // A full lane drops what it cannot hold and counts it; the other
+    // lanes keep recording.
+    TraceCollector trace;
+    trace.configure(2, true);
+    const std::size_t cap = TraceCollector::maxEventsPerLane;
+    for (std::size_t i = 0; i < cap + 3; ++i)
+        trace.recordSpan(1, "fill", 0, 0.0, 1.0);
+    trace.recordCounter("kept", 0, 1.0);
+
+    EXPECT_EQ(trace.droppedEvents(), 3u);
+    const std::vector<TraceEvent> events = trace.events();
+    ASSERT_EQ(events.size(), cap + 1);
+    EXPECT_EQ(events[0].type, TraceEvent::Type::Counter);
+    EXPECT_STREQ(events[0].name, "kept");
+    EXPECT_EQ(events[0].lane, 0u);
 }
 
 TEST(Trace, DecorateTracePath)
