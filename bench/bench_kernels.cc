@@ -10,8 +10,10 @@
  * steady state: a contact pile's PGS triplets (normal + two coupled
  * friction rows over shared bodies, physically consistent M·J so
  * the sweep converges), a 64x64 cloth patch (relaxation in the
- * cloth's own colored order, Verlet integration over the particle
- * streams), and near-touching narrowphase candidate batches. Each
+ * orders Cloth builds — wavefront order for the scalar sweep, the
+ * edge coloring for Native — and Verlet integration over the
+ * particle streams), and near-touching narrowphase candidate
+ * batches. Each
  * sample times the whole kernel call — including the Native PGS
  * color/permute rebuild, which the engine also pays every solve —
  * and the reported figure is the best of `--samples` (default 25)
@@ -207,7 +209,7 @@ struct PgsWorkload
 };
 
 // -----------------------------------------------------------------
-// Cloth workload: a 64x64 patch, colored once like Cloth does.
+// Cloth workload: a 64x64 patch, ordered once like Cloth does.
 // -----------------------------------------------------------------
 
 struct ClothWorkload
@@ -262,15 +264,35 @@ struct ClothWorkload
                     addEdge(i, j, i + 1, j + 1);
             }
         }
+        // Both orders from cell order, as Cloth builds them: the
+        // Native coloring, and the wavefront order the scalar sweep
+        // runs in.
         colorEdges(a.data(), b.data(), a.size(), n, coloring);
-        ca.resize(a.size());
-        cb.resize(a.size());
-        crest.resize(a.size());
+        permute(coloring.order, ca, cb, crest);
+        std::vector<std::uint32_t> wavefront;
+        wavefrontEdges(a.data(), b.data(), a.size(), n, wavefront);
+        std::vector<std::int32_t> wa, wb;
+        std::vector<Real> wrest;
+        permute(wavefront, wa, wb, wrest);
+        a.swap(wa);
+        b.swap(wb);
+        rest.swap(wrest);
+    }
+
+    /** Cell-order constraints a/b/rest, reordered by `order`. */
+    void
+    permute(const std::vector<std::uint32_t> &order,
+            std::vector<std::int32_t> &pa, std::vector<std::int32_t> &pb,
+            std::vector<Real> &prest) const
+    {
+        pa.resize(a.size());
+        pb.resize(a.size());
+        prest.resize(a.size());
         for (std::size_t s = 0; s < a.size(); ++s) {
-            const std::size_t i = coloring.order[s];
-            ca[s] = a[i];
-            cb[s] = b[i];
-            crest[s] = rest[i];
+            const std::size_t i = order[s];
+            pa[s] = a[i];
+            pb[s] = b[i];
+            prest[s] = rest[i];
         }
     }
 

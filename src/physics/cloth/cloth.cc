@@ -56,32 +56,49 @@ Cloth::Cloth(ClothId id, int nx, int ny, const Vec3 &origin,
         }
     }
 
-    // SoA streams for the kernel backends. The constraint coloring
-    // is built once here: the mesh never changes, so the Native
-    // backend's conflict-free sweep order is a constant.
+    // SoA streams for the kernel backends. Both constraint orders
+    // are built once here from construction order: the mesh never
+    // changes, so the Native backend's conflict-free sweep order and
+    // the scalar wavefront order are constants.
     px_.resize(count); py_.resize(count); pz_.resize(count);
     qx_.resize(count); qy_.resize(count); qz_.resize(count);
     w_.resize(count);
+    for (int j0 = 0; j0 < ny; j0 += tileSize) {
+        for (int i0 = 0; i0 < nx; i0 += tileSize) {
+            VertexTile tile;
+            tile.i0 = i0;
+            tile.i1 = std::min(nx, i0 + tileSize);
+            tile.j0 = j0;
+            tile.j1 = std::min(ny, j0 + tileSize);
+            tiles_.push_back(tile);
+        }
+    }
     const std::size_t n_cons = constraints_.size();
-    consA_.resize(n_cons);
-    consB_.resize(n_cons);
-    consRest_.resize(n_cons);
+    std::vector<std::int32_t> a(n_cons), b(n_cons);
     for (std::size_t i = 0; i < n_cons; ++i) {
-        consA_[i] = static_cast<std::int32_t>(constraints_[i].a);
-        consB_[i] = static_cast<std::int32_t>(constraints_[i].b);
-        consRest_[i] = constraints_[i].restLength;
+        a[i] = static_cast<std::int32_t>(constraints_[i].a);
+        b[i] = static_cast<std::int32_t>(constraints_[i].b);
     }
-    colorEdges(consA_.data(), consB_.data(), n_cons,
-               particles_.size(), coloring_);
-    coloredA_.resize(n_cons);
-    coloredB_.resize(n_cons);
-    coloredRest_.resize(n_cons);
-    for (std::size_t s = 0; s < n_cons; ++s) {
-        const std::size_t i = coloring_.order[s];
-        coloredA_[s] = consA_[i];
-        coloredB_[s] = consB_[i];
-        coloredRest_[s] = consRest_[i];
-    }
+    auto permute = [&](const std::vector<std::uint32_t> &order,
+                       std::vector<std::int32_t> &pa,
+                       std::vector<std::int32_t> &pb,
+                       std::vector<Real> &rest) {
+        pa.resize(n_cons);
+        pb.resize(n_cons);
+        rest.resize(n_cons);
+        for (std::size_t s = 0; s < n_cons; ++s) {
+            const std::size_t i = order[s];
+            pa[s] = a[i];
+            pb[s] = b[i];
+            rest[s] = constraints_[i].restLength;
+        }
+    };
+    colorEdges(a.data(), b.data(), n_cons, particles_.size(), coloring_);
+    permute(coloring_.order, coloredA_, coloredB_, coloredRest_);
+    std::vector<std::uint32_t> wavefront;
+    wavefrontEdges(a.data(), b.data(), n_cons, particles_.size(),
+                   wavefront);
+    permute(wavefront, consA_, consB_, consRest_);
 }
 
 void
@@ -304,6 +321,73 @@ Cloth::writeBackSoa()
     }
 }
 
+template <typename Fn>
+void
+Cloth::forEachFreeVertex(const VertexTile &tile, Fn &&fn) const
+{
+    for (int j = tile.j0; j < tile.j1; ++j) {
+        const std::size_t row = static_cast<std::size_t>(j) * nx_;
+        for (std::size_t i = row + tile.i0; i < row + tile.i1; ++i) {
+            if (w_[i] != 0.0)
+                fn(i);
+        }
+    }
+}
+
+void
+Cloth::boundTiles()
+{
+    for (VertexTile &tile : tiles_) {
+        tile.box = Aabb();
+        tile.allFinite = true;
+        forEachFreeVertex(tile, [&](std::size_t i) {
+            tile.add({px_[i], py_[i], pz_[i]});
+        });
+    }
+}
+
+void
+Cloth::projectVertices(Real margin, ClothStats &stats)
+{
+    // Collider-major, so each vertex still meets the colliders in
+    // list order: a projection depends on its own vertex only.
+    for (const ClothCollider &c : posed_) {
+        const Aabb &r = c.reach;
+        for (VertexTile &tile : tiles_) {
+            // Each free vertex in an all-finite tile lies in its box,
+            // so a box outside the reach (strict < and >, so a NaN
+            // bound never culls) means the skip rule culls them all.
+            const Aabb &box = tile.box;
+            if (tile.allFinite &&
+                (box.hi.x < r.lo.x || box.lo.x > r.hi.x ||
+                 box.hi.y < r.lo.y || box.lo.y > r.hi.y ||
+                 box.hi.z < r.lo.z || box.lo.z > r.hi.z)) {
+                continue;
+            }
+            forEachFreeVertex(tile, [&](std::size_t i) {
+                Vec3 pos{px_[i], py_[i], pz_[i]};
+                if (clothReachSkips(c, pos) ||
+                    !clothProjectOut(c, pos, margin)) {
+                    return;
+                }
+                ++stats.collisionsResolved;
+                // Kill part of the velocity into the surface by
+                // dragging the previous position along.
+                const Vec3 prev{qx_[i], qy_[i], qz_[i]};
+                const Vec3 dragged = prev + (pos - prev) * 0.5;
+                px_[i] = pos.x;
+                py_[i] = pos.y;
+                pz_[i] = pos.z;
+                qx_[i] = dragged.x;
+                qy_[i] = dragged.y;
+                qz_[i] = dragged.z;
+                // Later colliders cull against the moved vertex.
+                tile.add(pos);
+            });
+        }
+    }
+}
+
 void
 Cloth::step(Real dt, const Vec3 &gravity, int iterations,
             const std::vector<const Geom *> &colliders,
@@ -349,42 +433,17 @@ Cloth::step(Real dt, const Vec3 &gravity, int iterations,
     posed_.clear();
     for (const Geom *g : colliders)
         posed_.push_back(poseClothCollider(*g, margin));
+    const std::size_t free_vertices = static_cast<std::size_t>(
+        std::count_if(w_.begin(), w_.end(),
+                      [](Real w) { return w != 0.0; }));
     for (int it = 0; it < iterations; ++it) {
         kb.clothRelax(pv, cv, stats.kernels);
         stats.constraintRelaxations += constraints_.size();
-        for (std::size_t i = 0; i < pv.count; ++i) {
-            if (w_[i] == 0.0)
-                continue;
-            Vec3 pos{px_[i], py_[i], pz_[i]};
-            Vec3 prev{qx_[i], qy_[i], qz_[i]};
-            bool touched = false;
-            // Every listed pair counts, culled or not.
-            stats.collisionTests += posed_.size();
-            // clothReachSkips with its finite half hoisted out of the
-            // collider loop: pos changes only when a projection moves
-            // it.
-            bool pos_finite = finite(pos);
-            for (const ClothCollider &c : posed_) {
-                if ((pos_finite && outsideReach(c.reach, pos)) ||
-                    !clothProjectOut(c, pos, margin)) {
-                    continue;
-                }
-                pos_finite = finite(pos);
-                ++stats.collisionsResolved;
-                // Kill part of the velocity into the surface by
-                // dragging the previous position along.
-                prev = prev + (pos - prev) * 0.5;
-                touched = true;
-            }
-            if (touched) {
-                px_[i] = pos.x;
-                py_[i] = pos.y;
-                pz_[i] = pos.z;
-                qx_[i] = prev.x;
-                qy_[i] = prev.y;
-                qz_[i] = prev.z;
-            }
-        }
+        // Every (free vertex, listed collider) pair counts, culled
+        // or not.
+        stats.collisionTests += free_vertices * posed_.size();
+        boundTiles();
+        projectVertices(margin, stats);
     }
     writeBackSoa();
 }

@@ -154,9 +154,14 @@ class Cloth
      * then `iterations` sweeps that each relax every constraint and
      * project every free vertex out of the given collider geoms, in
      * list order. The colliders are posed once at the top of the
-     * step (poseClothCollider); a (vertex, collider) pair the skip
-     * rule culls still counts in `stats.collisionTests`. Integration
-     * and relaxation run on the given kernel backend (nullptr = the
+     * step (poseClothCollider). Projection runs collider by collider
+     * over fixed tiles of the vertex grid: a tile whose free
+     * vertices are all finite and whose box is disjoint from the
+     * collider's reach box is skipped whole, and every other vertex
+     * meets the skip rule and the exact projection. Each vertex thus
+     * still meets the colliders in list order, and each culled pair
+     * still counts in `stats.collisionTests`. Integration and
+     * relaxation run on the given kernel backend (nullptr = the
      * scalar reference); collision projection is always scalar.
      */
     void step(Real dt, const Vec3 &gravity, int iterations,
@@ -169,6 +174,45 @@ class Cloth
     void syncSoa();
     /** Copy the SoA streams back into the AoS particle state. */
     void writeBackSoa();
+    /** Box each tile's finite free vertices (tiles_). */
+    void boundTiles();
+    /** Project the free vertices out of every posed collider. */
+    void projectVertices(Real margin, ClothStats &stats);
+
+    /**
+     * Edge of a projection tile, in grid vertices. Tiles beat runs of
+     * consecutive vertices: on Deformable (scale 1.0, 200 steps) the
+     * 625-vertex cloths made 26,848 per-vertex reach tests per step
+     * in 5x5 tiles against 53,755 in runs of 25, both with 10,500
+     * tile tests; 4x4 tiles made 21,290 with 20,580 tile tests and
+     * ran no faster.
+     */
+    static constexpr int tileSize = 5;
+
+    /** Columns [i0, i1) of grid rows [j0, j1), and a box over the
+     *  tile's finite free vertices, kept a superset of their
+     *  positions while a sweep projects them. */
+    struct VertexTile
+    {
+        int i0 = 0, i1 = 0, j0 = 0, j1 = 0;
+        Aabb box;
+        /** Every free vertex in the tile has been finite. */
+        bool allFinite = true;
+
+        /** Take in a free vertex's (new) position. */
+        void
+        add(const Vec3 &pos)
+        {
+            if (finite(pos))
+                box.extend(pos);
+            else
+                allFinite = false;
+        }
+    };
+
+    /** Call fn(i) for each free vertex index i of `tile`. */
+    template <typename Fn>
+    void forEachFreeVertex(const VertexTile &tile, Fn &&fn) const;
 
     ClothId id_;
     int nx_;
@@ -182,9 +226,13 @@ class Cloth
     // unchanged. Sized once in the constructor.
     std::vector<Real> px_, py_, pz_, qx_, qy_, qz_, w_;
 
-    // Constraint endpoint/rest streams: original order (the scalar
-    // bitwise reference) plus a color-major permutation built once
-    // here — constraints never change after construction.
+    // Constraint endpoint/rest streams in wavefront order
+    // (wavefrontEdges over construction order: still the scalar
+    // bitwise reference, since each particle meets its constraints
+    // in construction order) plus the Native backend's color-major
+    // permutation of construction order. Both are built once here —
+    // constraints never change after construction. constraints_
+    // keeps construction order.
     std::vector<std::int32_t> consA_, consB_;
     std::vector<Real> consRest_;
     std::vector<std::int32_t> coloredA_, coloredB_;
@@ -194,6 +242,8 @@ class Cloth
     // This step's posed colliders: cleared each step, so it grows
     // only when the collider list does.
     std::vector<ClothCollider> posed_;
+    // The tiles covering the grid, row-major, laid out here.
+    std::vector<VertexTile> tiles_;
 };
 
 } // namespace parallax

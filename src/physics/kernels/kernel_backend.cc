@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 namespace parallax
 {
@@ -190,6 +191,36 @@ colorEdges(const std::int32_t *a, const std::int32_t *b,
             out.order[cursor[static_cast<std::size_t>(colorOf[i])]++] =
                 static_cast<std::uint32_t>(i);
     }
+}
+
+void
+wavefrontEdges(const std::int32_t *a, const std::int32_t *b,
+               std::size_t count, std::size_t nodes,
+               std::vector<std::uint32_t> &order)
+{
+    std::vector<std::uint32_t> nodeLevel(nodes, 0);
+    std::vector<std::uint32_t> levelOf(count);
+    std::uint32_t levels = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint32_t &la = nodeLevel[static_cast<std::size_t>(a[i])];
+        std::uint32_t &lb = nodeLevel[static_cast<std::size_t>(b[i])];
+        const std::uint32_t level = 1 + std::max(la, lb);
+        la = level;
+        lb = level;
+        levelOf[i] = level;
+        levels = std::max(levels, level);
+    }
+
+    // Stable counting sort on level (levels run 1..levels).
+    std::vector<std::uint32_t> cursor(levels + 1, 0);
+    for (std::size_t i = 0; i < count; ++i)
+        ++cursor[levelOf[i]];
+    std::uint32_t offset = 0;
+    for (std::uint32_t &c : cursor)
+        offset += std::exchange(c, offset);
+    order.resize(count);
+    for (std::size_t i = 0; i < count; ++i)
+        order[cursor[levelOf[i]]++] = static_cast<std::uint32_t>(i);
 }
 
 // ---------------------------------------------------------------------

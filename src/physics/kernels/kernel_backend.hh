@@ -229,11 +229,11 @@ struct ClothParticlesView
 };
 
 /**
- * SoA view of a cloth's distance constraints: the original-order
- * streams (the Scalar backend's bitwise reference order) plus a
- * color-major permutation built once at cloth construction for the
- * Native backend. [vecCount, count) of the colored arrays is the
- * scalar overflow tail.
+ * SoA view of a cloth's distance constraints: the wavefront-order
+ * streams (wavefrontEdges; still the Scalar backend's bitwise
+ * reference) plus a color-major permutation built once at cloth
+ * construction for the Native backend. [vecCount, count) of the
+ * colored arrays is the scalar overflow tail.
  */
 struct ClothConstraintsView
 {
@@ -265,6 +265,22 @@ struct EdgeColoring
 void colorEdges(const std::int32_t *a, const std::int32_t *b,
                 std::size_t count, std::size_t nodes,
                 EdgeColoring &out);
+
+/**
+ * Wavefront order of edges (a[i], b[i]) over `nodes` endpoints: edge
+ * i gets level 1 + max(level of the last earlier edge at a[i], level
+ * of the last earlier edge at b[i]) (0 for an untouched endpoint),
+ * and `order` (slot -> original edge) lists the edges level by level,
+ * original order within a level (a stable counting sort, O(count +
+ * nodes)). Two edges that share an endpoint keep their relative
+ * order and edges in one level share none, so a sequential sweep in
+ * this order applies every endpoint's updates in exactly the
+ * original sequence, while consecutive edges rarely depend on each
+ * other.
+ */
+void wavefrontEdges(const std::int32_t *a, const std::int32_t *b,
+                    std::size_t count, std::size_t nodes,
+                    std::vector<std::uint32_t> &order);
 
 /** Packed sphere/sphere candidate pairs (slot i = one pair). */
 struct SphereSphereBatch

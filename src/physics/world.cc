@@ -1584,11 +1584,26 @@ World::phaseCloth()
 
     // Each cloth's collider list (the paper's "cloth contact list")
     // comes from bounding-volume overlap, built by whichever lane
-    // steps that cloth. A cloth's bounds depend on its own particles
-    // only, and the geoms are read-only here, so building a list
-    // just before its cloth steps sees the same inputs as building
-    // them all up front. The lists are persistent: clear() keeps
-    // their capacity, so the warm steady state allocates nothing.
+    // steps that cloth. The candidates are gathered once, here, into
+    // one flat table in geom id order: every enabled, non-blast geom
+    // with its bounds and whether it is a plane. This runs after the
+    // effects have enabled debris and disabled fractured parents
+    // (the broadphase bounds pass runs before them), and the geoms
+    // are read-only from here on. A cloth's bounds depend on its own
+    // particles only, so building a list just before its cloth steps
+    // sees the same inputs as building them all up front. The table
+    // and lists are persistent: clear() keeps their capacity, so the
+    // warm steady state allocates nothing.
+    clothCandidates_.clear();
+    if (!cloths_.empty()) {
+        for (const auto &g : geoms_) {
+            if (!g->enabled() || g->isBlast())
+                continue;
+            clothCandidates_.push_back(
+                {g->bounds(), g.get(),
+                 g->shape().type() == ShapeType::Plane});
+        }
+    }
     clothColliders_.resize(cloths_.size());
     for (std::size_t ci = 0; ci < cloths_.size(); ++ci) {
         stepStats_.clothVertexCounts.push_back(
@@ -1615,13 +1630,9 @@ World::phaseCloth()
                                    stepCount_,
                                    static_cast<std::int64_t>(ci));
                 const Aabb cloth_bounds = cloths_[ci]->bounds();
-                for (const auto &g : geoms_) {
-                    if (!g->enabled() || g->isBlast())
-                        continue;
-                    if (g->shape().type() == ShapeType::Plane ||
-                        g->bounds().overlaps(cloth_bounds)) {
-                        colliders.push_back(g.get());
-                    }
+                for (const ClothCandidate &c : clothCandidates_) {
+                    if (c.plane || c.bounds.overlaps(cloth_bounds))
+                        colliders.push_back(c.geom);
                 }
                 cloths_[ci]->step(config_.dt, config_.gravity,
                                   plan_.clothIterations, colliders,

@@ -617,7 +617,16 @@ class World
         std::vector<Contact> contacts;
     };
     std::vector<ChunkContacts> chunkContacts_;
-    /** Cloth collider lists and per-cloth stats buffers. */
+    /** One candidate cloth collider: an enabled, non-blast geom. */
+    struct ClothCandidate
+    {
+        Aabb bounds;
+        const Geom *geom;
+        bool plane;
+    };
+    /** This step's candidate table (geom id order), cloth collider
+     *  lists and per-cloth stats buffers. */
+    std::vector<ClothCandidate> clothCandidates_;
     std::vector<std::vector<const Geom *>> clothColliders_;
     std::vector<ClothStats> clothLocalStats_;
     /** Scheduler lane-counter snapshots bracketing each step. */

@@ -10,6 +10,7 @@
 #include <ostream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -492,6 +493,242 @@ TEST(Cloth, ReachBoxNeverHidesAProjection)
     cloth.step(0.01, {0, -9.81, 0}, 1, {&lifted, &far}, stats);
     EXPECT_EQ(stats.collisionTests, 9u * 2u);
     EXPECT_EQ(stats.collisionsResolved, 9u * 2u);
+}
+
+/**
+ * The documented cloth step, written out vertex by vertex: scalar
+ * Verlet integration, relaxation over constraints() in construction
+ * order, then each free vertex meets every listed collider in list
+ * order through the skip rule and the exact projection, dragging its
+ * previous position half way along each projection. Cloth::step
+ * (wavefront relaxation order, tile-culled collider-major
+ * projection) must match it bit for bit.
+ */
+struct ReferenceCloth
+{
+    std::vector<Real> px, py, pz, qx, qy, qz, w;
+    std::vector<std::int32_t> a, b;
+    std::vector<Real> rest;
+    ClothStats stats;
+
+    explicit ReferenceCloth(const Cloth &cloth)
+    {
+        for (const Cloth::Particle &p : cloth.particles()) {
+            px.push_back(p.position.x);
+            py.push_back(p.position.y);
+            pz.push_back(p.position.z);
+            qx.push_back(p.previous.x);
+            qy.push_back(p.previous.y);
+            qz.push_back(p.previous.z);
+            w.push_back(p.invMass);
+        }
+        for (const Cloth::DistanceConstraint &c : cloth.constraints()) {
+            a.push_back(static_cast<std::int32_t>(c.a));
+            b.push_back(static_cast<std::int32_t>(c.b));
+            rest.push_back(c.restLength);
+        }
+    }
+
+    void
+    step(Real dt, const Vec3 &gravity, int iterations,
+         const std::vector<const Geom *> &colliders)
+    {
+        const KernelBackend &scalar = scalarKernelBackend();
+        ClothParticlesView pv;
+        pv.count = px.size();
+        pv.px = px.data(); pv.py = py.data(); pv.pz = pz.data();
+        pv.qx = qx.data(); pv.qy = qy.data(); pv.qz = qz.data();
+        pv.w = w.data();
+        ClothConstraintsView cv;
+        cv.count = a.size();
+        cv.a = a.data(); cv.b = b.data(); cv.rest = rest.data();
+
+        ++stats.clothsStepped;
+        scalar.clothIntegrate(pv, gravity * (dt * dt), 0.995,
+                              stats.kernels);
+        stats.verticesIntegrated += px.size();
+        const Real margin = 0.02;
+        std::vector<ClothCollider> posed;
+        for (const Geom *g : colliders)
+            posed.push_back(poseClothCollider(*g, margin));
+        for (int it = 0; it < iterations; ++it) {
+            scalar.clothRelax(pv, cv, stats.kernels);
+            stats.constraintRelaxations += a.size();
+            for (std::size_t i = 0; i < px.size(); ++i) {
+                if (w[i] == 0.0)
+                    continue;
+                Vec3 pos{px[i], py[i], pz[i]};
+                Vec3 prev{qx[i], qy[i], qz[i]};
+                for (const ClothCollider &c : posed) {
+                    ++stats.collisionTests;
+                    if (clothReachSkips(c, pos) ||
+                        !clothProjectOut(c, pos, margin)) {
+                        continue;
+                    }
+                    ++stats.collisionsResolved;
+                    prev = prev + (pos - prev) * 0.5;
+                }
+                px[i] = pos.x; py[i] = pos.y; pz[i] = pos.z;
+                qx[i] = prev.x; qy[i] = prev.y; qz[i] = prev.z;
+            }
+        }
+    }
+};
+
+/**
+ * Step `cloth` and its reference side by side under `gravity` and
+ * require bit-identical positions, previous positions and stats
+ * after every step. Returns the reference's stats.
+ */
+ClothStats
+expectMatchesReference(Cloth &cloth,
+                       const std::vector<const Geom *> &colliders,
+                       int steps, int iterations, const Vec3 &gravity,
+                       const std::string &name)
+{
+    ReferenceCloth ref(cloth);
+    ClothStats stats;
+    const Real dt = 1.0 / 60.0;
+    for (int s = 0; s < steps; ++s) {
+        cloth.step(dt, gravity, iterations, colliders, stats);
+        ref.step(dt, gravity, iterations, colliders);
+        int differing = 0;
+        for (std::size_t i = 0; i < ref.px.size(); ++i) {
+            const Cloth::Particle &p = cloth.particles()[i];
+            differing +=
+                !sameBits(p.position, {ref.px[i], ref.py[i], ref.pz[i]}) ||
+                !sameBits(p.previous, {ref.qx[i], ref.qy[i], ref.qz[i]});
+        }
+        EXPECT_EQ(differing, 0) << name << ", step " << s;
+        EXPECT_EQ(stats.clothsStepped, ref.stats.clothsStepped) << name;
+        EXPECT_EQ(stats.verticesIntegrated, ref.stats.verticesIntegrated)
+            << name;
+        EXPECT_EQ(stats.constraintRelaxations,
+                  ref.stats.constraintRelaxations) << name;
+        EXPECT_EQ(stats.collisionTests, ref.stats.collisionTests) << name;
+        EXPECT_EQ(stats.collisionsResolved, ref.stats.collisionsResolved)
+            << name << ", step " << s;
+        if (differing != 0 ||
+            stats.collisionsResolved != ref.stats.collisionsResolved) {
+            break;
+        }
+    }
+    return ref.stats;
+}
+
+TEST(Cloth, StepMatchesPerVertexReference)
+{
+    const Vec3 gravity{0.0, -9.81, 0.0};
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    std::mt19937_64 rng(21);
+    std::uniform_real_distribution<Real> unit(0.0, 1.0);
+
+    // Every collider shape under a cloth that falls onto them, the
+    // ground plane first, for each grid size, with seeded jitter and
+    // some particles pinned.
+    const PlaneShape ground({0, 1, 0}, 0.0);
+    const SphereShape ball(0.3);
+    const CapsuleShape bar(0.1, 0.3);
+    const BoxShape crate({0.3, 0.15, 0.2});
+    std::vector<Real> heights(5 * 4);
+    for (Real &h : heights)
+        h = 0.25 * unit(rng);
+    const HeightfieldShape bumps(heights, 5, 4, 0.15);
+    const TriMeshShape ramp({{0, 0, 0}, {1, 0, 0}, {0, 0.3, 1}},
+                            {{0, 1, 2}});
+    for (const auto [nx, ny] : {std::pair{25, 25}, std::pair{5, 5},
+                                std::pair{7, 3}}) {
+        const std::string name =
+            std::to_string(nx) + "x" + std::to_string(ny);
+        const Real width = 0.1 * (nx - 1);
+        const Real depth = 0.1 * (ny - 1);
+        const Vec3 mid{width * 0.5, 0.0, depth * 0.5};
+        const Geom plane(0, &ground, nullptr);
+        const Geom sphere(1, &ball, nullptr,
+                          Transform(Quat(), mid + Vec3{0.0, 0.3, 0.0}));
+        const Geom capsule(
+            2, &bar, nullptr,
+            Transform(Quat::fromAxisAngle({0, 0, 1}, 1.3),
+                      {width * 0.2, 0.25, depth * 0.3}));
+        const Geom box(3, &crate, nullptr,
+                       Transform(Quat::fromAxisAngle({1, 0, 0}, 0.4) *
+                                     Quat::fromAxisAngle({0, 1, 0}, 0.7),
+                                 {width * 0.8, 0.2, depth * 0.7}));
+        const Geom field(4, &bumps, nullptr,
+                         Transform(Quat(), {width * 0.1, 0.0, depth * 0.6}));
+        const Geom mesh(5, &ramp, nullptr,
+                        Transform(Quat(), {0.0, 0.0, 0.0}));
+        const std::vector<const Geom *> colliders{
+            &plane, &sphere, &capsule, &box, &field, &mesh};
+
+        Cloth cloth(0, nx, ny, {0.0, 0.45, 0.0}, 0.1, 1.0);
+        std::vector<Cloth::Particle> jittered = cloth.particles();
+        for (Cloth::Particle &p : jittered) {
+            p.position += Vec3{unit(rng), unit(rng), unit(rng)} * 0.02;
+            p.previous = p.position;
+        }
+        ASSERT_TRUE(cloth.restoreParticles(jittered));
+        for (int i = 0; i <= nx * ny / 50; ++i)
+            cloth.pin(static_cast<std::uint32_t>(unit(rng) * nx * ny));
+        const ClothStats stats =
+            expectMatchesReference(cloth, colliders, 60, 8, gravity, name);
+        EXPECT_GT(stats.collisionsResolved, 0u) << name;
+    }
+
+    // A sphere whose reach box meets only positions the plane
+    // projection produces: the cloth starts under the plane, and the
+    // plane lifts a vertex into the sphere within the same sweep, so
+    // the sphere must see the lifted position, not the box bounded
+    // before the plane moved it.
+    {
+        const Geom plane(0, &ground, nullptr);
+        const SphereShape pebble(0.05);
+        const Geom sphere(1, &pebble, nullptr,
+                          Transform(Quat(), {0.3, 0.03, 0.1}));
+        Cloth cloth(0, 7, 3, {0.0, -0.3, 0.0}, 0.1, 1.0);
+        const ClothCollider posed = poseClothCollider(sphere, 0.02);
+        ASSERT_GT(posed.reach.lo.y, -0.25);
+        const ClothStats first = expectMatchesReference(
+            cloth, {&plane, &sphere}, 1, 1, gravity, "plane, then sphere");
+        // The plane lifts all 21 vertices; the sphere moves more.
+        EXPECT_GT(first.collisionsResolved, 21u);
+        expectMatchesReference(cloth, {&plane, &sphere}, 20, 4, gravity,
+                               "plane, then sphere, settling");
+    }
+
+    // One NaN particle: its NaN spreads through relaxation, and a
+    // vertex with a non-finite coordinate is never culled, so each
+    // collider's exact test meets every such vertex.
+    {
+        const Geom plane(0, &ground, nullptr);
+        const Geom sphere(1, &ball, nullptr,
+                          Transform(Quat(), {2.0, 0.2, 0.3}));
+        const Geom box(2, &crate, nullptr,
+                       Transform(Quat(), {0.4, 0.2, 2.0}));
+        Cloth cloth(0, 25, 25, {0.0, 0.4, 0.0}, 0.1, 1.0);
+        std::vector<Cloth::Particle> poisoned = cloth.particles();
+        poisoned[312].position.x = nan;
+        ASSERT_TRUE(cloth.restoreParticles(poisoned));
+        cloth.pin(0);
+        expectMatchesReference(cloth, {&plane, &sphere, &box}, 3, 4,
+                               gravity, "NaN particle");
+    }
+
+    // A vertex exactly on a reach face: without gravity or strain
+    // the cloth does not move, and its first column lies on the
+    // sphere's +x reach face. The strict rule keeps it for the exact
+    // test, which leaves it where it is.
+    {
+        const Geom sphere(0, &ball, nullptr,
+                          Transform(Quat(), {0.0, 1.0, 0.0}));
+        const Aabb reach = poseClothCollider(sphere, 0.02).reach;
+        Cloth cloth(0, 5, 5, {reach.hi.x, 1.0, -0.2}, 0.1, 1.0);
+        const Geom plane(1, &ground, nullptr);
+        const ClothStats stats = expectMatchesReference(
+            cloth, {&sphere, &plane}, 3, 2, Vec3{}, "on a reach face");
+        EXPECT_EQ(stats.collisionsResolved, 0u);
+        EXPECT_EQ(cloth.particles()[0].position.x, reach.hi.x);
+    }
 }
 
 TEST(Cloth, InvalidConstructionRejected)

@@ -308,6 +308,71 @@ struct ConstraintSet
     }
 };
 
+TEST(KernelCloth, WavefrontOrderKeepsEachParticlesSequence)
+{
+    // Seeded random constraint graphs, sparse to dense: the wavefront
+    // permutation must keep every particle's constraints in their
+    // original order, so a scalar sweep in it matches a sweep in the
+    // original order bit for bit.
+    for (unsigned seed = 1; seed <= 50; ++seed) {
+        std::mt19937 rng(seed);
+        const std::size_t nodes = 2 + rng() % 60;
+        const std::size_t count = rng() % 400;
+        std::uniform_int_distribution<std::int32_t> pick(
+            0, static_cast<std::int32_t>(nodes) - 1);
+        std::uniform_real_distribution<double> length(0.1, 1.5);
+        ConstraintSet original;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::int32_t a = pick(rng);
+            std::int32_t b;
+            do {
+                b = pick(rng);
+            } while (b == a);
+            original.a.push_back(a);
+            original.b.push_back(b);
+            original.rest.push_back(length(rng));
+        }
+
+        std::vector<std::uint32_t> order;
+        wavefrontEdges(original.a.data(), original.b.data(), count,
+                       nodes, order);
+        ASSERT_EQ(order.size(), count);
+        std::vector<bool> seen(count, false);
+        ConstraintSet waved;
+        for (std::uint32_t e : order) {
+            ASSERT_LT(e, count);
+            ASSERT_FALSE(seen[e]) << "edge " << e << " appears twice";
+            seen[e] = true;
+            waved.a.push_back(original.a[e]);
+            waved.b.push_back(original.b[e]);
+            waved.rest.push_back(original.rest[e]);
+        }
+
+        // Each particle meets its constraints in the original order.
+        std::vector<std::vector<std::uint32_t>> before(nodes), after(nodes);
+        for (std::uint32_t e = 0; e < count; ++e) {
+            before[static_cast<std::size_t>(original.a[e])].push_back(e);
+            before[static_cast<std::size_t>(original.b[e])].push_back(e);
+        }
+        for (std::uint32_t e : order) {
+            after[static_cast<std::size_t>(original.a[e])].push_back(e);
+            after[static_cast<std::size_t>(original.b[e])].push_back(e);
+        }
+        EXPECT_EQ(after, before) << "seed " << seed;
+
+        ParticleSet ref(nodes, seed);
+        ParticleSet got = ref;
+        KernelStats stats;
+        for (int sweep = 0; sweep < 3; ++sweep) {
+            scalarKernelBackend().clothRelax(ref.view(), original.view(),
+                                             stats);
+            scalarKernelBackend().clothRelax(got.view(), waved.view(),
+                                             stats);
+        }
+        EXPECT_TRUE(got.bitwiseEqual(ref)) << "seed " << seed;
+    }
+}
+
 TEST(KernelCloth, RelaxDisjointConstraintsAreBitwise)
 {
     SKIP_WITHOUT_SIMD();

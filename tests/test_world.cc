@@ -347,6 +347,87 @@ TEST(World, JointedBodiesNeverCollide)
     }
 }
 
+TEST(World, ClothCollidersFollowAMidStepFracture)
+{
+    // A fully pinned cloth over a pre-fractured block, and a bomb
+    // beside the block that explodes on its first contact. The blast
+    // volume reaches the cloth and breaks the block on the next step,
+    // between the broadphase and the cloth phase. The cloth collider
+    // lists are built after the effects, so on that step they already
+    // drop the disabled parent and list the enabled debris that
+    // overlap the cloth, and a blast volume is never listed.
+    for (unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE(workers);
+        WorldConfig config;
+        config.workerThreads = workers;
+        World world(config);
+        Cloth *cloth = world.createCloth(5, 5, {0, 1.0, 0}, 0.1, 1.0);
+        for (std::uint32_t i = 0; i < 25; ++i)
+            cloth->pin(i);
+        const Aabb cloth_bounds = cloth->bounds();
+
+        RigidBody *parent =
+            world.createStaticBody(Transform(Quat(), {0.2, 0.5, 0.2}));
+        world.createGeom(world.addBox({0.5, 0.5, 0.5}), parent);
+        const BoxShape *piece = world.addBox({0.2, 0.2, 0.2});
+        std::vector<BodyId> debris;
+        int debris_reaching = 0;
+        for (int i = 0; i < 4; ++i) {
+            RigidBody *d = world.createDynamicBody(
+                Transform(Quat(), {0.4 * (i % 2), 0.25 + 0.5 * (i / 2),
+                                   0.4 * (i % 2)}),
+                *piece, 1.0);
+            d->setEnabled(false);
+            debris_reaching +=
+                world.createGeom(piece, d)->bounds().overlaps(cloth_bounds);
+            debris.push_back(d->id());
+        }
+        ASSERT_EQ(debris_reaching, 2);
+        world.effects().registerFractureGroup(parent->id(), debris);
+
+        const SphereShape *ball = world.addSphere(0.2);
+        Geom *bomb = world.createGeom(
+            ball, world.createDynamicBody(
+                      Transform(Quat(), {0.85, 0.5, 0.2}), *ball, 1.0));
+        bomb->setExplosive(true);
+        ASSERT_FALSE(bomb->bounds().overlaps(cloth_bounds));
+        world.effects().registerExplosive(bomb->id(),
+                                          BlastConfig{2.0, 0.1, 50.0});
+
+        int fracture_step = -1;
+        int blast_reaching_steps = 0;
+        for (int step = 0; step < 12; ++step) {
+            world.step();
+            const std::uint64_t listed =
+                world.lastStepStats().clothColliderInsertions;
+            // Bounds and enabled flags stand as the cloth phase saw
+            // them until the next step's broadphase and effects.
+            std::uint64_t expected = 0;
+            bool blast_reaching = false;
+            for (const auto &g : world.geoms()) {
+                if (!g->enabled() || !g->bounds().overlaps(cloth_bounds))
+                    continue;
+                if (g->isBlast())
+                    blast_reaching = true;
+                else
+                    ++expected;
+            }
+            blast_reaching_steps += blast_reaching;
+            EXPECT_EQ(listed, expected) << "step " << step;
+            if (fracture_step < 0 &&
+                world.effects().stats().objectsFractured > 0) {
+                fracture_step = step;
+                EXPECT_FALSE(parent->enabled());
+                EXPECT_EQ(listed, 2u) << "the debris over the block";
+            } else if (fracture_step < 0) {
+                EXPECT_EQ(listed, 1u) << "the block, step " << step;
+            }
+        }
+        EXPECT_EQ(fracture_step, 1);
+        EXPECT_GT(blast_reaching_steps, 0);
+    }
+}
+
 TEST(World, ContactPairKeysNeverDecrease)
 {
     // Island creation warm-starts each contact through a cursor that

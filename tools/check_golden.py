@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Golden-output gate: run a command and compare its stdout with a file.
 
-Used for the trajectory golden (`state_hash_golden` in
-tools/CMakeLists.txt): `tools/state_hash 60 0.25 --simd=scalar` prints
-one FNV-1a fingerprint per benchmark scene and worker count, so a
-change that promises bitwise-unchanged trajectories must reproduce
-tests/golden/state_hash.golden byte for byte. Only the scalar backend
-is pinned: the native fingerprint depends on the host ISA. The
+Used for the trajectory goldens (`state_hash_golden` and
+`state_hash_deformable_golden` in tools/CMakeLists.txt):
+`tools/state_hash 60 0.25 --simd=scalar` prints one FNV-1a fingerprint
+per benchmark scene and worker count, and `tools/state_hash 150 1.0
+--simd=scalar --scene=deformable` those of the full-scale Deformable
+scene, so a change that promises bitwise-unchanged trajectories must
+reproduce tests/golden/state_hash.golden and
+tests/golden/state_hash_deformable.golden byte for byte. Only the
+scalar backend is pinned: the native fingerprint depends on the host
+ISA. The
 `fault_storm_json` and `server_storm_json` tests pin the JSON summary
 lines of those drivers (quarantine, rollback and eviction counts)
 the same way.

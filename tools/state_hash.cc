@@ -16,6 +16,11 @@
  * that diverged.
  *
  * Run: ./build/tools/state_hash [steps] [scale] [--simd=BACKEND]
+ *                                [--scene=NAME]
+ *
+ * --scene runs one scene only, named by its full or short name in
+ * any case (deformable, Def); the combined line then folds that
+ * scene's runs alone.
  *
  * --simd selects the kernel backend (scalar, the bitwise reference,
  * or native — SIMD; PAX_SIMD sets the default). The header line
@@ -29,6 +34,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include <strings.h>
 
 #include "parallax.hh"
 #include "workload/benchmarks.hh"
@@ -50,6 +58,16 @@ fold(std::uint64_t combined, std::uint64_t h)
     return combined;
 }
 
+/** True when `scene` names benchmark `id` (full or short name, any
+ *  case); an empty `scene` names every benchmark. */
+bool
+sceneMatches(const std::string &scene, BenchmarkId id)
+{
+    return scene.empty() ||
+        strcasecmp(scene.c_str(), benchmarkInfo(id).name) == 0 ||
+        strcasecmp(scene.c_str(), benchmarkInfo(id).shortName) == 0;
+}
+
 } // namespace
 
 int
@@ -57,10 +75,24 @@ main(int argc, char **argv)
 {
     SimdBackend simd = simdBackendFromEnv(SimdBackend::Scalar);
     constexpr const char simdFlag[] = "--simd=";
+    constexpr const char sceneFlag[] = "--scene=";
+    std::string scene; // Empty: every scene.
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], simdFlag,
-                         sizeof(simdFlag) - 1) == 0) {
+        if (std::strncmp(argv[i], sceneFlag,
+                         sizeof(sceneFlag) - 1) == 0) {
+            scene = argv[i] + sizeof(sceneFlag) - 1;
+            bool known = false;
+            for (BenchmarkId id : allBenchmarks)
+                known = known || (!scene.empty() && sceneMatches(scene, id));
+            if (!known) {
+                std::fprintf(stderr,
+                             "unrecognized --scene value '%s'\n",
+                             scene.c_str());
+                return 2;
+            }
+        } else if (std::strncmp(argv[i], simdFlag,
+                                sizeof(simdFlag) - 1) == 0) {
             const char *value = argv[i] + sizeof(simdFlag) - 1;
             if (!parseSimdBackend(value, simd)) {
                 std::fprintf(stderr,
@@ -85,6 +117,8 @@ main(int argc, char **argv)
 
     std::uint64_t combined = 0xcbf29ce484222325ull;
     for (BenchmarkId id : allBenchmarks) {
+        if (!sceneMatches(scene, id))
+            continue;
         for (unsigned workers : worker_counts) {
             WorldConfig config;
             config.workerThreads = workers;
