@@ -26,7 +26,7 @@
 #define PARALLAX_PUBLIC_VERSION_HH
 
 #define PARALLAX_API_VERSION_MAJOR 7
-#define PARALLAX_API_VERSION_MINOR 0
+#define PARALLAX_API_VERSION_MINOR 1
 
 /** Single comparable value: major * 1000 + minor. */
 #define PARALLAX_API_VERSION                                         \

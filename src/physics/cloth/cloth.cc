@@ -155,6 +155,33 @@ outsideReach(const Aabb &r, const Vec3 &p)
         p.y > r.hi.y || p.z < r.lo.z || p.z > r.hi.z;
 }
 
+/**
+ * A plane whose normal is exactly +-x, +-y or +-z has distance(p) =
+ * +-p[axis] - offset with no rounding (the other two products are
+ * zeros), so it can project only points within offset + margin of
+ * it along the normal: a half-space box. Any other plane rounds its
+ * dot product and stays unbounded.
+ */
+Aabb
+planeReach(const PlaneShape &plane, Real margin)
+{
+    const Vec3 &n = plane.normal();
+    Aabb reach = unbounded;
+    for (int axis = 0; axis < 3; ++axis) {
+        if (n[(axis + 1) % 3] != 0.0 || n[(axis + 2) % 3] != 0.0 ||
+            std::fabs(n[axis]) != 1.0) {
+            continue;
+        }
+        const Real bound = plane.offset() + margin + reachPad;
+        if (n[axis] > 0)
+            reach.hi[axis] = bound;
+        else
+            reach.lo[axis] = -bound;
+        break;
+    }
+    return reach;
+}
+
 } // namespace
 
 ClothCollider
@@ -194,7 +221,8 @@ poseClothCollider(const Geom &geom, Real margin)
         c.reach.lo.y = -inf;
         break;
       case ShapeType::Plane:
-        c.reach = unbounded;
+        c.reach = planeReach(
+            static_cast<const PlaneShape &>(geom.shape()), margin);
         break;
       default:
         break; // Aabb() is empty: every finite point is outside.

@@ -73,7 +73,9 @@ struct ClothCollider
  * - heightfield: the x/z footprint, from -inf up to the maximum
  *   height plus the margin (points anywhere below the surface are
  *   pushed up);
- * - plane: unbounded (its exact test is one dot product);
+ * - plane with a normal of exactly +-x, +-y or +-z: the half-space
+ *   up to offset + margin along the normal (its distance is then
+ *   exactly +-coordinate - offset); any other plane: unbounded;
  * - trimesh: empty (clothProjectOut never moves a point).
  * A pose that is not finite, or whose rotation is not a unit
  * quaternion to 1e-12, gets an unbounded reach box.

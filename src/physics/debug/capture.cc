@@ -20,6 +20,9 @@ namespace
 constexpr char snapshotMagic[8] = {'P', 'A', 'X', 'S',
                                    'N', 'A', 'P', '1'};
 
+/** Magic, version, payload checksum and payload size. */
+constexpr std::size_t snapshotHeaderSize = sizeof(snapshotMagic) + 4 + 8 + 8;
+
 std::uint64_t
 fnv1a(const std::uint8_t *data, std::size_t size)
 {
@@ -31,30 +34,41 @@ fnv1a(const std::uint8_t *data, std::size_t size)
     return hash;
 }
 
-/** Little-endian byte appender for POD snapshot fields. */
+/**
+ * Little-endian writer for POD snapshot fields. A counting writer
+ * (Store = false) stores nothing and only adds up the bytes, so a
+ * blob is written in two passes over one field list: count, size the
+ * buffer once, then store into it. No pass ever grows a buffer.
+ */
+template <bool Store>
 class Writer
 {
   public:
-    explicit Writer(std::vector<std::uint8_t> &out) : out_(out) {}
+    Writer() = default;
+    /** Storing writer: `out` has room for every byte written. */
+    explicit Writer(std::uint8_t *out) : out_(out) {}
 
-    void
-    u8(std::uint8_t v)
-    {
-        out_.push_back(v);
-    }
+    /** Bytes written so far. */
+    std::size_t size() const { return size_; }
+
+    void u8(std::uint8_t v) { bytes(&v, 1); }
 
     void
     u32(std::uint32_t v)
     {
+        std::uint8_t b[4];
         for (int i = 0; i < 4; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        bytes(b, sizeof(b));
     }
 
     void
     u64(std::uint64_t v)
     {
+        std::uint8_t b[8];
         for (int i = 0; i < 8; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        bytes(b, sizeof(b));
     }
 
     void
@@ -92,11 +106,22 @@ class Writer
     str(const std::string &s)
     {
         u32(static_cast<std::uint32_t>(s.size()));
-        out_.insert(out_.end(), s.begin(), s.end());
+        bytes(s.data(), s.size());
+    }
+
+    void
+    bytes(const void *data, std::size_t n)
+    {
+        if constexpr (Store) {
+            if (n > 0)
+                std::memcpy(out_ + size_, data, n);
+        }
+        size_ += n;
     }
 
   private:
-    std::vector<std::uint8_t> &out_;
+    std::uint8_t *out_ = nullptr;
+    std::size_t size_ = 0;
 };
 
 /** Bounds-checked reader: records what it was reading when the bytes
@@ -238,8 +263,9 @@ class Reader
     std::string error_;
 };
 
+template <class W>
 void
-writeConfig(Writer &w, const WorldConfig &config)
+writeConfig(W &w, const WorldConfig &config)
 {
     w.vec3(config.gravity);
     w.f64(config.dt);
@@ -285,9 +311,7 @@ Status
 openSnapshot(const std::vector<std::uint8_t> &bytes,
              const std::uint8_t **payload, std::size_t *payload_size)
 {
-    constexpr std::size_t header_size =
-        sizeof(snapshotMagic) + 4 + 8 + 8;
-    if (bytes.size() < header_size)
+    if (bytes.size() < snapshotHeaderSize)
         return dataLoss("snapshot too small to hold a header (" +
                         std::to_string(bytes.size()) + " bytes)");
     if (std::memcmp(bytes.data(), snapshotMagic,
@@ -305,13 +329,13 @@ openSnapshot(const std::vector<std::uint8_t> &bytes,
     }
     const std::uint64_t checksum = header.u64("header.checksum");
     const std::uint64_t size = header.u64("header.payloadSize");
-    if (header_size + size != bytes.size()) {
+    if (snapshotHeaderSize + size != bytes.size()) {
         return dataLoss("snapshot truncated: header promises " +
                         std::to_string(size) +
                         " payload bytes, file has " +
-                        std::to_string(bytes.size() - header_size));
+                        std::to_string(bytes.size() - snapshotHeaderSize));
     }
-    *payload = bytes.data() + header_size;
+    *payload = bytes.data() + snapshotHeaderSize;
     *payload_size = static_cast<std::size_t>(size);
     if (fnv1a(*payload, *payload_size) != checksum)
         return dataLoss(
@@ -437,128 +461,135 @@ readSnapshotFile(const std::string &path,
 std::vector<std::uint8_t>
 World::captureState() const
 {
-    std::vector<std::uint8_t> payload;
-    Writer w(payload);
-
-    w.str(config_.sceneTag);
-    w.u64(stepCount_);
-    w.f64(time_);
-    w.u64(totalJointsBroken_);
-    writeConfig(w, config_);
-
-    w.u32(static_cast<std::uint32_t>(bodies_.size()));
-    w.u32(static_cast<std::uint32_t>(geoms_.size()));
-    w.u32(static_cast<std::uint32_t>(joints_.size()));
-    w.u32(static_cast<std::uint32_t>(cloths_.size()));
-
-    // Blast volumes are the one structural mutation a running scene
-    // performs; record them so a fresh scene build can recreate them
-    // in id order before restoring per-entity state.
-    std::uint32_t spawns = 0;
-    for (const auto &g : geoms_) {
-        if (g->isBlast())
-            ++spawns;
-    }
-    w.u32(spawns);
-    for (const auto &g : geoms_) {
-        if (!g->isBlast())
-            continue;
-        parallax_assert(g->shape().type() == ShapeType::Sphere &&
-                        g->body() != nullptr);
-        w.u32(g->id());
-        w.u32(g->body()->id());
-        w.f64(static_cast<const SphereShape &>(g->shape()).radius());
-        w.vec3(g->body()->position());
-    }
-
-    for (const auto &b : bodies_) {
-        w.vec3(b->position());
-        w.quat(b->orientation());
-        w.vec3(b->linearVelocity());
-        w.vec3(b->angularVelocity());
-        w.vec3(b->force());
-        w.vec3(b->torque());
-        w.u8(b->enabled() ? 1 : 0);
-        w.u8(b->asleep() ? 1 : 0);
-        w.i32(b->sleepCounter());
-    }
-
-    for (const auto &j : joints_) {
-        w.u8(j->broken() ? 1 : 0);
-        w.f64(j->lastAppliedForce());
-        w.f64(j->accumulatedForce());
-    }
-
-    for (const auto &c : cloths_) {
-        w.u32(static_cast<std::uint32_t>(c->particles().size()));
-        for (const Cloth::Particle &p : c->particles()) {
-            w.vec3(p.position);
-            w.vec3(p.previous);
-            w.f64(p.invMass);
-        }
-    }
-
-    // Warm-start cache: the flat vector is key-sorted with each
-    // pair's entries in insertion order, so walking it group by group
-    // writes key-ascending groups.
-    std::uint32_t warm_groups = 0;
-    for (std::size_t i = 0; i < warmCache_.size();) {
-        std::size_t j = i + 1;
-        while (j < warmCache_.size() &&
-               warmCache_[j].key == warmCache_[i].key)
-            ++j;
-        ++warm_groups;
-        i = j;
-    }
-    w.u32(warm_groups);
-    for (std::size_t i = 0; i < warmCache_.size();) {
-        std::size_t j = i + 1;
-        while (j < warmCache_.size() &&
-               warmCache_[j].key == warmCache_[i].key)
-            ++j;
-        w.u64(warmCache_[i].key);
-        w.u32(static_cast<std::uint32_t>(j - i));
-        for (std::size_t k = i; k < j; ++k) {
-            const CachedContact &c = warmCache_[k].c;
-            w.vec3(c.position);
-            w.vec3(c.normal);
-            w.f64(c.lambdas[0]);
-            w.f64(c.lambdas[1]);
-            w.f64(c.lambdas[2]);
-        }
-        i = j;
-    }
-
     const EffectsManager::State effects = effects_.captureState();
-    w.u32(static_cast<std::uint32_t>(effects.explosives.size()));
-    for (const auto &e : effects.explosives) {
-        w.u32(e.geom);
-        w.f64(e.config.radius);
-        w.f64(e.config.duration);
-        w.f64(e.config.impulse);
-    }
-    w.u32(static_cast<std::uint32_t>(effects.blasts.size()));
-    for (const EffectsManager::Blast &b : effects.blasts) {
-        w.vec3(b.center);
-        w.f64(b.radius);
-        w.f64(b.impulse);
-        w.f64(b.duration);
-        w.f64(b.remaining);
-        w.u32(b.geom);
-    }
-    w.u32(static_cast<std::uint32_t>(effects.fractureBroken.size()));
-    for (const std::uint8_t broken : effects.fractureBroken)
-        w.u8(broken);
+    // The payload's field list, run twice: once to count its bytes,
+    // once to store them behind the header.
+    const auto payload = [&](auto &w) {
+        w.str(config_.sceneTag);
+        w.u64(stepCount_);
+        w.f64(time_);
+        w.u64(totalJointsBroken_);
+        writeConfig(w, config_);
 
-    std::vector<std::uint8_t> bytes;
-    bytes.reserve(sizeof(snapshotMagic) + 20 + payload.size());
-    bytes.insert(bytes.end(), snapshotMagic,
-                 snapshotMagic + sizeof(snapshotMagic));
-    Writer header(bytes);
+        w.u32(static_cast<std::uint32_t>(bodies_.size()));
+        w.u32(static_cast<std::uint32_t>(geoms_.size()));
+        w.u32(static_cast<std::uint32_t>(joints_.size()));
+        w.u32(static_cast<std::uint32_t>(cloths_.size()));
+
+        // Blast volumes are the one structural mutation a running
+        // scene performs; record them so a fresh scene build can
+        // recreate them in id order before restoring per-entity
+        // state.
+        std::uint32_t spawns = 0;
+        for (const auto &g : geoms_) {
+            if (g->isBlast())
+                ++spawns;
+        }
+        w.u32(spawns);
+        for (const auto &g : geoms_) {
+            if (!g->isBlast())
+                continue;
+            parallax_assert(g->shape().type() == ShapeType::Sphere &&
+                            g->body() != nullptr);
+            w.u32(g->id());
+            w.u32(g->body()->id());
+            w.f64(static_cast<const SphereShape &>(g->shape()).radius());
+            w.vec3(g->body()->position());
+        }
+
+        for (const auto &b : bodies_) {
+            w.vec3(b->position());
+            w.quat(b->orientation());
+            w.vec3(b->linearVelocity());
+            w.vec3(b->angularVelocity());
+            w.vec3(b->force());
+            w.vec3(b->torque());
+            w.u8(b->enabled() ? 1 : 0);
+            w.u8(b->asleep() ? 1 : 0);
+            w.i32(b->sleepCounter());
+        }
+
+        for (const auto &j : joints_) {
+            w.u8(j->broken() ? 1 : 0);
+            w.f64(j->lastAppliedForce());
+            w.f64(j->accumulatedForce());
+        }
+
+        for (const auto &c : cloths_) {
+            w.u32(static_cast<std::uint32_t>(c->particles().size()));
+            for (const Cloth::Particle &p : c->particles()) {
+                w.vec3(p.position);
+                w.vec3(p.previous);
+                w.f64(p.invMass);
+            }
+        }
+
+        // Warm-start cache: the flat vector is key-sorted with each
+        // pair's entries in insertion order, so walking it group by
+        // group writes key-ascending groups.
+        std::uint32_t warm_groups = 0;
+        for (std::size_t i = 0; i < warmCache_.size();) {
+            std::size_t j = i + 1;
+            while (j < warmCache_.size() &&
+                   warmCache_[j].key == warmCache_[i].key)
+                ++j;
+            ++warm_groups;
+            i = j;
+        }
+        w.u32(warm_groups);
+        for (std::size_t i = 0; i < warmCache_.size();) {
+            std::size_t j = i + 1;
+            while (j < warmCache_.size() &&
+                   warmCache_[j].key == warmCache_[i].key)
+                ++j;
+            w.u64(warmCache_[i].key);
+            w.u32(static_cast<std::uint32_t>(j - i));
+            for (std::size_t k = i; k < j; ++k) {
+                const CachedContact &c = warmCache_[k].c;
+                w.vec3(c.position);
+                w.vec3(c.normal);
+                w.f64(c.lambdas[0]);
+                w.f64(c.lambdas[1]);
+                w.f64(c.lambdas[2]);
+            }
+            i = j;
+        }
+
+        w.u32(static_cast<std::uint32_t>(effects.explosives.size()));
+        for (const auto &e : effects.explosives) {
+            w.u32(e.geom);
+            w.f64(e.config.radius);
+            w.f64(e.config.duration);
+            w.f64(e.config.impulse);
+        }
+        w.u32(static_cast<std::uint32_t>(effects.blasts.size()));
+        for (const EffectsManager::Blast &b : effects.blasts) {
+            w.vec3(b.center);
+            w.f64(b.radius);
+            w.f64(b.impulse);
+            w.f64(b.duration);
+            w.f64(b.remaining);
+            w.u32(b.geom);
+        }
+        w.u32(static_cast<std::uint32_t>(effects.fractureBroken.size()));
+        for (const std::uint8_t broken : effects.fractureBroken)
+            w.u8(broken);
+    };
+
+    Writer<false> counter;
+    payload(counter);
+    const std::size_t payload_size = counter.size();
+    std::vector<std::uint8_t> bytes(snapshotHeaderSize + payload_size);
+    std::uint8_t *body = bytes.data() + snapshotHeaderSize;
+    Writer<true> w(body);
+    payload(w);
+    parallax_assert(w.size() == payload_size);
+
+    Writer<true> header(bytes.data());
+    header.bytes(snapshotMagic, sizeof(snapshotMagic));
     header.u32(snapshotVersion);
-    header.u64(fnv1a(payload.data(), payload.size()));
-    header.u64(payload.size());
-    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    header.u64(fnv1a(body, payload_size));
+    header.u64(payload_size);
     return bytes;
 }
 
@@ -911,19 +942,29 @@ isSnapshotDelta(const std::vector<std::uint8_t> &bytes)
                        sizeof(snapshotDeltaMagic)) == 0;
 }
 
+std::uint64_t
+snapshotDeltaChecksum(const std::vector<std::uint8_t> &bytes)
+{
+    return fnv1a(bytes.data(), bytes.size());
+}
+
 std::vector<std::uint8_t>
 encodeSnapshotDelta(const std::vector<std::uint8_t> &base,
+                    std::uint64_t baseChecksum,
                     const std::vector<std::uint8_t> &target)
 {
     // Collect differing byte ranges over the shared prefix, merging
     // runs separated by short matches; bytes past the base's end are
-    // one final range.
+    // one final range. The list is scratch, kept per thread so that
+    // encoding in a loop (a checkpoint ring per lane) stops
+    // allocating it.
     struct Range
     {
         std::size_t offset;
         std::size_t length;
     };
-    std::vector<Range> ranges;
+    thread_local std::vector<Range> ranges;
+    ranges.clear();
     const std::size_t shared = std::min(base.size(), target.size());
     std::size_t i = 0;
     while (i < shared) {
@@ -966,26 +1007,30 @@ encodeSnapshotDelta(const std::vector<std::uint8_t> &base,
         }
     }
 
-    std::vector<std::uint8_t> out;
     std::size_t payload = 0;
     for (const Range &r : ranges)
         payload += 12 + r.length;
-    out.reserve(deltaHeaderSize + payload);
-    out.insert(out.end(), snapshotDeltaMagic,
-               snapshotDeltaMagic + sizeof(snapshotDeltaMagic));
-    Writer w(out);
+    std::vector<std::uint8_t> out(deltaHeaderSize + payload);
+    Writer<true> w(out.data());
+    w.bytes(snapshotDeltaMagic, sizeof(snapshotDeltaMagic));
     w.u32(snapshotDeltaVersion);
-    w.u64(fnv1a(base.data(), base.size()));
+    w.u64(baseChecksum);
     w.u64(fnv1a(target.data(), target.size()));
     w.u64(target.size());
     w.u32(static_cast<std::uint32_t>(ranges.size()));
     for (const Range &r : ranges) {
         w.u64(r.offset);
         w.u32(static_cast<std::uint32_t>(r.length));
-        out.insert(out.end(), target.begin() + r.offset,
-                   target.begin() + r.offset + r.length);
+        w.bytes(target.data() + r.offset, r.length);
     }
     return out;
+}
+
+std::vector<std::uint8_t>
+encodeSnapshotDelta(const std::vector<std::uint8_t> &base,
+                    const std::vector<std::uint8_t> &target)
+{
+    return encodeSnapshotDelta(base, snapshotDeltaChecksum(base), target);
 }
 
 Status

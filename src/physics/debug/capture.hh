@@ -99,6 +99,21 @@ std::vector<std::uint8_t>
 encodeSnapshotDelta(const std::vector<std::uint8_t> &base,
                     const std::vector<std::uint8_t> &target);
 
+/** The checksum a delta embeds for its base: FNV-1a over every byte
+ *  of the blob, header included. */
+std::uint64_t snapshotDeltaChecksum(const std::vector<std::uint8_t> &bytes);
+
+/**
+ * encodeSnapshotDelta with the base's checksum supplied
+ * (snapshotDeltaChecksum(base)), for a caller that encodes many
+ * targets against one long-lived base and hashes it once. Returns
+ * the bytes encodeSnapshotDelta(base, target) returns.
+ */
+std::vector<std::uint8_t>
+encodeSnapshotDelta(const std::vector<std::uint8_t> &base,
+                    std::uint64_t baseChecksum,
+                    const std::vector<std::uint8_t> &target);
+
 /**
  * Reconstruct the target snapshot from `base` + `delta` into `out`.
  * Fails with DATA_LOSS when `base` is not the blob the delta was

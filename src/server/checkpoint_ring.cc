@@ -8,6 +8,7 @@
 
 #include "physics/debug/capture.hh"
 #include "physics/world.hh"
+#include "sim/logging.hh"
 
 namespace parallax
 {
@@ -50,11 +51,14 @@ CheckpointRing::push(std::uint64_t tick, std::vector<std::uint8_t> full)
     if (base_.empty() || capacity_ == 1) {
         base_ = std::move(full);
         baseTick_ = tick;
+        baseChecksum_.reset();
         deltas_.clear();
         return;
     }
+    if (!baseChecksum_)
+        baseChecksum_ = snapshotDeltaChecksum(base_);
     std::vector<std::uint8_t> delta =
-        encodeSnapshotDelta(base_, full);
+        encodeSnapshotDelta(base_, *baseChecksum_, full);
     // Store whichever representation is smaller. A busy scene moves
     // nearly every body byte between checkpoints, making the delta
     // as large as the snapshot — storing it full keeps the entry
@@ -94,6 +98,13 @@ CheckpointRing::reconstruct(std::size_t i,
     return okStatus();
 }
 
+const std::vector<std::uint8_t> &
+CheckpointRing::storedBytes(std::size_t i) const
+{
+    parallax_assert(i < size());
+    return i < deltas_.size() ? deltas_[i].blob : base_;
+}
+
 std::size_t
 CheckpointRing::bytesUsed() const
 {
@@ -109,6 +120,7 @@ CheckpointRing::clear()
     base_.clear();
     base_.shrink_to_fit();
     baseTick_ = 0;
+    baseChecksum_.reset();
     deltas_.clear();
 }
 
@@ -121,6 +133,9 @@ CheckpointRing::corruptNewest()
     // and payload are hit regardless of blob layout).
     for (std::size_t i = 0; i < blob.size(); i += 97)
         blob[i] ^= 0xa5;
+    // Later deltas encode against the corrupted anchor's bytes.
+    if (deltas_.empty())
+        baseChecksum_.reset();
 }
 
 } // namespace parallax

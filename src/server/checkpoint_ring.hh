@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "parallax/status.hh"
@@ -74,6 +75,11 @@ class CheckpointRing
     Status reconstruct(std::size_t i,
                        std::vector<std::uint8_t> &out) const;
 
+    /** The bytes held for checkpoint `i` (0 = newest, i < size()):
+     *  a PAXDELT1 delta against the anchor or a full snapshot; the
+     *  oldest is the anchor itself. */
+    const std::vector<std::uint8_t> &storedBytes(std::size_t i) const;
+
     /** Total bytes held (anchor + deltas): the memory-bound gauge. */
     std::size_t bytesUsed() const;
 
@@ -102,6 +108,10 @@ class CheckpointRing
     /** Full snapshot anchor — also the oldest checkpoint. */
     std::vector<std::uint8_t> base_;
     std::uint64_t baseTick_ = 0;
+    /** snapshotDeltaChecksum(base_), computed by the first push that
+     *  encodes against this anchor and dropped when the anchor's
+     *  bytes change: the anchor is hashed once, not once per delta. */
+    std::optional<std::uint64_t> baseChecksum_;
     /** Deltas vs base_, newest first. */
     std::deque<Entry> deltas_;
     std::size_t capacity_ = 3;

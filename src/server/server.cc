@@ -9,13 +9,17 @@
  * chunk, which makes the per-session bookkeeping (tick counters,
  * cost samples) race-free without any locks.
  *
- * Everything the self-healing layer decides — fault firing, watchdog
- * classification, the recovery ladder, checkpoint cadence — runs on
- * the calling thread, outside the parallelFor, in session order,
- * from deterministic inputs (session tick counters and, in tests,
- * mockTickSeconds). The lanes only ever run World::step(); recovery
- * decisions therefore replay bitwise-identically at any worker
- * count.
+ * Everything the self-healing layer decides — fault firing, the
+ * recovery ladder, checkpoint cadence — runs on the calling thread,
+ * outside the parallelFor, in session order, from deterministic
+ * inputs (session tick counters and, in tests, mockTickSeconds).
+ * The lanes do only per-session work that reads and writes nothing
+ * but the session they hold: World::step(), the watchdog verdict
+ * (a pure function of the session's own world and cost sample),
+ * and, in a second parallelFor after the watchdog, the capture of a
+ * due checkpoint into the session's own ring. Recovery decisions
+ * and checkpoint bytes therefore replay bitwise-identically at any
+ * worker count.
  */
 
 #include "server/server.hh"
@@ -498,24 +502,26 @@ Server::injectFaults()
 void
 Server::runPendingTicks()
 {
-    std::vector<Session *> active;
-    active.reserve(sessions_.size());
-    for (Session &s : sessions_)
+    active_.clear();
+    for (Session &s : sessions_) {
+        s.verdict.reset();
         if (s.pendingTicks > 0)
-            active.push_back(&s);
-    if (active.empty()) {
+            active_.push_back(&s);
+    }
+    if (active_.empty()) {
         stats_.lastUpdateSeconds = 0.0;
         return;
     }
 
+    const bool judge = selfHealingEnabled();
     const auto wall_start = std::chrono::steady_clock::now();
     // One session per chunk: the maximal stealing surface.
     scheduler_.parallelFor(
-        active.size(),
-        [this, &active](std::size_t begin, std::size_t end,
-                        unsigned /*lane*/) {
+        active_.size(),
+        [this, judge](std::size_t begin, std::size_t end,
+                      unsigned /*lane*/) {
             for (std::size_t i = begin; i < end; ++i) {
-                Session &s = *active[i];
+                Session &s = *active_[i];
                 for (int t = 0; t < s.pendingTicks; ++t) {
                     if (config_.mockTickSeconds) {
                         s.lastTickSeconds =
@@ -542,6 +548,12 @@ Server::runPendingTicks()
                     s.lastTickSeconds = s.stallSeconds;
                     s.stallSeconds = -1.0;
                 }
+                // The watchdog's verdict reads this session alone,
+                // cost sample included, so it is taken here, after
+                // the stall override, while the world is warm in
+                // this lane's cache.
+                if (judge)
+                    s.verdict = classify(s);
             }
         });
     const auto wall_end = std::chrono::steady_clock::now();
@@ -551,7 +563,7 @@ Server::runPendingTicks()
     // Merge per-session counters on the calling thread, after the
     // parallelFor barrier: no lane contention on the global stats.
     std::uint64_t ran = 0;
-    for (Session *s : active) {
+    for (Session *s : active_) {
         ran += static_cast<std::uint64_t>(s->pendingTicks);
         s->pendingTicks = 0;
     }
@@ -573,6 +585,14 @@ Server::classify(const Session &s) const
         s.lastTickSeconds > config_.tickDeadline)
         return WorldFailure::DeadlineOverrun;
     return WorldFailure::None;
+}
+
+WorldFailure
+Server::verdictOf(Session &s)
+{
+    if (!s.verdict)
+        s.verdict = classify(s);
+    return *s.verdict;
 }
 
 Status
@@ -649,10 +669,15 @@ Server::watchdogSweep()
             continue;
         }
 
-        const WorldFailure failure = classify(s);
+        // Sessions that ticked carry the verdict their lane took;
+        // the rest are classified here, in session order.
+        const WorldFailure failure = verdictOf(s);
         if (failure == WorldFailure::None) {
             if (s.health == HealthState::Probation &&
                 s.ticksRun >= s.probationUntilTick) {
+                // A healed (or rolled-back) session is classified
+                // afresh before its checkpoint.
+                s.verdict.reset();
                 s.health = HealthState::Healthy;
                 s.consecutiveRollbacks = 0;
                 s.recoveryRung = 0;
@@ -705,6 +730,7 @@ Server::watchdogSweep()
             continue;
         }
 
+        s.verdict.reset();
         ++s.consecutiveRollbacks;
         ++s.totalRollbacks;
         ++stats_.rollbacks;
@@ -743,6 +769,7 @@ Server::takeCheckpoints()
 {
     if (config_.checkpointIntervalTicks <= 0)
         return;
+    due_.clear();
     for (Session &s : sessions_) {
         if (s.health == HealthState::Frozen)
             continue;
@@ -750,14 +777,24 @@ Server::takeCheckpoints()
             continue;
         // Only provably-healthy states enter the ring: a checkpoint
         // of a sick world would make rollback a no-op.
-        if (classify(s) != WorldFailure::None)
+        if (verdictOf(s) != WorldFailure::None)
             continue;
-        s.ring.push(s.ticksRun, s.world->captureState());
+        due_.push_back(&s);
         s.nextCheckpointTick =
             s.ticksRun + static_cast<std::uint64_t>(
                              config_.checkpointIntervalTicks);
         ++stats_.checkpoints;
     }
+    // Capture and encode on the lanes: each chunk reads one world
+    // and writes one ring, so the bytes do not depend on the lane.
+    scheduler_.parallelFor(
+        due_.size(),
+        [this](std::size_t begin, std::size_t end, unsigned /*lane*/) {
+            for (std::size_t i = begin; i < end; ++i) {
+                Session &s = *due_[i];
+                s.ring.push(s.ticksRun, s.world->captureState());
+            }
+        });
 }
 
 Status

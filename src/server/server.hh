@@ -35,14 +35,19 @@
  *  - checkpointing: every checkpointIntervalTicks the server captures
  *    each healthy session into a per-world CheckpointRing (the K
  *    last-good snapshots, delta-encoded; staggered by session id so
- *    the capture cost spreads across updates).
- *  - watchdog: after every tick burst, each session is classified on
- *    the calling thread, in session order: a deferred invariant
- *    hard-fail, a permanent quarantine, a non-finite state, or a
- *    tick that overran ServerConfig::tickDeadline marks the world
- *    sick. Decisions key off deterministic inputs only (with
- *    mockTickSeconds supplying tick costs), so the same fault plan
- *    replays bitwise-identically at any worker count.
+ *    the capture cost spreads across updates). After the watchdog,
+ *    the due sessions are captured in one parallelFor, each ring by
+ *    one lane.
+ *  - watchdog: a deferred invariant hard-fail, a permanent
+ *    quarantine, a non-finite state, or a tick that overran
+ *    ServerConfig::tickDeadline marks the world sick. The verdict
+ *    reads one session's own world only, so the lane that ran the
+ *    session's ticks computes it at the end of its burst; the
+ *    recovery ladder then acts on the verdicts on the calling
+ *    thread, in session order. Decisions key off deterministic
+ *    inputs only (with mockTickSeconds supplying tick costs), so the
+ *    same fault plan replays bitwise-identically at any worker
+ *    count.
  *  - recovery ladder: a sick world is rolled back to its newest
  *    reconstructable checkpoint; repeated trips add a degradation
  *    floor (demoteRungsPerRetry rungs per retry) and exponential
@@ -62,6 +67,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -533,6 +539,12 @@ class Server
         /** Pending StalledTick fault: >= 0 overrides the next tick
          *  burst's cost sample. */
         double stallSeconds = -1.0;
+        /** classify() of this update, stored by the lane that ran
+         *  the session's ticks (or by the watchdog for a session
+         *  that did not tick) and reused by takeCheckpoints. Every
+         *  update clears it before the burst, and a rollback or a
+         *  heal clears it too. */
+        std::optional<WorldFailure> verdict;
 
         // --- Shedder ladder state. ---
 
@@ -567,7 +579,9 @@ class Server
     /** Promote calm shed-demoted sessions back up (hysteresis). */
     void relaxShedRungs(bool pressured);
 
-    /** Run every session's pendingTicks on the shared scheduler. */
+    /** Run every session's pendingTicks on the shared scheduler;
+     *  with self-healing on, each lane also stores the verdict of
+     *  every session it ticked. */
     void runPendingTicks();
 
     /** Fire due ServerFaultPlan events (calling thread, session
@@ -577,11 +591,16 @@ class Server
     /** Classify a session against the failure ladder. */
     WorldFailure classify(const Session &s) const;
 
-    /** Classify every session and drive the recovery ladder; then
-     *  age and evict frozen sessions. */
+    /** The session's verdict of this update: the stored one, else
+     *  classify() now, stored for reuse. */
+    WorldFailure verdictOf(Session &s);
+
+    /** Drive the recovery ladder from every session's verdict, in
+     *  session order; then age and evict frozen sessions. */
     void watchdogSweep();
 
-    /** Capture due checkpoints of healthy sessions (staggered). */
+    /** Pick the due, healthy sessions (staggered) in session order,
+     *  then capture them into their rings in one parallelFor. */
     void takeCheckpoints();
 
     /** Roll `s` back to its newest reconstructable checkpoint.
@@ -595,6 +614,10 @@ class Server
     ServerConfig config_;
     TaskScheduler scheduler_;
     std::vector<Session> sessions_;
+    /** Sessions with pending ticks, and sessions due a checkpoint:
+     *  rebuilt every update, kept so their storage is reused. */
+    std::vector<Session *> active_;
+    std::vector<Session *> due_;
     WorldId nextId_ = 1;
     ServerStats stats_;
     /** One flag per ServerFaultPlan event: fired yet? */

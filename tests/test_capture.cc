@@ -149,6 +149,62 @@ TEST(Capture, FreshWorldRoundTripRecreatesBlastSpawns)
                        "fresh-world replay diverged");
 }
 
+/** FNV-1a over a whole blob, header included. */
+std::uint64_t
+blobFnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        hash ^= b;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/** Every byte of captureState() is pinned for four scenes at fixed
+ *  steps: cloth particles (Deformable, Mix), spawned blast volumes
+ *  and active blasts (Explosions) and fracture flags (Breakable).
+ *  A rewrite of the writer must reproduce the blobs byte for byte;
+ *  a layout change bumps snapshotVersion and re-records these. */
+TEST(Capture, CaptureBytesArePinned)
+{
+    struct Pin
+    {
+        BenchmarkId id;
+        double scale;
+        int steps;
+        std::size_t size;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {BenchmarkId::Mix, 0.12, 40, 640639, 0x82c46cff5d5152bcull},
+        {BenchmarkId::Deformable, 0.25, 30, 123427, 0xe9042a39f0c7b6acull},
+        {BenchmarkId::Explosions, 0.12, 60, 241261, 0x75cb85b79637aef7ull},
+        {BenchmarkId::Breakable, 0.12, 50, 679598, 0x975bf12169bc3034ull},
+    };
+    for (const Pin &pin : pins) {
+        const char *name = benchmarkInfo(pin.id).name;
+        auto world = buildBenchmark(pin.id, mixConfig(0), pin.scale);
+        for (int i = 0; i < pin.steps; ++i)
+            world->step();
+        const std::vector<std::uint8_t> bytes = world->captureState();
+        SnapshotInfo info;
+        WorldConfig config;
+        ASSERT_TRUE(describeSnapshot(bytes, info, config).ok()) << name;
+        if (pin.id == BenchmarkId::Explosions) {
+            EXPECT_GT(info.blastSpawns, 0u) << name;
+        }
+        if (pin.id == BenchmarkId::Deformable ||
+            pin.id == BenchmarkId::Mix) {
+            EXPECT_GT(info.cloths, 0u) << name;
+        }
+        EXPECT_EQ(bytes.size(), pin.size) << name;
+        EXPECT_EQ(blobFnv1a(bytes), pin.fnv)
+            << name << std::hex << ": 0x" << blobFnv1a(bytes)
+            << std::dec << " spawns " << info.blastSpawns;
+    }
+}
+
 TEST(Capture, TruncatedSnapshotFailsReadably)
 {
     auto world = buildBenchmark(BenchmarkId::Mix, mixConfig(), 0.12);

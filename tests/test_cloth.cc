@@ -364,7 +364,15 @@ TEST(Cloth, ReachBoxNeverHidesAProjection)
               Transform(Quat(), {-1.0, 0.2, -0.8})),
         place(world.addTriMesh({{0, 0, 0}, {2, 0, 0}, {0, 0.5, 2}},
                                {{0, 1, 2}}),
-              Transform(Quat(), {0.5, 0.0, 0.0}))};
+              Transform(Quat(), {0.5, 0.0, 0.0})),
+        // The six axis planes, whose reach is a half-space box.
+        place(world.addPlane({0, 1, 0}, 0.4), Transform()),
+        place(world.addPlane({0, -1, 0}, -2.0), Transform()),
+        place(world.addPlane({1, 0, 0}, -0.7), Transform()),
+        place(world.addPlane({-1, 0, 0}, 0.3), Transform()),
+        place(world.addPlane({0, 0, 1}, 1.1), Transform()),
+        place(world.addPlane({0, 0, -1}, -0.5), Transform())};
+    const std::size_t first_axis_plane = 6;
 
     const Real nan = std::numeric_limits<Real>::quiet_NaN();
     const Real inf = std::numeric_limits<Real>::infinity();
@@ -431,8 +439,9 @@ TEST(Cloth, ReachBoxNeverHidesAProjection)
         }
         EXPECT_EQ(kept, 0) << name << ": face points not culled";
         EXPECT_EQ(hidden, 0) << name << ": face points";
-        if (g->shape().type() != ShapeType::Plane &&
-            g->shape().type() != ShapeType::TriMesh) {
+        if (g->shape().type() == ShapeType::Plane) {
+            EXPECT_EQ(faces, gi >= first_axis_plane ? 1 : 0) << name;
+        } else if (g->shape().type() != ShapeType::TriMesh) {
             EXPECT_GE(faces, 5) << name;
         }
 
@@ -463,6 +472,36 @@ TEST(Cloth, ReachBoxNeverHidesAProjection)
             EXPECT_EQ(culled, 0) << name << " culls for a NaN pose";
         }
         g->body()->setPose(good);
+    }
+
+    // An axis plane at a NaN or infinite offset: a NaN bound never
+    // culls, and where an infinite one culls, the exact test would
+    // not have moved the point either.
+    for (const Real offset : {nan, inf, -inf}) {
+        for (int axis = 0; axis < 3; ++axis) {
+            for (const Real sign : {1.0, -1.0}) {
+                Vec3 normal;
+                normal[axis] = sign;
+                const PlaneShape plane(normal, offset);
+                const Geom geom(0, &plane, nullptr, Transform());
+                const ClothCollider c = poseClothCollider(geom, margin);
+                int hidden = 0;
+                int culled = 0;
+                for (int i = 0; i < 1000; ++i) {
+                    const Vec3 p{16 * unit(rng) - 8, 16 * unit(rng) - 8,
+                                 16 * unit(rng) - 8};
+                    Vec3 q = p;
+                    const bool moved = clothProjectOut(c, q, margin);
+                    const bool skipped = clothReachSkips(c, p);
+                    culled += skipped;
+                    hidden += skipped && (moved || !sameBits(p, q));
+                }
+                EXPECT_EQ(hidden, 0) << "offset " << offset;
+                if (std::isnan(offset)) {
+                    EXPECT_EQ(culled, 0) << "a NaN plane culls";
+                }
+            }
+        }
     }
 
     // A bodiless geom keeps its offset's rotation as given. This one

@@ -122,6 +122,59 @@ TEST(CheckpointRing, CorruptNewestLeavesOlderEntriesRestorable)
     EXPECT_EQ(out, older);
 }
 
+TEST(CheckpointRing, StoresTheReferenceEncodingAcrossScenes)
+{
+    for (BenchmarkId id : allBenchmarks) {
+        const char *name = benchmarkInfo(id).name;
+        auto world = buildScene(id, 0.05);
+        CheckpointRing ring(3);
+        std::vector<std::uint8_t> anchor;
+        int deltas = 0;
+        // Six pushes into a ring of three: the anchor, two deltas,
+        // then three pushes that each evict the oldest delta.
+        for (int c = 0; c < 6; ++c) {
+            for (int t = 0; t < 3; ++t)
+                world->step();
+            std::vector<std::uint8_t> full = world->captureState();
+            ring.push(world->stepCount(), full);
+            if (c == 0) {
+                anchor = full;
+                EXPECT_EQ(ring.storedBytes(0), anchor) << name;
+                continue;
+            }
+            const std::vector<std::uint8_t> delta =
+                encodeSnapshotDelta(anchor, full);
+            const bool stored_delta = delta.size() < full.size();
+            deltas += stored_delta;
+            EXPECT_EQ(ring.storedBytes(0), stored_delta ? delta : full)
+                << name << " push " << c;
+        }
+        EXPECT_EQ(ring.storedBytes(ring.size() - 1), anchor) << name;
+        EXPECT_GT(deltas, 0) << name << ": no entry stored as a delta";
+    }
+
+    // A corrupted anchor is what later deltas encode against, also
+    // after a delta was encoded against the intact anchor: shrink the
+    // ring to its anchor, corrupt it, grow the ring again.
+    auto world = buildScene(BenchmarkId::Mix, 0.05);
+    CheckpointRing ring(3);
+    ring.push(world->stepCount(), world->captureState());
+    world->step();
+    ring.push(world->stepCount(), world->captureState());
+    ring.setCapacity(1);
+    ring.corruptNewest();
+    const std::vector<std::uint8_t> corrupt_anchor = ring.storedBytes(0);
+    ring.setCapacity(3);
+    world->step();
+    const std::vector<std::uint8_t> full = world->captureState();
+    ring.push(world->stepCount(), full);
+    ASSERT_TRUE(isSnapshotDelta(ring.storedBytes(0)));
+    EXPECT_EQ(ring.storedBytes(0), encodeSnapshotDelta(corrupt_anchor, full));
+    std::vector<std::uint8_t> out;
+    ASSERT_TRUE(ring.reconstruct(0, out).ok());
+    EXPECT_EQ(out, full);
+}
+
 // --- Watchdog + recovery ladder. ----------------------------------
 
 TEST(Recovery, RollbackRestoresPoisonedWorld)
@@ -384,6 +437,93 @@ TEST(Recovery, DecisionsAndStateBitwiseIdenticalAcrossWorkerCounts)
             << "post-recovery state diverged at workers=" << workers;
         EXPECT_EQ(outcome.metrics, solo.metrics)
             << "metrics diverged at workers=" << workers;
+    }
+}
+
+/** Every rollback restores the live world's bytes: with a
+ *  checkpoint after every healthy tick, a session poisoned at tick T
+ *  rolls back to the capture taken at T, which must hash equal to
+ *  the same scene stepped solo T times, at any worker count. */
+TEST(Recovery, RollbacksRestoreTheLiveWorldsCheckpoint)
+{
+    struct Scene
+    {
+        BenchmarkId id;
+        double scale;
+    };
+    const Scene scenes[] = {
+        {BenchmarkId::Mix, 0.05},        {BenchmarkId::Periodic, 0.05},
+        {BenchmarkId::Ragdoll, 0.08},    {BenchmarkId::Deformable, 0.1},
+        {BenchmarkId::Breakable, 0.08},  {BenchmarkId::Mix, 0.08},
+        {BenchmarkId::Continuous, 0.05},
+    };
+    // One NaN fault per poisoned session (ids 1, 2, 4, 5, 6), at
+    // chosen ticks; sessions 3 and 7 stay healthy throughout. No
+    // poisoned tick spawns a blast volume: restoreState cannot take
+    // back a spawn made after the capture, so such a rollback fails
+    // and freezes the session (Breakable spawns one in tick 14).
+    const std::vector<ServerFaultEvent> faults = {
+        {4, 1, ServerFaultKind::NanState, 0, 0.0},
+        {9, 2, ServerFaultKind::NanState, 1, 0.0},
+        {6, 4, ServerFaultKind::NanState, 2, 0.0},
+        {11, 5, ServerFaultKind::NanState, 0, 0.0},
+        {13, 6, ServerFaultKind::NanState, 3, 0.0},
+    };
+    for (unsigned workers : {0u, 2u, 8u}) {
+        ServerConfig sc;
+        sc.workerThreads = workers;
+        sc.checkpointIntervalTicks = 1;
+        sc.checkpointRingSize = 3;
+        sc.faultPlan.events = faults;
+        Server server(sc);
+        for (const Scene &scene : scenes) {
+            WorldId id = invalidWorldId;
+            ASSERT_TRUE(server
+                            .adoptWorld(buildScene(scene.id, scene.scale),
+                                        id)
+                            .ok());
+        }
+
+        std::size_t seen = 0;
+        std::vector<WorldId> rolled_back;
+        for (int t = 0; t < 20; ++t) {
+            ASSERT_TRUE(server.tickAll(1).ok());
+            for (; seen < server.recoveryLog().size(); ++seen) {
+                const RecoveryRecord &r = server.recoveryLog()[seen];
+                ASSERT_EQ(r.action, RecoveryAction::Rollback)
+                    << "workers=" << workers << " world " << r.world
+                    << ": " << r.status.toString();
+                rolled_back.push_back(r.world);
+                std::uint64_t fault_tick = 0;
+                for (const ServerFaultEvent &e : faults)
+                    if (e.world == r.world)
+                        fault_tick = e.tick;
+                EXPECT_EQ(r.restoredTick, fault_tick)
+                    << "workers=" << workers << " world " << r.world
+                    << ": the newest checkpoint is the last healthy tick";
+
+                const Scene &scene = scenes[r.world - 1];
+                auto solo = buildScene(scene.id, scene.scale);
+                for (std::uint64_t k = 0; k < r.restoredTick; ++k)
+                    solo->step();
+                const World &restored = *server.world(r.world);
+                EXPECT_EQ(restored.stepCount(), r.restoredTick);
+                EXPECT_EQ(worldStateHash(restored), worldStateHash(*solo))
+                    << "workers=" << workers << " world " << r.world
+                    << " restored tick " << r.restoredTick;
+                EXPECT_EQ(restored.captureState(), solo->captureState())
+                    << "workers=" << workers << " world " << r.world;
+                // Classified afresh after its rollback, the restored
+                // world is checkpointed in the same update.
+                SessionHealth health;
+                ASSERT_TRUE(server.sessionHealth(r.world, health).ok());
+                EXPECT_EQ(health.lastCheckpointTick, r.tick)
+                    << "workers=" << workers << " world " << r.world;
+            }
+        }
+        EXPECT_EQ(rolled_back, (std::vector<WorldId>{1, 4, 2, 5, 6}))
+            << "workers=" << workers;
+        EXPECT_EQ(server.stats().rollbacks, faults.size());
     }
 }
 
