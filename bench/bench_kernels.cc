@@ -1,23 +1,21 @@
 /**
  * @file
- * Kernel-backend microbenchmark: ns/row for every hot kernel behind
- * the KernelBackend seam (physics/kernels), scalar reference vs
- * each vector backend this host can run, one per ISA (AVX-512 with
- * its W=16 fp32 contact path, AVX2 W=4, NEON W=4), plus the speedup
- * column.
+ * Kernel-backend microbenchmark: ns/row for every kernel behind the
+ * KernelBackend seam (physics/kernels: the PGS sweep and the two
+ * cloth kernels), scalar reference vs each vector backend this host
+ * can run, one per ISA (AVX-512 with its W=16 fp32 contact path,
+ * AVX2 W=4, NEON W=4), plus the speedup column.
  *
  * Workloads are synthetic but sized and shaped like the engine's
  * steady state: a contact pile's PGS triplets (normal + two coupled
  * friction rows over shared bodies, physically consistent M·J so
- * the sweep converges), a 64x64 cloth patch (relaxation in the
+ * the sweep converges) and a 64x64 cloth patch (relaxation in the
  * orders Cloth builds — wavefront order for the scalar sweep, the
  * edge coloring for Native — and Verlet integration over the
- * particle streams), and near-touching narrowphase candidate
- * batches. Each
- * sample times the whole kernel call — including the Native PGS
- * color/permute rebuild, which the engine also pays every solve —
- * and the reported figure is the best of `--samples` (default 25)
- * samples.
+ * particle streams). Each sample times the whole kernel call —
+ * including the Native PGS color/permute rebuild, which the engine
+ * also pays every solve — and the reported figure is the best of
+ * `--samples` (default 25) samples.
  *
  * Staged into BENCH_kernels.json (baseline committed under
  * bench/baselines/): per kernel, rows per call, ns/row per backend,
@@ -328,57 +326,6 @@ struct ClothWorkload
     }
 };
 
-// -----------------------------------------------------------------
-// Narrowphase workloads.
-// -----------------------------------------------------------------
-
-// Batches arrive from the broadphase, so most candidate pairs are
-// near-touching; shape the synthetic batches the same way (~75%
-// overlapping) rather than scattering pairs across empty space.
-
-SphereSphereBatch
-makeSphereSphere(std::size_t pairs)
-{
-    std::mt19937 rng(777);
-    std::uniform_real_distribution<double> u(-4.0, 4.0);
-    std::uniform_real_distribution<double> s(-1.0, 1.0);
-    SphereSphereBatch b;
-    for (std::size_t i = 0; i < pairs; ++i) {
-        const Vec3 c{u(rng), u(rng), u(rng)};
-        Vec3 d{s(rng), s(rng), s(rng)};
-        if (d.length() < 1e-3)
-            d = {1.0, 0.0, 0.0};
-        // Separation 1.7..2.3 diameters: hits with shallow overlap,
-        // plus a tail of near-misses like a loose broadphase box.
-        const double sep = 1.7 + 0.6 * std::fabs(s(rng));
-        b.push(c, 1.0, c + d * (sep / d.length()), 1.0);
-    }
-    b.prepareOutputs();
-    return b;
-}
-
-SphereBoxBatch
-makeSphereBox(std::size_t pairs)
-{
-    std::mt19937 rng(888);
-    std::uniform_real_distribution<double> u(-2.0, 2.0);
-    std::uniform_real_distribution<double> s(-1.0, 1.0);
-    SphereBoxBatch b;
-    for (std::size_t i = 0; i < pairs; ++i) {
-        Quat q{1.0 + u(rng), u(rng), u(rng), u(rng)};
-        q = q.normalized();
-        const Vec3 bc{u(rng), u(rng), u(rng)};
-        Vec3 d{s(rng), s(rng), s(rng)};
-        if (d.length() < 1e-3)
-            d = {0.0, 1.0, 0.0};
-        const double sep = 0.9 + 0.5 * std::fabs(s(rng));
-        b.push(bc + d * (sep / d.length()), 0.5, q, bc,
-               {0.6, 0.6, 0.6});
-    }
-    b.prepareOutputs();
-    return b;
-}
-
 /** One measured kernel: rows per timed call + per-backend runner. */
 struct KernelCase
 {
@@ -414,9 +361,6 @@ main(int argc, char **argv)
     // Workloads (sized like a busy engine step).
     PgsWorkload pgs(2048, 900);
     ClothWorkload cloth(64, 64);
-    SphereSphereBatch ss = makeSphereSphere(4096);
-    SphereBoxBatch sb = makeSphereBox(4096);
-    KernelStats sink;
 
     // Integration is cheap per row: run several passes per timed
     // call so every sample is comfortably above timer resolution.
@@ -457,22 +401,6 @@ main(int argc, char **argv)
              ClothParticlesView pv = cloth.particles();
              for (int s = 0; s < integratePasses; ++s)
                  kb.clothIntegrate(pv, accel, 0.995, stats);
-         }});
-    cases.push_back(
-        {"sphere_sphere",
-         ss.size(),
-         [] {},
-         [&](const KernelBackend &kb) {
-             KernelStats stats;
-             kb.sphereSphereBatch(ss, stats);
-         }});
-    cases.push_back(
-        {"sphere_box",
-         sb.size(),
-         [] {},
-         [&](const KernelBackend &kb) {
-             KernelStats stats;
-             kb.sphereBoxBatch(sb, stats);
          }});
 
     // Header row.
@@ -524,6 +452,5 @@ main(int argc, char **argv)
         std::printf("\nwrote %s\n", out.c_str());
     else
         std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    (void)sink;
     return 0;
 }

@@ -165,6 +165,14 @@ SweepAndPrune::findPairsInto(const std::vector<Geom *> &geoms,
         ++stats_.storageGrowths;
 }
 
+void
+SweepAndPrune::forgetGeomsFrom(GeomId first)
+{
+    auto doomed = [first](const Geom *g) { return g->id() >= first; };
+    std::erase_if(axis_, doomed);
+    std::erase_if(planes_, doomed);
+}
+
 std::vector<GeomPair>
 SweepAndPrune::findPairs(const std::vector<Geom *> &geoms)
 {

@@ -105,6 +105,11 @@ class SweepAndPrune
      *  calling thread. */
     std::vector<GeomPair> findPairs(const std::vector<Geom *> &geoms);
 
+    /** Drop every held pointer to a geom with id >= `first` (call
+     *  before those geoms are destroyed); the next call then sees a
+     *  membership change and rebuilds its axis. */
+    void forgetGeomsFrom(GeomId first);
+
     const BroadphaseStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 

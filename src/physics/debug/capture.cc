@@ -634,8 +634,11 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
 
     // Line the structure up before touching any state: either the
     // world already contains the spawned blast volumes (restoring
-    // into the same world) or it is a fresh scene build and they
-    // must be recreated in id order.
+    // into the same world), or it is a fresh scene build and they
+    // must be recreated in id order, or it spawned more of them
+    // after the capture (a rollback across a blast), which the
+    // commit below removes again.
+    std::size_t late_spawns = 0;
     if (geoms_.size() + spawn_records.size() == p.info.geoms) {
         for (const Spawn &s : spawn_records) {
             const SphereShape *sphere = addSphere(s.radius);
@@ -653,13 +656,36 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
                     std::to_string(anchor->id()));
             }
         }
-    } else if (geoms_.size() == p.info.geoms) {
+    } else if (geoms_.size() >= p.info.geoms) {
+        late_spawns = geoms_.size() - p.info.geoms;
         for (const Spawn &s : spawn_records) {
-            if (s.geom >= geoms_.size() ||
+            if (s.geom >= p.info.geoms ||
                 !geoms_[s.geom]->isBlast()) {
                 return failedPrecondition(
                     "snapshot blast geom " + std::to_string(s.geom) +
                     " is not a blast volume in this world");
+            }
+        }
+        // Each extra geom must be a blast volume spawned after the
+        // capture: a sphere on its own static anchor, where anchor
+        // and shape are the matching tail entries of bodies_ and
+        // shapes_ (triggerExplosion creates shape, body, geom).
+        const bool tails_fit = bodies_.size() >= late_spawns &&
+                               shapes_.size() >= late_spawns;
+        for (std::size_t i = 0; i < late_spawns; ++i) {
+            const Geom &g = *geoms_[p.info.geoms + i];
+            const std::size_t body = bodies_.size() - late_spawns + i;
+            const std::size_t shape = shapes_.size() - late_spawns + i;
+            if (!tails_fit || !g.isBlast() ||
+                g.body() != bodies_[body].get() ||
+                !g.body()->isStatic() ||
+                &g.shape() != shapes_[shape].get()) {
+                return failedPrecondition(
+                    "snapshot does not match this world: snapshot has " +
+                    std::to_string(p.info.geoms) + " geoms, world has " +
+                    std::to_string(geoms_.size()) + " and geom " +
+                    std::to_string(g.id()) +
+                    " is not a blast volume spawned after the capture");
             }
         }
     } else {
@@ -670,7 +696,7 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
             " blast spawns), world has " +
             std::to_string(geoms_.size()));
     }
-    if (bodies_.size() != p.info.bodies ||
+    if (bodies_.size() - late_spawns != p.info.bodies ||
         joints_.size() != p.info.joints ||
         cloths_.size() != p.info.cloths) {
         return failedPrecondition(
@@ -678,7 +704,7 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
             std::to_string(p.info.bodies) + " bodies / " +
             std::to_string(p.info.joints) + " joints / " +
             std::to_string(p.info.cloths) + " cloths, world has " +
-            std::to_string(bodies_.size()) + " / " +
+            std::to_string(bodies_.size() - late_spawns) + " / " +
             std::to_string(joints_.size()) + " / " +
             std::to_string(cloths_.size()));
     }
@@ -789,6 +815,7 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
         return dataLoss(r.error());
 
     // Commit.
+    removeTailBlastSpawns(late_spawns);
     for (std::size_t i = 0; i < bodies_.size(); ++i) {
         RigidBody *body = bodies_[i].get();
         const BodyState &s = body_states[i];
@@ -853,6 +880,28 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
     // is the supervisor's to lift — it survives restores).
     hardFailCode_.clear();
     return okStatus();
+}
+
+void
+World::removeTailBlastSpawns(std::size_t count)
+{
+    if (count == 0)
+        return;
+    // Drop every cached pointer to the spawns before they go: the
+    // sweep axis persists across steps, and the broadphase pointer
+    // list and cloth collider tables hold last step's geoms.
+    broadphase_.forgetGeomsFrom(
+        static_cast<GeomId>(geoms_.size() - count));
+    geomPtrs_.clear();
+    clothCandidates_.clear();
+    for (std::vector<const Geom *> &colliders : clothColliders_)
+        colliders.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+        geoms_.pop_back();
+        bodyPtrs_.pop_back();
+        bodies_.pop_back();
+        shapes_.pop_back();
+    }
 }
 
 std::vector<InvariantViolation>

@@ -830,129 +830,4 @@ relaxClothSlotScalar(const ClothParticlesView &p,
     p.pz[b] -= dz * sb;
 }
 
-void
-sphereSphereSlotScalar(SphereSphereBatch &b, std::size_t i)
-{
-    // Mirrors collide.cc sphereSphere() exactly.
-    const double dx = b.ax[i] - b.bx[i];
-    const double dy = b.ay[i] - b.by[i];
-    const double dz = b.az[i] - b.bz[i];
-    const double dist2 = dx * dx + dy * dy + dz * dz;
-    const double rsum = b.ar[i] + b.br[i];
-    if (dist2 > rsum * rsum) {
-        b.hit[i] = 0;
-        return;
-    }
-    const double dist = std::sqrt(dist2);
-    double nx_, ny_, nz_;
-    if (dist > 1e-12) {
-        nx_ = dx / dist;
-        ny_ = dy / dist;
-        nz_ = dz / dist;
-    } else {
-        nx_ = 0.0;
-        ny_ = 1.0;
-        nz_ = 0.0;
-    }
-    const double depth = rsum - dist;
-    const double t = b.br[i] - 0.5 * depth;
-    b.px[i] = b.bx[i] + nx_ * t;
-    b.py[i] = b.by[i] + ny_ * t;
-    b.pz[i] = b.bz[i] + nz_ * t;
-    b.nx[i] = nx_;
-    b.ny[i] = ny_;
-    b.nz[i] = nz_;
-    b.depth[i] = depth;
-    b.hit[i] = 1;
-}
-
-namespace
-{
-
-/** v + t*w + u×t with u = (ux,uy,uz), t = u×v * 2 — the exact
- *  Quat::rotate arithmetic on explicit components. */
-inline void
-quatRotate(double qw, double ux, double uy, double uz, double vx,
-           double vy, double vz, double &rx, double &ry, double &rz)
-{
-    const double tx = (uy * vz - uz * vy) * 2.0;
-    const double ty = (uz * vx - ux * vz) * 2.0;
-    const double tz = (ux * vy - uy * vx) * 2.0;
-    rx = (vx + tx * qw) + (uy * tz - uz * ty);
-    ry = (vy + ty * qw) + (uz * tx - ux * tz);
-    rz = (vz + tz * qw) + (ux * ty - uy * tx);
-}
-
-} // namespace
-
-void
-sphereBoxSlotScalar(SphereBoxBatch &b, std::size_t i)
-{
-    // Mirrors collide.cc sphereBox() exactly (deep case included).
-    const double qw = b.qw[i], qx_ = b.qx[i], qy_ = b.qy[i],
-                 qz_ = b.qz[i];
-    const double wx = b.cx[i] - b.bx[i];
-    const double wy = b.cy[i] - b.by[i];
-    const double wz = b.cz[i] - b.bz[i];
-    // applyInverse: rotate by the conjugate.
-    double lx, ly, lz;
-    quatRotate(qw, -qx_, -qy_, -qz_, wx, wy, wz, lx, ly, lz);
-
-    const double hx_ = b.hx[i], hy_ = b.hy[i], hz_ = b.hz[i];
-    const double clx = std::clamp(lx, -hx_, hx_);
-    const double cly = std::clamp(ly, -hy_, hy_);
-    const double clz = std::clamp(lz, -hz_, hz_);
-    const double dx = lx - clx;
-    const double dy = ly - cly;
-    const double dz = lz - clz;
-    const double dist2 = dx * dx + dy * dy + dz * dz;
-    const double r = b.cr[i];
-    if (dist2 > r * r) {
-        b.hit[i] = 0;
-        return;
-    }
-
-    double nlx, nly, nlz, depth;
-    if (dist2 > 1e-18) {
-        const double dist = std::sqrt(dist2);
-        nlx = dx / dist;
-        nly = dy / dist;
-        nlz = dz / dist;
-        depth = r - dist;
-    } else {
-        const double ex = hx_ - std::fabs(lx);
-        const double ey = hy_ - std::fabs(ly);
-        const double ez = hz_ - std::fabs(lz);
-        if (ex <= ey && ex <= ez) {
-            nlx = lx >= 0 ? 1.0 : -1.0;
-            nly = 0.0;
-            nlz = 0.0;
-            depth = ex + r;
-        } else if (ey <= ez) {
-            nlx = 0.0;
-            nly = ly >= 0 ? 1.0 : -1.0;
-            nlz = 0.0;
-            depth = ey + r;
-        } else {
-            nlx = 0.0;
-            nly = 0.0;
-            nlz = lz >= 0 ? 1.0 : -1.0;
-            depth = ez + r;
-        }
-    }
-
-    double pxw, pyw, pzw;
-    quatRotate(qw, qx_, qy_, qz_, clx, cly, clz, pxw, pyw, pzw);
-    b.px[i] = pxw + b.bx[i];
-    b.py[i] = pyw + b.by[i];
-    b.pz[i] = pzw + b.bz[i];
-    double nxw, nyw, nzw;
-    quatRotate(qw, qx_, qy_, qz_, nlx, nly, nlz, nxw, nyw, nzw);
-    b.nx[i] = nxw;
-    b.ny[i] = nyw;
-    b.nz[i] = nzw;
-    b.depth[i] = depth;
-    b.hit[i] = 1;
-}
-
 } // namespace parallax

@@ -2,18 +2,19 @@
  * @file
  * Pluggable kernel backend seam for the SoA hot kernels.
  *
- * The three hottest per-element loops in the engine — the PGS
- * relaxation sweep, cloth constraint relaxation + Verlet
- * integration, and batched sphere/sphere + sphere/box narrowphase —
- * run behind this interface. Two implementations exist:
+ * Two per-element loops of the engine run behind this interface: the
+ * PGS relaxation sweep, and cloth Verlet integration plus constraint
+ * relaxation. The narrowphase is not part of the seam: every backend
+ * tests pairs through the one scalar dispatcher in collide.cc
+ * (DESIGN.md section 13). Two implementations exist:
  *
  *  - Scalar: a verbatim copy of the pre-seam loops. This is the
  *    bitwise-deterministic reference; `tools/state_hash` asserts its
  *    trajectories are identical to the pre-refactor engine on all
  *    benchmark scenes.
- *  - Native: SIMD via the simd_pack wrapper (AVX2 on x86-64, NEON
- *    on aarch64) with runtime CPU dispatch. Elementwise kernels are
- *    bitwise identical per element (no FMA, same IEEE op order);
+ *  - Native: SIMD via the simd_pack wrapper (AVX2/AVX-512 on x86-64,
+ *    NEON on aarch64) with runtime CPU dispatch. Cloth integration
+ *    is bitwise identical per element (no FMA, same IEEE op order);
  *    the relaxation kernels reorder rows through a conflict-free
  *    coloring, so Native trajectories are tolerance-bounded, not
  *    bitwise, against Scalar (DESIGN.md section 13).
@@ -30,7 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "physics/math/quat.hh"
 #include "physics/math/vec3.hh"
 
 namespace parallax
@@ -46,8 +46,8 @@ enum class SimdBackend
     Native,
 };
 
-/** Observability counters for the vector engine (merged into the
- *  per-phase stats and surfaced as the kernel.* metrics). */
+/** Observability counters for the vector engine (merged into
+ *  StepStats::solver.kernels and StepStats::cloth.kernels). */
 struct KernelStats
 {
     /** Elements processed in full-width SIMD packs (per sweep). */
@@ -282,98 +282,6 @@ void wavefrontEdges(const std::int32_t *a, const std::int32_t *b,
                     std::size_t count, std::size_t nodes,
                     std::vector<std::uint32_t> &order);
 
-/** Packed sphere/sphere candidate pairs (slot i = one pair). */
-struct SphereSphereBatch
-{
-    // Inputs: centers + radii, in the narrowphase's canonical order.
-    std::vector<double> ax, ay, az, ar;
-    std::vector<double> bx, by, bz, br;
-    // Outputs: contact point/normal/depth where hit[i] != 0.
-    std::vector<double> px, py, pz, nx, ny, nz, depth;
-    std::vector<std::uint8_t> hit;
-
-    std::size_t size() const { return ax.size(); }
-
-    void
-    clear()
-    {
-        ax.clear(); ay.clear(); az.clear(); ar.clear();
-        bx.clear(); by.clear(); bz.clear(); br.clear();
-    }
-
-    void
-    push(const Vec3 &ca, Real ra, const Vec3 &cb, Real rb)
-    {
-        ax.push_back(ca.x); ay.push_back(ca.y); az.push_back(ca.z);
-        ar.push_back(ra);
-        bx.push_back(cb.x); by.push_back(cb.y); bz.push_back(cb.z);
-        br.push_back(rb);
-    }
-
-    /** Size the output arrays to match the inputs. */
-    void
-    prepareOutputs()
-    {
-        const std::size_t n = size();
-        px.resize(n); py.resize(n); pz.resize(n);
-        nx.resize(n); ny.resize(n); nz.resize(n);
-        depth.resize(n);
-        hit.assign(n, 0);
-    }
-};
-
-/**
- * Packed sphere/box candidate pairs. hit[i] is 0 (miss), 1 (contact
- * written), or 2 (sphere center essentially inside the box — the
- * branchy nearest-face case, left for the caller's scalar fallback).
- * The Scalar backend resolves the deep case inline and never
- * emits 2.
- */
-struct SphereBoxBatch
-{
-    // Sphere center + radius; box rotation (quat), position, half
-    // extents.
-    std::vector<double> cx, cy, cz, cr;
-    std::vector<double> qw, qx, qy, qz;
-    std::vector<double> bx, by, bz;
-    std::vector<double> hx, hy, hz;
-    std::vector<double> px, py, pz, nx, ny, nz, depth;
-    std::vector<std::uint8_t> hit;
-
-    std::size_t size() const { return cx.size(); }
-
-    void
-    clear()
-    {
-        cx.clear(); cy.clear(); cz.clear(); cr.clear();
-        qw.clear(); qx.clear(); qy.clear(); qz.clear();
-        bx.clear(); by.clear(); bz.clear();
-        hx.clear(); hy.clear(); hz.clear();
-    }
-
-    void
-    push(const Vec3 &center, Real radius, const Quat &rot,
-         const Vec3 &pos, const Vec3 &half)
-    {
-        cx.push_back(center.x); cy.push_back(center.y);
-        cz.push_back(center.z); cr.push_back(radius);
-        qw.push_back(rot.w); qx.push_back(rot.x);
-        qy.push_back(rot.y); qz.push_back(rot.z);
-        bx.push_back(pos.x); by.push_back(pos.y); bz.push_back(pos.z);
-        hx.push_back(half.x); hy.push_back(half.y); hz.push_back(half.z);
-    }
-
-    void
-    prepareOutputs()
-    {
-        const std::size_t n = size();
-        px.resize(n); py.resize(n); pz.resize(n);
-        nx.resize(n); ny.resize(n); nz.resize(n);
-        depth.resize(n);
-        hit.assign(n, 0);
-    }
-};
-
 /** The backend seam. Implementations are stateless and const. */
 class KernelBackend
 {
@@ -399,14 +307,6 @@ class KernelBackend
     virtual void clothRelax(const ClothParticlesView &p,
                             const ClothConstraintsView &c,
                             KernelStats &stats) const = 0;
-
-    /** Batched sphere/sphere tests (outputs must be prepared). */
-    virtual void sphereSphereBatch(SphereSphereBatch &b,
-                                   KernelStats &stats) const = 0;
-
-    /** Batched sphere/box tests (outputs must be prepared). */
-    virtual void sphereBoxBatch(SphereBoxBatch &b,
-                                KernelStats &stats) const = 0;
 };
 
 /** The bitwise-reference scalar backend (always available). */
@@ -481,13 +381,6 @@ void relaxPgsContactUnitScalar(PgsContactScratch &sc,
 void relaxClothSlotScalar(const ClothParticlesView &p,
                           const ClothConstraintsView &c,
                           std::size_t slot);
-
-/** Scalar sphere/sphere test of one batch slot (exact collide.cc
- *  arithmetic). */
-void sphereSphereSlotScalar(SphereSphereBatch &b, std::size_t i);
-
-/** Scalar sphere/box test of one batch slot, deep case included. */
-void sphereBoxSlotScalar(SphereBoxBatch &b, std::size_t i);
 
 } // namespace parallax
 

@@ -1,14 +1,14 @@
 /**
  * @file
  * Width-generic vectorized kernels, templated on a simd_pack type.
- * Included ONLY by the target-specific TUs (native_avx2.cc /
- * native_neon.cc) so intrinsic code never leaks into the portable
- * build. The elementwise kernels (integration, narrowphase) use the
- * same IEEE op sequence as the scalar reference — no FMA — so their
- * lanes are bitwise identical to Scalar. The relaxation kernels are
- * tolerance-bounded (they already reassociate via the color-major
- * processing order), so the PGS sweep is free to fuse with
- * Pack::mulAdd.
+ * Included ONLY by the target-specific TUs (native_avx2.cc,
+ * native_avx512.cc, native_neon.cc) so intrinsic code never leaks
+ * into the portable build. Cloth integration, the one elementwise
+ * kernel, uses the same IEEE op sequence as the scalar reference —
+ * no FMA — so its lanes are bitwise identical to Scalar. The
+ * relaxation kernels are tolerance-bounded (they already reassociate
+ * via the color-major processing order), so the PGS sweep is free
+ * to fuse with Pack::mulAdd.
  */
 
 #ifndef PARALLAX_PHYSICS_KERNELS_NATIVE_IMPL_HH
@@ -368,121 +368,6 @@ class NativeBackend final : public KernelBackend
         stats.remainderRows += remainder;
     }
 
-    void
-    sphereSphereBatch(SphereSphereBatch &b,
-                      KernelStats &stats) const override
-    {
-        const std::size_t n = b.size();
-        const Pack eps = Pack::broadcast(1e-12);
-        const Pack half = Pack::broadcast(0.5);
-        std::size_t i = 0;
-        for (; i + W <= n; i += W) {
-            const Pack axp = Pack::load(&b.ax[i]);
-            const Pack ayp = Pack::load(&b.ay[i]);
-            const Pack azp = Pack::load(&b.az[i]);
-            const Pack bxp = Pack::load(&b.bx[i]);
-            const Pack byp = Pack::load(&b.by[i]);
-            const Pack bzp = Pack::load(&b.bz[i]);
-            const Pack dx = axp - bxp;
-            const Pack dy = ayp - byp;
-            const Pack dz = azp - bzp;
-            const Pack dist2 = dx * dx + dy * dy + dz * dz;
-            const Pack rsum =
-                Pack::load(&b.ar[i]) + Pack::load(&b.br[i]);
-            const auto hit = Pack::cmpLe(dist2, rsum * rsum);
-            const Pack dist = Pack::sqrt(dist2);
-            const auto safe = Pack::cmpGt(dist, eps);
-            const Pack nx =
-                Pack::select(safe, dx / dist, Pack::zero());
-            const Pack ny = Pack::select(safe, dy / dist,
-                                         Pack::broadcast(1.0));
-            const Pack nz =
-                Pack::select(safe, dz / dist, Pack::zero());
-            const Pack depth = rsum - dist;
-            const Pack t = Pack::load(&b.br[i]) - half * depth;
-            (bxp + nx * t).store(&b.px[i]);
-            (byp + ny * t).store(&b.py[i]);
-            (bzp + nz * t).store(&b.pz[i]);
-            nx.store(&b.nx[i]);
-            ny.store(&b.ny[i]);
-            nz.store(&b.nz[i]);
-            depth.store(&b.depth[i]);
-            const unsigned bits = hit.bits();
-            for (int l = 0; l < W; ++l)
-                b.hit[i + l] = (bits & (1u << l)) ? 1 : 0;
-        }
-        stats.rowsVectorized += i;
-        stats.remainderRows += n - i;
-        for (; i < n; ++i)
-            sphereSphereSlotScalar(b, i);
-    }
-
-    void
-    sphereBoxBatch(SphereBoxBatch &b,
-                   KernelStats &stats) const override
-    {
-        const std::size_t n = b.size();
-        const Pack deepEps = Pack::broadcast(1e-18);
-        std::size_t i = 0;
-        for (; i + W <= n; i += W) {
-            const Pack qw = Pack::load(&b.qw[i]);
-            const Pack qx = Pack::load(&b.qx[i]);
-            const Pack qy = Pack::load(&b.qy[i]);
-            const Pack qz = Pack::load(&b.qz[i]);
-            const Pack wx = Pack::load(&b.cx[i]) - Pack::load(&b.bx[i]);
-            const Pack wy = Pack::load(&b.cy[i]) - Pack::load(&b.by[i]);
-            const Pack wz = Pack::load(&b.cz[i]) - Pack::load(&b.bz[i]);
-            Pack lx, ly, lz;
-            rotate(qw, -qx, -qy, -qz, wx, wy, wz, lx, ly, lz);
-
-            const Pack hx = Pack::load(&b.hx[i]);
-            const Pack hy = Pack::load(&b.hy[i]);
-            const Pack hz = Pack::load(&b.hz[i]);
-            const Pack clx = Pack::min(Pack::max(lx, -hx), hx);
-            const Pack cly = Pack::min(Pack::max(ly, -hy), hy);
-            const Pack clz = Pack::min(Pack::max(lz, -hz), hz);
-            const Pack dx = lx - clx;
-            const Pack dy = ly - cly;
-            const Pack dz = lz - clz;
-            const Pack dist2 = dx * dx + dy * dy + dz * dz;
-            const Pack r = Pack::load(&b.cr[i]);
-            const auto hit = Pack::cmpLe(dist2, r * r);
-            // Deep-center lanes take the branchy nearest-face exit:
-            // flag them for the caller's scalar fallback.
-            const auto deep = Pack::cmpLe(dist2, deepEps);
-            const Pack dist = Pack::sqrt(dist2);
-            const Pack nlx = dx / dist;
-            const Pack nly = dy / dist;
-            const Pack nlz = dz / dist;
-            const Pack depth = r - dist;
-
-            Pack pxl, pyl, pzl;
-            rotate(qw, qx, qy, qz, clx, cly, clz, pxl, pyl, pzl);
-            (pxl + Pack::load(&b.bx[i])).store(&b.px[i]);
-            (pyl + Pack::load(&b.by[i])).store(&b.py[i]);
-            (pzl + Pack::load(&b.bz[i])).store(&b.pz[i]);
-            Pack nxw, nyw, nzw;
-            rotate(qw, qx, qy, qz, nlx, nly, nlz, nxw, nyw, nzw);
-            nxw.store(&b.nx[i]);
-            nyw.store(&b.ny[i]);
-            nzw.store(&b.nz[i]);
-            depth.store(&b.depth[i]);
-
-            const unsigned hitBits = hit.bits();
-            const unsigned deepBits = deep.bits();
-            for (int l = 0; l < W; ++l) {
-                const unsigned m = 1u << l;
-                b.hit[i + l] = (hitBits & m)
-                    ? ((deepBits & m) ? 2 : 1)
-                    : 0;
-            }
-        }
-        stats.rowsVectorized += i;
-        stats.remainderRows += n - i;
-        for (; i < n; ++i)
-            sphereBoxSlotScalar(b, i);
-    }
-
   private:
     /** One vector pack of the PGS relaxation at slot s. */
     static inline void
@@ -592,21 +477,6 @@ class NativeBackend final : public KernelBackend
                 avk.z += iabz[l];
             }
         }
-    }
-
-    /** Quat::rotate on pack components: v + (u×v*2)*w + u×(u×v*2). */
-    static inline void
-    rotate(const Pack &qw, const Pack &ux, const Pack &uy,
-           const Pack &uz, const Pack &vx, const Pack &vy,
-           const Pack &vz, Pack &rx, Pack &ry, Pack &rz)
-    {
-        const Pack two = Pack::broadcast(2.0);
-        const Pack tx = (uy * vz - uz * vy) * two;
-        const Pack ty = (uz * vx - ux * vz) * two;
-        const Pack tz = (ux * vy - uy * vx) * two;
-        rx = (vx + tx * qw) + (uy * tz - uz * ty);
-        ry = (vy + ty * qw) + (uz * tx - ux * tz);
-        rz = (vz + tz * qw) + (ux * ty - uy * tx);
     }
 
     const char *name_;

@@ -134,21 +134,6 @@ class ScalarBackend final : public KernelBackend
             p.pz[b] -= dz * sb;
         }
     }
-
-    void
-    sphereSphereBatch(SphereSphereBatch &b,
-                      KernelStats &) const override
-    {
-        for (std::size_t i = 0; i < b.size(); ++i)
-            sphereSphereSlotScalar(b, i);
-    }
-
-    void
-    sphereBoxBatch(SphereBoxBatch &b, KernelStats &) const override
-    {
-        for (std::size_t i = 0; i < b.size(); ++i)
-            sphereBoxSlotScalar(b, i);
-    }
 };
 
 } // namespace

@@ -3,13 +3,10 @@
  * Thin fixed-width SIMD pack wrapper for the kernel backends.
  *
  * A "pack" is W lanes of Real (double) with the small op vocabulary
- * the vectorized kernels need: load/store, broadcast, arithmetic,
- * min/max/sqrt, 32-bit-index gather, compares and masked select.
- * Three families exist:
+ * the vectorized PGS and cloth kernels need: load/store, broadcast,
+ * arithmetic, min/max/sqrt, 32-bit-index gather, compares and masked
+ * select. Two families exist:
  *
- *  - PackScalar<W>: portable reference, plain arrays + loops. Used
- *    by unit tests on any host and as the documentation of the
- *    semantics the intrinsic packs must match.
  *  - PackAvx2 (W=4, x86-64): one __m256d. Only defined in TUs built
  *    with -mavx2 (the build isolates those; see
  *    src/physics/CMakeLists.txt).
@@ -18,18 +15,17 @@
  * PackX2<P> glues two packs into a double-width one: W=8 doubles for
  * the AVX-512 backend (two AVX2 halves) and W=4 for NEON.
  *
- * Deliberately absent: FMA. The kernels keep plain mul+add so each
- * lane's arithmetic is the same IEEE sequence as the scalar
- * reference — elementwise kernels (cloth integration, batched
- * narrowphase) are then bitwise identical per element, and the
- * relaxation kernels differ from the scalar reference only by
- * processing order (see DESIGN.md section 13).
+ * Only mulAdd fuses, and only the tolerance-bounded PGS sweep calls
+ * it. Every other kernel keeps plain mul+add, so each lane's
+ * arithmetic is the same IEEE sequence as the scalar reference: cloth
+ * integration is bitwise identical per element, and cloth relaxation
+ * differs from the scalar reference only by processing order (see
+ * DESIGN.md section 13).
  */
 
 #ifndef PARALLAX_PHYSICS_KERNELS_SIMD_PACK_HH
 #define PARALLAX_PHYSICS_KERNELS_SIMD_PACK_HH
 
-#include <cmath>
 #include <cstdint>
 
 #if defined(__AVX2__)
@@ -41,200 +37,6 @@
 
 namespace parallax
 {
-
-/** Portable reference pack: W doubles, all ops are plain loops. */
-template <int Width>
-struct PackScalar
-{
-    static constexpr int W = Width;
-    double v[W];
-
-    struct Mask
-    {
-        bool m[W];
-
-        /** Lane mask as bits (lane i -> bit i). */
-        unsigned
-        bits() const
-        {
-            unsigned b = 0;
-            for (int i = 0; i < W; ++i)
-                b |= m[i] ? (1u << i) : 0u;
-            return b;
-        }
-
-        friend Mask
-        operator&(const Mask &a, const Mask &b)
-        {
-            Mask r;
-            for (int i = 0; i < W; ++i)
-                r.m[i] = a.m[i] && b.m[i];
-            return r;
-        }
-    };
-
-    static PackScalar
-    load(const double *p)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = p[i];
-        return r;
-    }
-
-    static PackScalar
-    broadcast(double s)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = s;
-        return r;
-    }
-
-    static PackScalar zero() { return broadcast(0.0); }
-
-    static PackScalar
-    gather(const double *base, const std::int32_t *idx)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = base[idx[i]];
-        return r;
-    }
-
-    void
-    store(double *p) const
-    {
-        for (int i = 0; i < W; ++i)
-            p[i] = v[i];
-    }
-
-    friend PackScalar
-    operator+(const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = a.v[i] + b.v[i];
-        return r;
-    }
-
-    friend PackScalar
-    operator-(const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = a.v[i] - b.v[i];
-        return r;
-    }
-
-    friend PackScalar
-    operator*(const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = a.v[i] * b.v[i];
-        return r;
-    }
-
-    friend PackScalar
-    operator/(const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = a.v[i] / b.v[i];
-        return r;
-    }
-
-    /** a*b + c, fused where the target has FMA. Only for kernels
-     *  whose contract is tolerance-bounded (PGS): fusing changes
-     *  rounding, so the bitwise elementwise kernels must not use
-     *  it. */
-    static PackScalar
-    mulAdd(const PackScalar &a, const PackScalar &b,
-           const PackScalar &c)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = std::fma(a.v[i], b.v[i], c.v[i]);
-        return r;
-    }
-
-    PackScalar
-    operator-() const
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = -v[i];
-        return r;
-    }
-
-    static PackScalar
-    min(const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        // a > b ? b : a — matches the x86 minpd operand convention
-        // (second operand wins on ties/NaN) so all pack families
-        // agree on the edge cases.
-        for (int i = 0; i < W; ++i)
-            r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
-        return r;
-    }
-
-    static PackScalar
-    max(const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-        return r;
-    }
-
-    static PackScalar
-    sqrt(const PackScalar &a)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = std::sqrt(a.v[i]);
-        return r;
-    }
-
-    static Mask
-    cmpGt(const PackScalar &a, const PackScalar &b)
-    {
-        Mask r;
-        for (int i = 0; i < W; ++i)
-            r.m[i] = a.v[i] > b.v[i];
-        return r;
-    }
-
-    static Mask
-    cmpGe(const PackScalar &a, const PackScalar &b)
-    {
-        Mask r;
-        for (int i = 0; i < W; ++i)
-            r.m[i] = a.v[i] >= b.v[i];
-        return r;
-    }
-
-    static Mask
-    cmpLe(const PackScalar &a, const PackScalar &b)
-    {
-        Mask r;
-        for (int i = 0; i < W; ++i)
-            r.m[i] = a.v[i] <= b.v[i];
-        return r;
-    }
-
-    /** Lane-wise m ? a : b. */
-    static PackScalar
-    select(const Mask &m, const PackScalar &a, const PackScalar &b)
-    {
-        PackScalar r;
-        for (int i = 0; i < W; ++i)
-            r.v[i] = m.m[i] ? a.v[i] : b.v[i];
-        return r;
-    }
-};
 
 #if defined(__AVX2__)
 
@@ -343,12 +145,6 @@ struct PackAvx2
         return {_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)};
     }
 
-    static Mask
-    cmpLe(const PackAvx2 &a, const PackAvx2 &b)
-    {
-        return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)};
-    }
-
     static PackAvx2
     select(const Mask &m, const PackAvx2 &a, const PackAvx2 &b)
     {
@@ -455,12 +251,6 @@ struct PackNeon
     cmpGe(const PackNeon &a, const PackNeon &b)
     {
         return {vcgeq_f64(a.v, b.v)};
-    }
-
-    static Mask
-    cmpLe(const PackNeon &a, const PackNeon &b)
-    {
-        return {vcleq_f64(a.v, b.v)};
     }
 
     static PackNeon
@@ -584,12 +374,6 @@ struct PackX2
     cmpGe(const PackX2 &a, const PackX2 &b)
     {
         return {P::cmpGe(a.lo, b.lo), P::cmpGe(a.hi, b.hi)};
-    }
-
-    static Mask
-    cmpLe(const PackX2 &a, const PackX2 &b)
-    {
-        return {P::cmpLe(a.lo, b.lo), P::cmpLe(a.hi, b.hi)};
     }
 
     static PackX2

@@ -223,148 +223,6 @@ Narrowphase::collide(const Geom &a, const Geom &b, std::vector<Contact> &out)
 }
 
 void
-Narrowphase::batchClear()
-{
-    pairA_.clear();
-    pairB_.clear();
-}
-
-void
-Narrowphase::batchAdd(const Geom *a, const Geom *b)
-{
-    pairA_.push_back(a);
-    pairB_.push_back(b);
-}
-
-namespace
-{
-// Pair classification for the batch path.
-constexpr std::uint8_t pairOther = 0;        // scalar dispatcher
-constexpr std::uint8_t pairSphereSphere = 1; // SIMD batch
-constexpr std::uint8_t pairSphereBox = 2;    // SIMD batch
-} // namespace
-
-void
-Narrowphase::batchRun(std::vector<Contact> &out)
-{
-    const std::size_t n = pairA_.size();
-
-    // Scalar backend (or none): the batch is just the per-pair loop,
-    // bitwise identical to the pre-batch engine.
-    if (backend_ == nullptr ||
-        backend_->kind() == SimdBackend::Scalar) {
-        for (std::size_t i = 0; i < n; ++i)
-            collide(*pairA_[i], *pairB_[i], out);
-        return;
-    }
-
-    // Pass 1: classify. Sphere/sphere and sphere/box pairs pack
-    // their shape data into SoA batches; everything else waits for
-    // the scalar dispatcher in pass 2. pairFlip_ records a box-first
-    // pair (the batch always computes sphere-vs-box, normal toward
-    // the sphere).
-    pairKind_.assign(n, pairOther);
-    pairFlip_.assign(n, 0);
-    pairSlot_.resize(n);
-    ssBatch_.clear();
-    sbBatch_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Geom *a = pairA_[i];
-        const Geom *b = pairB_[i];
-        const ShapeType sa = a->shape().type();
-        const ShapeType sb = b->shape().type();
-        if (sa == ShapeType::Sphere && sb == ShapeType::Sphere) {
-            const auto &s1 =
-                static_cast<const SphereShape &>(a->shape());
-            const auto &s2 =
-                static_cast<const SphereShape &>(b->shape());
-            pairKind_[i] = pairSphereSphere;
-            pairSlot_[i] = static_cast<std::int32_t>(ssBatch_.size());
-            ssBatch_.push(a->worldPose().position, s1.radius(),
-                          b->worldPose().position, s2.radius());
-        } else if ((sa == ShapeType::Sphere && sb == ShapeType::Box) ||
-                   (sa == ShapeType::Box && sb == ShapeType::Sphere)) {
-            const bool flip = sa == ShapeType::Box;
-            const Geom *sphere = flip ? b : a;
-            const Geom *box = flip ? a : b;
-            const auto &s =
-                static_cast<const SphereShape &>(sphere->shape());
-            const auto &bx =
-                static_cast<const BoxShape &>(box->shape());
-            const Transform bp = box->worldPose();
-            pairKind_[i] = pairSphereBox;
-            pairFlip_[i] = flip ? 1 : 0;
-            pairSlot_[i] = static_cast<std::int32_t>(sbBatch_.size());
-            sbBatch_.push(sphere->worldPose().position, s.radius(),
-                          bp.rotation, bp.position, bx.halfExtents());
-        }
-    }
-    ssBatch_.prepareOutputs();
-    sbBatch_.prepareOutputs();
-    if (ssBatch_.size() > 0)
-        backend_->sphereSphereBatch(ssBatch_, stats_.kernels);
-    if (sbBatch_.size() > 0)
-        backend_->sphereBoxBatch(sbBatch_, stats_.kernels);
-
-    // Pass 2: emit in the original pair order, so the contact list
-    // (and every downstream solver row) is independent of the
-    // batching. The stats protocol per pair matches collide()
-    // exactly.
-    for (std::size_t i = 0; i < n; ++i) {
-        const Geom &a = *pairA_[i];
-        const Geom &b = *pairB_[i];
-        const std::uint8_t kind = pairKind_[i];
-        if (kind == pairOther) {
-            collide(a, b, out);
-            continue;
-        }
-        const auto s = static_cast<std::size_t>(pairSlot_[i]);
-        if (kind == pairSphereBox && sbBatch_.hit[s] == 2) {
-            // Sphere center essentially inside the box: the branchy
-            // nearest-face exit runs on the scalar dispatcher.
-            collide(a, b, out);
-            continue;
-        }
-        ++stats_.pairsTested;
-        const auto ta = static_cast<int>(a.shape().type());
-        const auto tb = static_cast<int>(b.shape().type());
-        ++stats_.testsByType[std::min(ta, tb)][std::max(ta, tb)];
-        bool hit;
-        Contact c;
-        if (kind == pairSphereSphere) {
-            hit = ssBatch_.hit[s] != 0;
-            if (hit) {
-                c.position = {ssBatch_.px[s], ssBatch_.py[s],
-                              ssBatch_.pz[s]};
-                c.normal = {ssBatch_.nx[s], ssBatch_.ny[s],
-                            ssBatch_.nz[s]};
-                c.depth = ssBatch_.depth[s];
-            }
-        } else {
-            hit = sbBatch_.hit[s] != 0;
-            if (hit) {
-                c.position = {sbBatch_.px[s], sbBatch_.py[s],
-                              sbBatch_.pz[s]};
-                c.normal = {sbBatch_.nx[s], sbBatch_.ny[s],
-                            sbBatch_.nz[s]};
-                c.depth = sbBatch_.depth[s];
-            }
-        }
-        if (hit) {
-            // The batch normal points toward the sphere; the contact
-            // convention wants it toward geom A.
-            if (pairFlip_[i] != 0)
-                c.normal = -c.normal;
-            c.geomA = a.id();
-            c.geomB = b.id();
-            out.push_back(c);
-            ++stats_.pairsColliding;
-            ++stats_.contactsCreated;
-        }
-    }
-}
-
-void
 Narrowphase::collideOrdered(const Geom &a, const Geom &b,
                             std::vector<Contact> &out, bool flipped)
 {

@@ -4,7 +4,10 @@
  *
  * Determines the contact points between each pair of colliding geoms
  * (section 3.2). Every object-pair is independent of every other,
- * which is the source of this phase's massive fine-grain parallelism.
+ * which is the source of this phase's massive fine-grain parallelism:
+ * World runs the pairs as stealable chunks, one collide() call per
+ * pair, under every kernel backend (there is no vector narrowphase;
+ * DESIGN.md section 13 gives the measurement).
  */
 
 #ifndef PARALLAX_PHYSICS_NARROWPHASE_COLLIDE_HH
@@ -34,23 +37,6 @@ class Narrowphase
      */
     int collide(const Geom &a, const Geom &b, std::vector<Contact> &out);
 
-    /**
-     * Batched pair testing: accumulate pairs with batchAdd, then
-     * batchRun appends their contacts to `out` in the order the
-     * pairs were added — exactly the contacts (and stats) the
-     * per-pair collide() loop would produce. Under a Native backend
-     * the sphere/sphere and sphere/box pairs run through the SIMD
-     * batch kernels; every other shape combination (and the deep
-     * sphere-in-box case) falls through to the scalar dispatcher.
-     */
-    void batchClear();
-    void batchAdd(const Geom *a, const Geom *b);
-    void batchRun(std::vector<Contact> &out);
-
-    /** Select the kernel backend for batched pair tests. nullptr
-     *  (the default) means the scalar reference backend. */
-    void setBackend(const KernelBackend *backend) { backend_ = backend; }
-
     const NarrowphaseStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
@@ -72,16 +58,6 @@ class Narrowphase
                                 std::vector<Contact> &out, bool flipped);
 
     NarrowphaseStats stats_;
-    const KernelBackend *backend_ = nullptr;
-
-    // Batch scratch, persistent across batchRun calls (capacity is
-    // paid once per instance; one instance per lane keeps it
-    // race-free).
-    std::vector<const Geom *> pairA_, pairB_;
-    std::vector<std::uint8_t> pairKind_, pairFlip_;
-    std::vector<std::int32_t> pairSlot_;
-    SphereSphereBatch ssBatch_;
-    SphereBoxBatch sbBatch_;
 };
 
 } // namespace parallax

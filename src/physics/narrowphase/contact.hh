@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "physics/geom.hh"
-#include "physics/kernels/kernel_backend.hh"
 #include "physics/math/vec3.hh"
 
 namespace parallax
@@ -39,8 +38,6 @@ struct NarrowphaseStats
     std::uint64_t contactsCreated = 0;
     /** Pair tests by (unordered) shape-type combination. */
     std::uint64_t testsByType[6][6] = {};
-    /** Vector-engine counters (zero under the Scalar backend). */
-    KernelStats kernels;
 
     void
     reset()
@@ -58,7 +55,6 @@ struct NarrowphaseStats
         for (int i = 0; i < 6; ++i)
             for (int j = 0; j < 6; ++j)
                 testsByType[i][j] += o.testsByType[i][j];
-        kernels.merge(o.kernels);
     }
 };
 

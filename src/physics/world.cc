@@ -214,8 +214,6 @@ World::World(WorldConfig config)
         laneSolvers_.back().setBackend(kernelBackend_);
     }
     npLocals_.resize(scheduler_.laneCount());
-    for (Narrowphase &local : npLocals_)
-        local.setBackend(kernelBackend_);
     trace_.configure(scheduler_.laneCount(), config_.tracing);
 }
 
@@ -1206,13 +1204,10 @@ World::phaseNarrowphase()
                            : chunkContacts_[chunk - 1].contacts;
             out.clear();
             Narrowphase &np = npLocals_[lane];
-            np.batchClear();
             for (std::size_t i = begin; i < end; ++i) {
                 const GeomPair &pair = lastPairs_[i];
-                np.batchAdd(geoms_[pair.a].get(),
-                            geoms_[pair.b].get());
+                np.collide(*geoms_[pair.a], *geoms_[pair.b], out);
             }
-            np.batchRun(out);
         });
     for (std::size_t c = 0; c < slots; ++c) {
         const std::vector<Contact> &chunk = chunkContacts_[c].contacts;

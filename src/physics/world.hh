@@ -75,12 +75,13 @@ struct WorldConfig
      *  serialized in snapshots. */
     bool deterministic = false;
     /** Kernel backend for the SoA hot loops (PGS relaxation, cloth
-     *  integrate/relax, batched narrowphase). Scalar is the bitwise
-     *  reference; Native vectorizes with SIMD when the host supports
-     *  it (silently degrading to Scalar otherwise) and is
-     *  tolerance-bounded, not bitwise, against Scalar. The world
-     *  reads only this field (tools map --simd and PAX_SIMD onto
-     *  it). Not serialized in snapshots. */
+     *  integrate/relax; the narrowphase is the same scalar code
+     *  under both). Scalar is the bitwise reference; Native
+     *  vectorizes with SIMD when the host supports it (silently
+     *  degrading to Scalar otherwise) and is tolerance-bounded, not
+     *  bitwise, against Scalar. The world reads only this field
+     *  (tools map --simd and PAX_SIMD onto it). Not serialized in
+     *  snapshots. */
     SimdBackend simdBackend = SimdBackend::Scalar;
     ContactMaterial defaultMaterial;
     Real erp = 0.2;
@@ -438,9 +439,10 @@ class World
     /**
      * Restore a snapshot taken from a structurally identical world
      * (same scene build; blast volumes spawned mid-run are recreated
-     * on a fresh build). Truncated or corrupted snapshots fail with
-     * DATA_LOSS and mismatched scenes with FAILED_PRECONDITION —
-     * never a crash.
+     * on a fresh build, and blast volumes this world spawned after
+     * the capture are removed). Truncated or corrupted snapshots
+     * fail with DATA_LOSS and mismatched scenes with
+     * FAILED_PRECONDITION — never a crash.
      */
     Status restoreState(const std::vector<std::uint8_t> &bytes);
 
@@ -564,8 +566,8 @@ class World
     SweepAndPrune broadphase_;
     IslandBuilder islandBuilder_;
     /** Resolved kernel backend (config.simdBackend after the
-     *  CPU-capability degrade), shared by the solver lanes,
-     *  narrowphase lanes and cloth. Never null after construction. */
+     *  CPU-capability degrade), shared by the solver lanes and
+     *  cloth. Never null after construction. */
     const KernelBackend *kernelBackend_ = nullptr;
     EffectsManager effects_;
     TaskScheduler scheduler_;
@@ -654,6 +656,12 @@ class World
     /** Write preStepSnapshot_ to snapshotDir as
      *  <prefix><sceneTag>_step<N>.paxsnap (defined in capture.cc). */
     void dumpViolationSnapshot(const char *prefix);
+
+    /** Remove the last `count` geoms, each a blast volume whose
+     *  static anchor body and sphere shape are the matching tail
+     *  entries (restoreState checks this first), and every cached
+     *  pointer to them (defined in capture.cc). */
+    void removeTailBlastSpawns(std::size_t count);
 
     // --- Governor / quarantine / fault injection (step() plumbing,
     // --- defined in world.cc). ---

@@ -149,6 +149,60 @@ TEST(Capture, FreshWorldRoundTripRecreatesBlastSpawns)
                        "fresh-world replay diverged");
 }
 
+/** Restore into the same world across a blast spawn (a rollback):
+ *  the volumes it spawned after the capture are taken back, and it
+ *  then steps exactly like a world that never spawned them. Any
+ *  other extra geom is still a mismatch. */
+TEST(Capture, SameWorldRestoreTakesBackLaterBlastSpawns)
+{
+    const WorldConfig config = mixConfig();
+    auto world =
+        buildBenchmark(BenchmarkId::Explosions, config, 0.12);
+    const std::size_t geoms = world->geomCount();
+    std::vector<std::uint8_t> before;
+    int captured_at = 0;
+    for (; captured_at < 200 && world->geomCount() == geoms;
+         ++captured_at) {
+        before = world->captureState();
+        world->step();
+    }
+    ASSERT_GT(world->geomCount(), geoms)
+        << "no explosion triggered in " << captured_at << " steps";
+    --captured_at; // `before` was taken ahead of the spawning step.
+    // One more step sweeps the spawns into the broadphase axis. The
+    // restore re-enables the exploded objects, so the next sweep
+    // sees as many geoms as the axis holds and walks it: the axis
+    // must no longer point at the removed spawns (ASan catches it).
+    world->step();
+
+    ASSERT_TRUE(world->restoreState(before).ok());
+    EXPECT_EQ(world->geomCount(), geoms);
+    EXPECT_EQ(world->captureState(), before);
+
+    auto replica =
+        buildBenchmark(BenchmarkId::Explosions, config, 0.12);
+    for (int i = 0; i < captured_at; ++i)
+        replica->step();
+    ASSERT_EQ(replica->captureState(), before);
+    for (int i = 0; i < 60; ++i) {
+        world->step();
+        replica->step();
+    }
+    EXPECT_GT(world->geomCount(), geoms) << "the blast spawns again";
+    EXPECT_EQ(worldStateHash(*world), worldStateHash(*replica));
+    EXPECT_EQ(world->captureState(), replica->captureState());
+
+    // A late geom that is not a blast volume blocks the restore and
+    // leaves the world as it was.
+    const std::size_t live = world->geomCount();
+    world->createGeom(world->addSphere(0.5),
+                      world->createStaticBody(Transform()));
+    const Status st = world->restoreState(before);
+    EXPECT_EQ(st.code(), StatusCode::FailedPrecondition)
+        << st.toString();
+    EXPECT_EQ(world->geomCount(), live + 1);
+}
+
 /** FNV-1a over a whole blob, header included. */
 std::uint64_t
 blobFnv1a(const std::vector<std::uint8_t> &bytes)

@@ -5,9 +5,9 @@
  * tolerance-bounded whole-scene acceptance sweep for the Native
  * backend.
  *
- * Parity contract: elementwise kernels (cloth integration, batched
- * narrowphase) keep the scalar operand order per element, so they
- * must match the scalar backend BITWISE. Relaxation sweeps (PGS,
+ * Parity contract: the elementwise kernel (cloth integration) keeps
+ * the scalar operand order per element, so it must match the scalar
+ * backend BITWISE. Relaxation sweeps (PGS,
  * cloth constraints) run in color-major order under Native, so their
  * trajectories are tolerance-bounded, not bitwise — those tests
  * assert convergence and bound invariants instead of bits.
@@ -911,109 +911,6 @@ TEST(KernelPgsContact, NonTripletRowsFallBackToGenericPath)
 }
 
 // ---------------------------------------------------------------
-// Batched narrowphase
-// ---------------------------------------------------------------
-
-TEST(KernelNarrowphase, SphereSphereBatchIsBitwise)
-{
-    SKIP_WITHOUT_SIMD();
-    std::mt19937 rng(2026);
-    std::uniform_real_distribution<double> u(-3.0, 3.0);
-    SphereSphereBatch ref;
-    for (int i = 0; i < 21; ++i) {
-        ref.push({u(rng), u(rng), u(rng)}, 1.0 + 0.2 * u(rng),
-                 {u(rng), u(rng), u(rng)}, 1.0 + 0.2 * u(rng));
-    }
-    // Exact touch: dist2 == rsum^2 must count as a hit, depth 0.
-    ref.push({0, 0, 0}, 1.0, {2.0, 0, 0}, 1.0);
-    // Coincident centers: the degenerate +Y normal branch.
-    ref.push({1, 2, 3}, 0.5, {1, 2, 3}, 0.5);
-    ref.prepareOutputs();
-
-    for (const KernelBackend *native : vectorBackends()) {
-        SphereSphereBatch v = ref;
-        KernelStats stats, vstats;
-        scalarKernelBackend().sphereSphereBatch(ref, stats);
-        native->sphereSphereBatch(v, vstats);
-        ASSERT_EQ(ref.size(), v.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            EXPECT_EQ(ref.hit[i], v.hit[i])
-                << native->name() << " pair " << i;
-            if (!ref.hit[i])
-                continue;
-            EXPECT_EQ(ref.px[i], v.px[i]) << "pair " << i;
-            EXPECT_EQ(ref.py[i], v.py[i]) << "pair " << i;
-            EXPECT_EQ(ref.pz[i], v.pz[i]) << "pair " << i;
-            EXPECT_EQ(ref.nx[i], v.nx[i]) << "pair " << i;
-            EXPECT_EQ(ref.ny[i], v.ny[i]) << "pair " << i;
-            EXPECT_EQ(ref.nz[i], v.nz[i]) << "pair " << i;
-            EXPECT_EQ(ref.depth[i], v.depth[i]) << "pair " << i;
-        }
-        EXPECT_EQ(vstats.rowsVectorized + vstats.remainderRows,
-                  ref.size());
-    }
-    // The exact-touch pair is a hit with zero depth.
-    EXPECT_EQ(ref.hit[21], 1);
-    EXPECT_EQ(ref.depth[21], 0.0);
-    // Coincident centers resolve along +Y.
-    EXPECT_EQ(ref.hit[22], 1);
-    EXPECT_EQ(ref.ny[22], 1.0);
-}
-
-TEST(KernelNarrowphase, SphereBoxBatchParityAndDeepFlag)
-{
-    SKIP_WITHOUT_SIMD();
-    std::mt19937 rng(31337);
-    std::uniform_real_distribution<double> u(-2.0, 2.0);
-    SphereBoxBatch ref;
-    // Pair 0: sphere center inside the box — the deep nearest-face
-    // case. In the vector body (which this slot is, for any pack
-    // width, given 20 pairs) Native must flag it (hit == 2) for the
-    // caller's scalar fallback; the scalar path and the remainder
-    // loop resolve it inline as an ordinary hit.
-    ref.push({0.1, 0.05, -0.02}, 0.3, Quat(), {0, 0, 0},
-             {1.0, 1.0, 1.0});
-    for (int i = 0; i < 19; ++i) {
-        Quat q{1.0 + u(rng), u(rng), u(rng), u(rng)};
-        q = q.normalized();
-        ref.push({u(rng), u(rng), u(rng)}, 0.4 + 0.1 * u(rng), q,
-                 {u(rng), u(rng), u(rng)},
-                 {0.5 + 0.1 * u(rng), 0.5, 0.5});
-    }
-    ref.prepareOutputs();
-
-    for (const KernelBackend *native : vectorBackends()) {
-        SphereBoxBatch v = ref;
-        KernelStats stats, vstats;
-        scalarKernelBackend().sphereBoxBatch(ref, stats);
-        native->sphereBoxBatch(v, vstats);
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            if (v.hit[i] == 2) {
-                // Deep lanes defer to the caller's scalar fallback;
-                // scalar resolves them inline as ordinary hits.
-                EXPECT_EQ(ref.hit[i], 1)
-                    << native->name() << " pair " << i;
-                continue;
-            }
-            EXPECT_EQ(ref.hit[i], v.hit[i])
-                << native->name() << " pair " << i;
-            if (!ref.hit[i])
-                continue;
-            EXPECT_EQ(ref.px[i], v.px[i]) << "pair " << i;
-            EXPECT_EQ(ref.py[i], v.py[i]) << "pair " << i;
-            EXPECT_EQ(ref.pz[i], v.pz[i]) << "pair " << i;
-            EXPECT_EQ(ref.nx[i], v.nx[i]) << "pair " << i;
-            EXPECT_EQ(ref.ny[i], v.ny[i]) << "pair " << i;
-            EXPECT_EQ(ref.nz[i], v.nz[i]) << "pair " << i;
-            EXPECT_EQ(ref.depth[i], v.depth[i]) << "pair " << i;
-        }
-        // The deliberately-deep pair must carry the fallback flag.
-        EXPECT_EQ(v.hit[0], 2) << native->name();
-    }
-    EXPECT_EQ(ref.hit[0], 1);
-}
-
-// ---------------------------------------------------------------
 // Whole-scene acceptance
 // ---------------------------------------------------------------
 
@@ -1067,8 +964,7 @@ TEST(KernelScene, NativeLongRunHoldsInvariants)
     if (nativeSimdAvailable()) {
         const StepStats &stats = world->lastStepStats();
         EXPECT_GT(stats.solver.kernels.rowsVectorized +
-                      stats.cloth.kernels.rowsVectorized +
-                      stats.narrowphase.kernels.rowsVectorized,
+                      stats.cloth.kernels.rowsVectorized,
                   0u);
     }
 }

@@ -87,6 +87,34 @@ TEST_F(NarrowphaseTest, SphereSphereCoincidentCenters)
     EXPECT_NEAR(contacts[0].normal.length(), 1.0, 1e-9);
 }
 
+TEST_F(NarrowphaseTest, SphereSphereExactTouchAndCoincidentCenters)
+{
+    // Exact touch: dist² == (r₁ + r₂)² is a hit with depth exactly 0,
+    // its point on both surfaces.
+    Geom *a = makeGeom(std::make_unique<SphereShape>(1.0),
+                       Transform(Quat(), {0, 0, 0}));
+    Geom *b = makeGeom(std::make_unique<SphereShape>(1.0),
+                       Transform(Quat(), {2.0, 0, 0}));
+    const auto touch = collide(a, b);
+    ASSERT_EQ(touch.size(), 1u);
+    EXPECT_EQ(touch[0].depth, 0.0);
+    EXPECT_EQ(touch[0].normal.x, -1.0);
+    EXPECT_EQ(touch[0].position.x, 1.0);
+
+    // Coincident centres have no direction to separate along: the
+    // pair resolves along +Y.
+    Geom *c = makeGeom(std::make_unique<SphereShape>(0.5),
+                       Transform(Quat(), {1, 2, 3}));
+    Geom *d = makeGeom(std::make_unique<SphereShape>(0.5),
+                       Transform(Quat(), {1, 2, 3}));
+    const auto same = collide(c, d);
+    ASSERT_EQ(same.size(), 1u);
+    EXPECT_EQ(same[0].depth, 1.0);
+    EXPECT_EQ(same[0].normal.x, 0.0);
+    EXPECT_EQ(same[0].normal.y, 1.0);
+    EXPECT_EQ(same[0].normal.z, 0.0);
+}
+
 TEST_F(NarrowphaseTest, SpherePlaneResting)
 {
     Geom *s = makeGeom(std::make_unique<SphereShape>(1.0),
@@ -124,6 +152,43 @@ TEST_F(NarrowphaseTest, SphereBoxFaceContact)
     ASSERT_EQ(contacts.size(), 1u);
     EXPECT_NEAR(contacts[0].depth, 0.2, 1e-9);
     EXPECT_NEAR(contacts[0].normal.y, 1.0, 1e-9);
+}
+
+TEST_F(NarrowphaseTest, SphereBoxExactTouchAndRotatedBox)
+{
+    // A sphere exactly r from a face touches it: a hit with depth 0.
+    Geom *b = makeGeom(std::make_unique<BoxShape>(Vec3{1, 1, 1}),
+                       Transform());
+    Geom *t = makeGeom(std::make_unique<SphereShape>(0.5),
+                       Transform(Quat(), {0, 1.5, 0}));
+    const auto touch = collide(t, b);
+    ASSERT_EQ(touch.size(), 1u);
+    EXPECT_EQ(touch[0].depth, 0.0);
+    EXPECT_EQ(touch[0].normal.y, 1.0);
+    EXPECT_EQ(touch[0].position.y, 1.0);
+
+    // A box turned 45° about z: the contact follows the turned +x
+    // face, and a box-first pair flips the normal toward the box.
+    const Vec3 n{std::sqrt(0.5), std::sqrt(0.5), 0.0};
+    Geom *turned = makeGeom(
+        std::make_unique<BoxShape>(Vec3{1, 1, 1}),
+        Transform(Quat::fromAxisAngle({0, 0, 1}, M_PI / 4),
+                  {3, 0, 0}));
+    Geom *r = makeGeom(std::make_unique<SphereShape>(0.5),
+                       Transform(Quat(), Vec3{3, 0, 0} + n * 1.3));
+    for (const bool sphere_first : {true, false}) {
+        const auto hit = sphere_first ? collide(r, turned)
+                                      : collide(turned, r);
+        ASSERT_EQ(hit.size(), 1u);
+        const Real sign = sphere_first ? 1.0 : -1.0;
+        EXPECT_NEAR(hit[0].depth, 0.2, 1e-9);
+        EXPECT_NEAR(hit[0].normal.x, sign * n.x, 1e-9);
+        EXPECT_NEAR(hit[0].normal.y, sign * n.y, 1e-9);
+        EXPECT_NEAR(hit[0].normal.z, 0.0, 1e-9);
+        EXPECT_NEAR(hit[0].position.x, 3.0 + n.x, 1e-9);
+        EXPECT_NEAR(hit[0].position.y, n.y, 1e-9);
+        EXPECT_EQ(hit[0].geomA, sphere_first ? r->id() : turned->id());
+    }
 }
 
 TEST_F(NarrowphaseTest, SphereInsideBoxPushesOutNearestFace)

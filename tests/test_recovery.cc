@@ -455,19 +455,28 @@ TEST(Recovery, RollbacksRestoreTheLiveWorldsCheckpoint)
         {BenchmarkId::Mix, 0.05},        {BenchmarkId::Periodic, 0.05},
         {BenchmarkId::Ragdoll, 0.08},    {BenchmarkId::Deformable, 0.1},
         {BenchmarkId::Breakable, 0.08},  {BenchmarkId::Mix, 0.08},
-        {BenchmarkId::Continuous, 0.05},
+        {BenchmarkId::Continuous, 0.05}, {BenchmarkId::Breakable, 0.08},
     };
-    // One NaN fault per poisoned session (ids 1, 2, 4, 5, 6), at
-    // chosen ticks; sessions 3 and 7 stay healthy throughout. No
-    // poisoned tick spawns a blast volume: restoreState cannot take
-    // back a spawn made after the capture, so such a rollback fails
-    // and freezes the session (Breakable spawns one in tick 14).
+    // One NaN fault per poisoned session (ids 1, 2, 4, 5, 6, 8), at
+    // chosen ticks; sessions 3 and 7 stay healthy throughout.
+    // Session 8's poisoned tick spawns blast volumes, so its rollback
+    // must take back spawns made after the capture.
+    {
+        auto breakable = buildScene(BenchmarkId::Breakable, 0.08);
+        for (int k = 0; k < 13; ++k)
+            breakable->step();
+        const std::size_t geoms = breakable->geomCount();
+        breakable->step();
+        ASSERT_GT(breakable->geomCount(), geoms)
+            << "session 8's tick 14 no longer spawns a blast";
+    }
     const std::vector<ServerFaultEvent> faults = {
         {4, 1, ServerFaultKind::NanState, 0, 0.0},
         {9, 2, ServerFaultKind::NanState, 1, 0.0},
         {6, 4, ServerFaultKind::NanState, 2, 0.0},
         {11, 5, ServerFaultKind::NanState, 0, 0.0},
         {13, 6, ServerFaultKind::NanState, 3, 0.0},
+        {13, 8, ServerFaultKind::NanState, 0, 0.0},
     };
     for (unsigned workers : {0u, 2u, 8u}) {
         ServerConfig sc;
@@ -521,7 +530,7 @@ TEST(Recovery, RollbacksRestoreTheLiveWorldsCheckpoint)
                     << "workers=" << workers << " world " << r.world;
             }
         }
-        EXPECT_EQ(rolled_back, (std::vector<WorldId>{1, 4, 2, 5, 6}))
+        EXPECT_EQ(rolled_back, (std::vector<WorldId>{1, 4, 2, 5, 6, 8}))
             << "workers=" << workers;
         EXPECT_EQ(server.stats().rollbacks, faults.size());
     }

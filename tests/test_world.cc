@@ -206,7 +206,6 @@ sceneCounters(const StepStats &s)
                 s.narrowphase.testsByType[i][j]);
         }
     }
-    kernels("narrowphase", s.narrowphase.kernels);
     add("island.bodiesVisited", s.island.bodiesVisited);
     add("island.jointsVisited", s.island.jointsVisited);
     add("island.unionOps", s.island.unionOps);
