@@ -3,19 +3,28 @@
  * Kernel-backend microbenchmark: ns/row for every kernel behind the
  * KernelBackend seam (physics/kernels: the PGS sweep and the two
  * cloth kernels), scalar reference vs each vector backend this host
- * can run, one per ISA (AVX-512 with its W=16 fp32 contact path,
- * AVX2 W=4, NEON W=4), plus the speedup column.
+ * can run, one per ISA (AVX-512: 16 fp32 contact lanes, 8 doubles
+ * for cloth; AVX2: 8 and 4; NEON: 4 doubles for cloth and the scalar
+ * PGS sweep), plus the speedup column.
  *
  * Workloads are synthetic but sized and shaped like the engine's
  * steady state: a contact pile's PGS triplets (normal + two coupled
  * friction rows over shared bodies, physically consistent M·J so
- * the sweep converges) and a 64x64 cloth patch (relaxation in the
- * orders Cloth builds — wavefront order for the scalar sweep, the
- * edge coloring for Native — and Verlet integration over the
- * particle streams). Each sample times the whole kernel call —
- * including the Native PGS color/permute rebuild, which the engine
- * also pays every solve — and the reported figure is the best of
- * `--samples` (default 25) samples.
+ * the sweep converges; all contacts, so the x86-64 backends run the
+ * fused contact path)
+ * and a 64x64 cloth patch (relaxation in the orders Cloth builds —
+ * wavefront order for the scalar sweep, the edge coloring for
+ * Native — and Verlet integration over the particle streams). Each
+ * sample times the whole kernel call, including the Native PGS
+ * contact-unit build the engine also pays every solve.
+ *
+ * Samples are taken round-robin: each of `--samples` (default 25)
+ * rounds times every backend once, and the backend that goes first
+ * rotates from round to round, so a slow or fast phase of the host
+ * lands on every column alike instead of on one column's whole
+ * series. Per backend the best sample is `<backend>_ns_per_row` and
+ * the median `<backend>_ns_per_row_median`; `<backend>_speedup` is
+ * the median over rounds of that round's scalar/backend ratio.
  *
  * Staged into BENCH_kernels.json (baseline committed under
  * bench/baselines/): per kernel, rows per call, ns/row per backend,
@@ -54,20 +63,23 @@ now()
         .count();
 }
 
-/** Best-of-N wall time of fn(); reset() runs untimed before each
- *  sample so mutating kernels always start from pristine state. */
+/** Wall time of one fn() call. */
+template <typename Fn>
 double
-bestSeconds(int samples, const std::function<void()> &reset,
-            const std::function<void()> &fn)
+secondsOf(Fn &&fn)
 {
-    double best = 1e30;
-    for (int s = 0; s < samples; ++s) {
-        reset();
-        const double t0 = now();
-        fn();
-        best = std::min(best, now() - t0);
-    }
-    return best;
+    const double t0 = now();
+    fn();
+    return now() - t0;
+}
+
+/** Median of `v`; sorts `v` in place. */
+double
+median(std::vector<double> &v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 // -----------------------------------------------------------------
@@ -77,7 +89,7 @@ bestSeconds(int samples, const std::function<void()> &reset,
 struct PgsWorkload
 {
     // The engine's default solverIterations (WorldConfig), so the
-    // Native backend's one-time color/permute rebuild is amortized
+    // Native backend's per-solve contact-unit build is amortized
     // exactly as it is inside a real solve.
     static constexpr int iterations = 20;
 
@@ -326,13 +338,14 @@ struct ClothWorkload
     }
 };
 
-/** One measured kernel: rows per timed call + per-backend runner. */
+/** One measured kernel: rows per timed call + per-backend runner
+ *  (the argument indexes the backend list). */
 struct KernelCase
 {
     const char *name;
     std::size_t rowsPerCall;
     std::function<void()> reset;
-    std::function<void(const KernelBackend &)> run;
+    std::function<void(std::size_t)> run;
 };
 
 } // namespace
@@ -350,6 +363,7 @@ main(int argc, char **argv)
     printHeader("kernel backend ns/row (scalar vs SIMD)",
                 "perf baseline for the KernelBackend seam");
 
+    // backends[0] is the scalar reference every speedup divides.
     std::vector<const KernelBackend *> backends;
     backends.push_back(&scalarKernelBackend());
     for (const KernelBackend *native : nativeKernelBackends())
@@ -368,39 +382,39 @@ main(int argc, char **argv)
     const Vec3 accel{0.0, -9.81 / 3600.0, 0.0};
 
     std::vector<KernelCase> cases;
-    // Persistent scratch, like the solver's workspace: a steady
-    // contact set re-colors once per backend width, not per solve
-    // (the topology cache keys on rows/bodies/width), while the
-    // value streams still rebuild inside every timed call.
-    PgsScratch pgsScratch;
+    // Persistent scratch per backend, like each lane solver's
+    // workspace: a steady contact set colors its units once per
+    // backend (the topology cache keys on rows/bodies/width), while
+    // the value streams still rebuild inside every timed call.
+    std::vector<PgsScratch> pgsScratch(backends.size());
     cases.push_back(
         {"pgs_relax",
          pgs.rhs.size() * PgsWorkload::iterations,
          [&] { pgs.reset(); },
-         [&](const KernelBackend &kb) {
+         [&](std::size_t b) {
              KernelStats stats;
-             kb.pgsSweep(pgs.ctx(), pgsScratch, stats);
+             backends[b]->pgsSweep(pgs.ctx(), pgsScratch[b], stats);
          }});
     cases.push_back(
         {"cloth_relax",
          cloth.a.size() * ClothWorkload::sweeps,
          [&] { cloth.reset(); },
-         [&](const KernelBackend &kb) {
+         [&](std::size_t b) {
              KernelStats stats;
              const ClothConstraintsView cv = cloth.constraints();
              ClothParticlesView pv = cloth.particles();
              for (int s = 0; s < ClothWorkload::sweeps; ++s)
-                 kb.clothRelax(pv, cv, stats);
+                 backends[b]->clothRelax(pv, cv, stats);
          }});
     cases.push_back(
         {"cloth_integrate",
          cloth.px0.size() * integratePasses,
          [&] { cloth.reset(); },
-         [&](const KernelBackend &kb) {
+         [&](std::size_t b) {
              KernelStats stats;
              ClothParticlesView pv = cloth.particles();
              for (int s = 0; s < integratePasses; ++s)
-                 kb.clothIntegrate(pv, accel, 0.995, stats);
+                 backends[b]->clothIntegrate(pv, accel, 0.995, stats);
          }});
 
     // Header row.
@@ -419,26 +433,41 @@ main(int argc, char **argv)
     json.field("samples", (double)samples);
     json.field("simd_available", nativeSimdAvailable());
     json.beginObject("kernels");
+    const std::size_t nb = backends.size();
     for (KernelCase &kc : cases) {
+        // secs[b][round]: one sample per backend per round, the
+        // starting backend rotating with the round.
+        std::vector<std::vector<double>> secs(
+            nb, std::vector<double>(static_cast<std::size_t>(samples)));
+        for (int round = 0; round < samples; ++round) {
+            const auto r = static_cast<std::size_t>(round);
+            for (std::size_t k = 0; k < nb; ++k) {
+                const std::size_t b = (r + k) % nb;
+                kc.reset();
+                secs[b][r] = secondsOf([&] { kc.run(b); });
+            }
+        }
+
         std::printf("%-16s %10zu", kc.name, kc.rowsPerCall);
         json.beginObject(kc.name);
         json.field("rows_per_call", (double)kc.rowsPerCall);
-        double scalarNs = 0.0;
-        for (const KernelBackend *kb : backends) {
-            const double secs = bestSeconds(
-                samples, kc.reset, [&] { kc.run(*kb); });
-            const double nsPerRow =
-                secs * 1e9 / (double)kc.rowsPerCall;
-            std::printf(" %9.2f", nsPerRow);
-            const std::string key(kb->name());
-            json.field((key + "_ns_per_row").c_str(), nsPerRow);
-            if (kb->width() == 1) {
-                scalarNs = nsPerRow;
-            } else {
-                const double speedup = scalarNs / nsPerRow;
-                std::printf(" %7.2fx", speedup);
-                json.field((key + "_speedup").c_str(), speedup);
-            }
+        const double toNsPerRow = 1e9 / (double)kc.rowsPerCall;
+        for (std::size_t b = 0; b < nb; ++b) {
+            const std::string key(backends[b]->name());
+            std::vector<double> samplesOfB = secs[b];
+            const double med = median(samplesOfB) * toNsPerRow;
+            const double best = samplesOfB.front() * toNsPerRow;
+            std::printf(" %9.2f", best);
+            json.field((key + "_ns_per_row").c_str(), best);
+            json.field((key + "_ns_per_row_median").c_str(), med);
+            if (backends[b]->width() == 1)
+                continue;
+            std::vector<double> ratios(secs[b].size());
+            for (std::size_t r = 0; r < ratios.size(); ++r)
+                ratios[r] = secs[0][r] / secs[b][r];
+            const double speedup = median(ratios);
+            std::printf(" %7.2fx", speedup);
+            json.field((key + "_speedup").c_str(), speedup);
         }
         std::printf("\n");
         json.endObject();

@@ -1,9 +1,10 @@
 /**
  * @file
- * Backend dispatch, row coloring, and the scalar slot helpers shared
- * by every Native backend. This TU is compiled WITHOUT -mavx2
- * so the shared code never emits instructions the host might lack;
- * only the native_*.cc TUs carry target-specific flags.
+ * Backend dispatch, edge coloring, the contact-unit build and the
+ * scalar slot helpers shared by every Native backend. This TU is
+ * compiled WITHOUT -mavx2 so the shared code never emits
+ * instructions the host might lack; only the native_*.cc TUs carry
+ * target-specific flags.
  */
 
 #include "kernel_backend.hh"
@@ -224,154 +225,7 @@ wavefrontEdges(const std::int32_t *a, const std::int32_t *b,
 }
 
 // ---------------------------------------------------------------------
-// PGS scratch build
-// ---------------------------------------------------------------------
-
-void
-buildPgsScratch(const PgsSweepCtx &ctx, PgsScratch &sc)
-{
-    const std::size_t n = ctx.rows;
-
-    // --- Greedy coloring. Constraints: rows in one color share no
-    // dynamic body, and a friction row's color is strictly greater
-    // than its normal row's color (its bounds read that row's
-    // just-updated lambda, exactly like the original sweep order).
-    sc.bodyColorMask.assign(ctx.bodies, 0);
-    sc.colorOfRow.assign(n, -1);
-    std::size_t counts[64] = {};
-    std::size_t maxColor = 0;
-    std::size_t overflow = 0;
-
-    for (std::size_t r = 0; r < n; ++r) {
-        const int ia = ctx.bodyA[r];
-        const int ib = ctx.bodyB[r];
-        const int nr = ctx.normalRow[r];
-        std::uint64_t used = 0;
-        if (ia >= 0)
-            used |= sc.bodyColorMask[static_cast<std::size_t>(ia)];
-        if (ib >= 0)
-            used |= sc.bodyColorMask[static_cast<std::size_t>(ib)];
-        if (nr >= 0) {
-            // Rows are built normal-before-friction within a joint,
-            // so nr < r and its color is already assigned.
-            const std::int32_t nc = sc.colorOfRow[nr];
-            if (nc < 0) {
-                // Normal row overflowed: this friction row must run
-                // after it, so it overflows too.
-                ++overflow;
-                continue;
-            }
-            if (nc >= 63) {
-                ++overflow;
-                continue;
-            }
-            used |= (std::uint64_t(1) << (nc + 1)) - 1;
-        }
-        const int c = std::countr_one(used);
-        if (c >= 64) {
-            ++overflow;
-            continue;
-        }
-        sc.colorOfRow[r] = c;
-        const std::uint64_t bit = std::uint64_t(1) << c;
-        if (ia >= 0)
-            sc.bodyColorMask[static_cast<std::size_t>(ia)] |= bit;
-        if (ib >= 0)
-            sc.bodyColorMask[static_cast<std::size_t>(ib)] |= bit;
-        ++counts[c];
-        maxColor = std::max<std::size_t>(maxColor,
-                                         static_cast<std::size_t>(c));
-    }
-
-    sc.colors = n > overflow ? maxColor + 1 : 0;
-    sc.vecRows = n - overflow;
-    sc.colorOffsets.assign(sc.colors + 1, 0);
-    for (std::size_t c = 0; c < sc.colors; ++c)
-        sc.colorOffsets[c + 1] =
-            sc.colorOffsets[c] + static_cast<std::uint32_t>(counts[c]);
-
-    sc.order.resize(n);
-    sc.slotOf.resize(n);
-    std::vector<std::uint32_t> cursor(sc.colorOffsets.begin(),
-                                      sc.colorOffsets.end() - 1);
-    std::uint32_t tail = static_cast<std::uint32_t>(sc.vecRows);
-    for (std::size_t r = 0; r < n; ++r) {
-        std::uint32_t slot;
-        if (sc.colorOfRow[r] < 0)
-            slot = tail++;
-        else
-            slot = cursor[static_cast<std::size_t>(sc.colorOfRow[r])]++;
-        sc.order[slot] = static_cast<std::uint32_t>(r);
-        sc.slotOf[r] = slot;
-    }
-
-    // --- Pack every row stream into slot-major order.
-    auto sized = [n](std::vector<double> &v) { v.resize(n); };
-    sized(sc.jlax); sized(sc.jlay); sized(sc.jlaz);
-    sized(sc.jaax); sized(sc.jaay); sized(sc.jaaz);
-    sized(sc.jlbx); sized(sc.jlby); sized(sc.jlbz);
-    sized(sc.jabx); sized(sc.jaby); sized(sc.jabz);
-    sized(sc.mlax); sized(sc.mlay); sized(sc.mlaz);
-    sized(sc.maax); sized(sc.maay); sized(sc.maaz);
-    sized(sc.mlbx); sized(sc.mlby); sized(sc.mlbz);
-    sized(sc.mabx); sized(sc.maby); sized(sc.mabz);
-    sized(sc.prhs); sized(sc.pcfm); sized(sc.pinvDiag); sized(sc.pmu);
-    sized(sc.plo); sized(sc.phi); sized(sc.plambda); sized(sc.pfric);
-    sc.bA.resize(n); sc.bB.resize(n);
-    sc.idxA3.resize(n); sc.idxB3.resize(n);
-    sc.fricSlot.resize(n);
-
-    const std::int32_t dummy =
-        static_cast<std::int32_t>(ctx.bodies);
-    for (std::size_t s = 0; s < n; ++s) {
-        const std::size_t r = sc.order[s];
-        sc.jlax[s] = ctx.jLinA[r].x;
-        sc.jlay[s] = ctx.jLinA[r].y;
-        sc.jlaz[s] = ctx.jLinA[r].z;
-        sc.jaax[s] = ctx.jAngA[r].x;
-        sc.jaay[s] = ctx.jAngA[r].y;
-        sc.jaaz[s] = ctx.jAngA[r].z;
-        sc.jlbx[s] = ctx.jLinB[r].x;
-        sc.jlby[s] = ctx.jLinB[r].y;
-        sc.jlbz[s] = ctx.jLinB[r].z;
-        sc.jabx[s] = ctx.jAngB[r].x;
-        sc.jaby[s] = ctx.jAngB[r].y;
-        sc.jabz[s] = ctx.jAngB[r].z;
-        sc.mlax[s] = ctx.mLinA[r].x;
-        sc.mlay[s] = ctx.mLinA[r].y;
-        sc.mlaz[s] = ctx.mLinA[r].z;
-        sc.maax[s] = ctx.mAngA[r].x;
-        sc.maay[s] = ctx.mAngA[r].y;
-        sc.maaz[s] = ctx.mAngA[r].z;
-        sc.mlbx[s] = ctx.mLinB[r].x;
-        sc.mlby[s] = ctx.mLinB[r].y;
-        sc.mlbz[s] = ctx.mLinB[r].z;
-        sc.mabx[s] = ctx.mAngB[r].x;
-        sc.maby[s] = ctx.mAngB[r].y;
-        sc.mabz[s] = ctx.mAngB[r].z;
-        sc.prhs[s] = ctx.rhs[r];
-        sc.pcfm[s] = ctx.cfm[r];
-        sc.pinvDiag[s] = ctx.invDiag[r];
-        sc.pmu[s] = ctx.mu[r];
-        sc.plo[s] = ctx.lo[r];
-        sc.phi[s] = ctx.hi[r];
-        sc.plambda[s] = ctx.lambda[r];
-        const int ia = ctx.bodyA[r];
-        const int ib = ctx.bodyB[r];
-        sc.bA[s] = ia;
-        sc.bB[s] = ib;
-        sc.idxA3[s] = (ia >= 0 ? ia : dummy) * 3;
-        sc.idxB3[s] = (ib >= 0 ? ib : dummy) * 3;
-        const int nr = ctx.normalRow[r];
-        sc.pfric[s] = nr >= 0 ? 1.0 : 0.0;
-        sc.fricSlot[s] = nr >= 0
-            ? static_cast<std::int32_t>(sc.slotOf[nr])
-            : static_cast<std::int32_t>(s);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Contact-triplet fast path (see PgsContactScratch docs)
+// Contact-triplet fast path (see the PgsScratch docs)
 // ---------------------------------------------------------------------
 
 bool
@@ -448,8 +302,7 @@ couplingDot(const PgsSweepCtx &ctx, std::size_t rj, std::size_t rm)
 } // namespace
 
 void
-buildPgsContactScratch(const PgsSweepCtx &ctx, PgsContactScratch &sc,
-                       int width)
+buildPgsContactUnits(const PgsSweepCtx &ctx, PgsScratch &sc, int width)
 {
     const std::size_t nu = ctx.rows / 3;
     const std::size_t w = static_cast<std::size_t>(width);
@@ -457,8 +310,10 @@ buildPgsContactScratch(const PgsSweepCtx &ctx, PgsContactScratch &sc,
 
     // --- Unit coloring, cached on the (bodyA, bodyB) topology.
     // Units only constrain the coloring through their body pair, so
-    // a stable contact set (the steady state of a resting pile)
-    // rebuilds just the value streams.
+    // a stable contact set rebuilds just the value streams. The
+    // cache holds one topology, and a lane solves many islands per
+    // step, so it hits only when a lane's consecutive fused solves
+    // share one.
     const bool topoHit =
         sc.topoValid && sc.topoRows == ctx.rows &&
         sc.topoWidth == width &&
@@ -504,9 +359,7 @@ buildPgsContactScratch(const PgsSweepCtx &ctx, PgsContactScratch &sc,
         sc.colors = nu > overflow ? maxColor + 1 : 0;
         sc.tailUnits = overflow;
         sc.colorOffsets.assign(sc.colors + 1, 0);
-        sc.colorCounts.assign(sc.colors, 0);
         for (std::size_t c = 0; c < sc.colors; ++c) {
-            sc.colorCounts[c] = static_cast<std::uint32_t>(counts[c]);
             // Pad each color to a whole number of packs.
             sc.colorOffsets[c + 1] =
                 sc.colorOffsets[c] +
@@ -515,9 +368,9 @@ buildPgsContactScratch(const PgsSweepCtx &ctx, PgsContactScratch &sc,
         sc.tailStart = sc.colorOffsets[sc.colors];
 
         const std::size_t total = sc.tailStart + sc.tailUnits;
-        sc.order.assign(total, PgsContactScratch::kPad);
-        std::vector<std::uint32_t> cursor(sc.colorOffsets.begin(),
-                                          sc.colorOffsets.end() - 1);
+        sc.order.assign(total, PgsScratch::kPad);
+        std::uint32_t cursor[64];
+        std::copy_n(sc.colorOffsets.begin(), sc.colors, cursor);
         std::uint32_t tail = static_cast<std::uint32_t>(sc.tailStart);
         for (std::size_t u = 0; u < nu; ++u) {
             if (sc.colorOfUnit[u] < 0)
@@ -559,7 +412,7 @@ buildPgsContactScratch(const PgsSweepCtx &ctx, PgsContactScratch &sc,
         3 * static_cast<std::int32_t>(ctx.bodies);
     for (std::size_t s = 0; s < total; ++s) {
         const std::uint32_t u = sc.order[s];
-        if (u == PgsContactScratch::kPad) {
+        if (u == PgsScratch::kPad) {
             // Inert padding: zero Jacobians, dummy gather slot,
             // masked-off scatter. The lane computes all-zero deltas.
             for (int r = 0; r < 3; ++r) {
@@ -621,7 +474,40 @@ buildPgsContactScratch(const PgsSweepCtx &ctx, PgsContactScratch &sc,
 }
 
 void
-pgsContactLoadVelocities(const PgsSweepCtx &ctx, PgsContactScratch &sc)
+reservePgsContactUnits(std::size_t bodies, std::size_t rows, int width,
+                       PgsScratch &sc)
+{
+    const std::size_t nu = rows / 3;
+    const std::size_t total =
+        nu + std::min<std::size_t>(nu, 64) *
+                 (static_cast<std::size_t>(width) - 1);
+    for (int r = 0; r < 3; ++r) {
+        for (int k = 0; k < 9; ++k)
+            sc.J[r][k].reserve(total);
+        for (int k = 0; k < 3; ++k) {
+            sc.maA[r][k].reserve(total);
+            sc.maB[r][k].reserve(total);
+        }
+        sc.sid[r].reserve(total);
+        sc.lam[r].reserve(total);
+    }
+    for (std::vector<float> *v : {&sc.imA, &sc.imB, &sc.rhsN, &sc.cfmU,
+                                  &sc.mu, &sc.c10, &sc.c20, &sc.c21})
+        v->reserve(total);
+    sc.order.reserve(total);
+    sc.idxA3.reserve(total);
+    sc.idxB3.reserve(total);
+    sc.colorOffsets.reserve(64 + 1);
+    sc.lvf.reserve(3 * (bodies + 1));
+    sc.avf.reserve(3 * (bodies + 1));
+    sc.topoA.reserve(rows);
+    sc.topoB.reserve(rows);
+    sc.bodyColorMask.reserve(bodies);
+    sc.colorOfUnit.reserve(nu);
+}
+
+void
+pgsContactLoadVelocities(const PgsSweepCtx &ctx, PgsScratch &sc)
 {
     const double *lv = reinterpret_cast<const double *>(ctx.linVel);
     const double *av = reinterpret_cast<const double *>(ctx.angVel);
@@ -633,7 +519,7 @@ pgsContactLoadVelocities(const PgsSweepCtx &ctx, PgsContactScratch &sc)
 }
 
 void
-pgsContactStoreResults(const PgsSweepCtx &ctx, PgsContactScratch &sc)
+pgsContactStoreResults(const PgsSweepCtx &ctx, PgsScratch &sc)
 {
     double *lv = reinterpret_cast<double *>(ctx.linVel);
     double *av = reinterpret_cast<double *>(ctx.angVel);
@@ -645,7 +531,7 @@ pgsContactStoreResults(const PgsSweepCtx &ctx, PgsContactScratch &sc)
     const std::size_t total = sc.tailStart + sc.tailUnits;
     for (std::size_t s = 0; s < total; ++s) {
         const std::uint32_t u = sc.order[s];
-        if (u == PgsContactScratch::kPad)
+        if (u == PgsScratch::kPad)
             continue;
         const std::size_t r0 = 3 * static_cast<std::size_t>(u);
         const double lamN = static_cast<double>(sc.lam[0][s]);
@@ -663,7 +549,7 @@ pgsContactStoreResults(const PgsSweepCtx &ctx, PgsContactScratch &sc)
 }
 
 void
-relaxPgsContactUnitScalar(PgsContactScratch &sc, std::size_t s)
+relaxPgsContactUnitScalar(PgsScratch &sc, std::size_t s)
 {
     float *lvf = sc.lvf.data();
     float *avf = sc.avf.data();
@@ -737,70 +623,8 @@ relaxPgsContactUnitScalar(PgsContactScratch &sc, std::size_t s)
 }
 
 // ---------------------------------------------------------------------
-// Scalar slot helpers (Native tail/overflow paths)
+// Scalar slot helper (Native cloth tail/overflow path)
 // ---------------------------------------------------------------------
-
-void
-relaxPgsSlotScalar(const PgsSweepCtx &ctx, PgsScratch &sc,
-                   std::size_t s)
-{
-    if (sc.pfric[s] > 0.5) {
-        const double limit =
-            sc.pmu[s] *
-            sc.plambda[static_cast<std::size_t>(sc.fricSlot[s])];
-        sc.plo[s] = -limit;
-        sc.phi[s] = limit;
-    }
-
-    const std::int32_t ia = sc.bA[s];
-    const std::int32_t ib = sc.bB[s];
-    double jv = 0.0;
-    if (ia >= 0) {
-        const Vec3 &lv = ctx.linVel[ia];
-        const Vec3 &av = ctx.angVel[ia];
-        jv += sc.jlax[s] * lv.x + sc.jlay[s] * lv.y +
-              sc.jlaz[s] * lv.z + sc.jaax[s] * av.x +
-              sc.jaay[s] * av.y + sc.jaaz[s] * av.z;
-    }
-    if (ib >= 0) {
-        const Vec3 &lv = ctx.linVel[ib];
-        const Vec3 &av = ctx.angVel[ib];
-        jv += sc.jlbx[s] * lv.x + sc.jlby[s] * lv.y +
-              sc.jlbz[s] * lv.z + sc.jabx[s] * av.x +
-              sc.jaby[s] * av.y + sc.jabz[s] * av.z;
-    }
-
-    const double delta =
-        ctx.sor * (sc.prhs[s] - jv - sc.pcfm[s] * sc.plambda[s]) *
-        sc.pinvDiag[s];
-    const double new_lambda =
-        std::clamp(sc.plambda[s] + delta, sc.plo[s], sc.phi[s]);
-    const double dl = new_lambda - sc.plambda[s];
-    sc.plambda[s] = new_lambda;
-    if (dl == 0.0)
-        return;
-
-    if (ia >= 0) {
-        Vec3 &lv = ctx.linVel[ia];
-        Vec3 &av = ctx.angVel[ia];
-        lv.x += sc.mlax[s] * dl;
-        lv.y += sc.mlay[s] * dl;
-        lv.z += sc.mlaz[s] * dl;
-        av.x += sc.maax[s] * dl;
-        av.y += sc.maay[s] * dl;
-        av.z += sc.maaz[s] * dl;
-    }
-    if (ib >= 0) {
-        Vec3 &lv = ctx.linVel[ib];
-        Vec3 &av = ctx.angVel[ib];
-        lv.x += sc.mlbx[s] * dl;
-        lv.y += sc.mlby[s] * dl;
-        lv.z += sc.mlbz[s] * dl;
-        av.x += sc.mabx[s] * dl;
-        av.y += sc.maby[s] * dl;
-        av.z += sc.mabz[s] * dl;
-    }
-}
 
 void
 relaxClothSlotScalar(const ClothParticlesView &p,

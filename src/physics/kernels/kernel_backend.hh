@@ -12,12 +12,16 @@
  *    bitwise-deterministic reference; `tools/state_hash` asserts its
  *    trajectories are identical to the pre-refactor engine on all
  *    benchmark scenes.
- *  - Native: SIMD via the simd_pack wrapper (AVX2/AVX-512 on x86-64,
- *    NEON on aarch64) with runtime CPU dispatch. Cloth integration
- *    is bitwise identical per element (no FMA, same IEEE op order);
- *    the relaxation kernels reorder rows through a conflict-free
- *    coloring, so Native trajectories are tolerance-bounded, not
- *    bitwise, against Scalar (DESIGN.md section 13).
+ *  - Native: SIMD with runtime CPU dispatch (AVX2/AVX-512 on
+ *    x86-64, NEON on aarch64). An island made only of contact
+ *    triplets runs the fused fp32 contact sweep (PgsScratch, x86-64
+ *    only); every other island runs the scalar reference sweep.
+ *    Cloth integration is bitwise identical per element (no FMA,
+ *    same IEEE op order); cloth relaxation runs in the cloth's
+ *    conflict-free edge coloring. So a Native trajectory differs
+ *    from Scalar only through all-contact islands and cloth
+ *    relaxation order: tolerance-bounded, not bitwise (DESIGN.md
+ *    section 13).
  *
  * Backends are stateless singletons; all mutable state lives in
  * caller-owned scratch structs, so one backend instance is safely
@@ -50,14 +54,16 @@ enum class SimdBackend
  *  StepStats::solver.kernels and StepStats::cloth.kernels). */
 struct KernelStats
 {
-    /** Elements processed in full-width SIMD packs (per sweep). */
+    /** Elements processed in full-width SIMD packs (per sweep). For
+     *  the PGS sweep these are the fused contact units' rows. */
     std::uint64_t rowsVectorized = 0;
     /** Elements processed by scalar tail/overflow loops (per sweep).
-     *  The Scalar backend leaves both counters at zero. */
+     *  The Scalar backend, and the Native PGS sweep of an island
+     *  that is not all contacts, leave both counters at zero. */
     std::uint64_t remainderRows = 0;
     /** Contact triplets solved by the fused fp32 fast path (per
-     *  solve, not per iteration). Zero when the generic row path
-     *  ran instead. */
+     *  solve, not per iteration). Zero when the island ran the
+     *  scalar reference sweep instead. */
     std::uint64_t contactUnits = 0;
 
     void
@@ -104,15 +110,16 @@ struct PgsSweepCtx
 };
 
 /**
- * Scratch for the fused contact-triplet PGS fast path.
+ * Persistent per-solver scratch for the Native PGS sweep, the fused
+ * contact-triplet path.
  *
  * A contact emits exactly three rows sharing one body pair — normal,
  * then two tangent friction rows bounded by the normal's lambda
  * (ContactJoint::buildRows). When EVERY row of an island follows
  * that pattern (pgsContactPatternMatches), the Native backends solve
- * per-contact units instead of per-row slots: one lane = one
- * contact, body velocities are gathered once and scattered once per
- * unit per iteration, and the friction rows' J·v terms are corrected
+ * per-contact units instead of rows: one lane = one contact, body
+ * velocities are gathered once and scattered once per unit per
+ * iteration, and the friction rows' J·v terms are corrected
  * in-register through precomputed coupling scalars (c10/c20/c21 =
  * J_fric · M·J of the earlier rows of the same unit) instead of
  * re-reading memory. The unit streams are compressed using the
@@ -120,8 +127,8 @@ struct PgsSweepCtx
  * friction rhs = 0, one cfm/mu per contact — and stored in fp32:
  * the contact path trades per-lane precision for twice the lane
  * width, which the tolerance-bounded Native contract explicitly
- * allows (DESIGN.md section 13). The Scalar backend never runs this
- * path and stays the bitwise double-precision reference.
+ * allows (DESIGN.md section 13). Every other island runs the scalar
+ * reference sweep, which needs no scratch.
  *
  * Units are colored greedily (no two units in a color share a
  * dynamic body) and every color region is padded to a whole number
@@ -130,9 +137,10 @@ struct PgsSweepCtx
  * vector loop has no remainder handling. Units past the 64-color
  * budget go to a scalar tail. The unit coloring is cached keyed on
  * the (bodyA, bodyB) topology and reused while only row values
- * change between solves.
+ * change between solves. Capacity is kept across solves, so once
+ * reserved (KernelBackend::pgsReserve) a solve allocates nothing.
  */
-struct PgsContactScratch
+struct PgsScratch
 {
     // Unit layout. order[slot] = unit index, or kPad for a padding
     // slot. [colorOffsets[c], colorOffsets[c+1]) is color c (padded);
@@ -140,7 +148,6 @@ struct PgsContactScratch
     static constexpr std::uint32_t kPad = 0xffffffffu;
     std::vector<std::uint32_t> order;
     std::vector<std::uint32_t> colorOffsets; // colors + 1, padded
-    std::vector<std::uint32_t> colorCounts;  // real units per color
     std::size_t colors = 0;
     std::size_t units = 0;
     std::size_t tailStart = 0; // == colorOffsets[colors]
@@ -179,44 +186,6 @@ struct PgsContactScratch
     // Coloring workspace.
     std::vector<std::uint64_t> bodyColorMask;
     std::vector<std::int32_t> colorOfUnit;
-};
-
-/**
- * Persistent per-solver scratch for the Native PGS sweep: the row
- * coloring plus color-major permuted copies of every row stream.
- * Rebuilt each solve (rows change every step), capacity is reused,
- * so the steady-state step stays allocation-free.
- */
-struct PgsScratch
-{
-    /** Scratch for the fused contact fast path (used instead of the
-     *  row streams below when the island is all contact triplets). */
-    PgsContactScratch contact;
-    // Coloring. order[slot] = original row; rows are laid out
-    // color-major: [colorOffsets[c], colorOffsets[c+1]) is color c,
-    // and [vecRows, rows) is the scalar overflow tail (rows that
-    // exceeded the 64-color budget), kept in original relative order.
-    std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> slotOf;       // row -> slot
-    std::vector<std::uint32_t> colorOffsets; // colors + 1 entries
-    std::size_t colors = 0;
-    std::size_t vecRows = 0;
-
-    // Coloring workspace.
-    std::vector<std::uint64_t> bodyColorMask; // per body
-    std::vector<std::int32_t> colorOfRow;     // -1 = overflow
-
-    // Permuted row streams (slot-major).
-    std::vector<double> jlax, jlay, jlaz, jaax, jaay, jaaz;
-    std::vector<double> jlbx, jlby, jlbz, jabx, jaby, jabz;
-    std::vector<double> mlax, mlay, mlaz, maax, maay, maaz;
-    std::vector<double> mlbx, mlby, mlbz, mabx, maby, mabz;
-    std::vector<double> prhs, pcfm, pinvDiag, pmu;
-    std::vector<double> plo, phi, plambda;
-    std::vector<double> pfric;               // 1.0 = friction row
-    std::vector<std::int32_t> bA, bB;        // body index, -1 = none
-    std::vector<std::int32_t> idxA3, idxB3;  // gather index * 3
-    std::vector<std::int32_t> fricSlot;      // slot of the normal row
 };
 
 /** SoA view of one cloth's particle streams (owned by Cloth). */
@@ -298,6 +267,15 @@ class KernelBackend
     virtual void pgsSweep(const PgsSweepCtx &ctx, PgsScratch &scratch,
                           KernelStats &stats) const = 0;
 
+    /** Grow `scratch` so a later pgsSweep over any island of at most
+     *  `bodies` bodies and `rows` rows allocates nothing. Backends
+     *  whose sweep needs no scratch (Scalar) leave it untouched. */
+    virtual void
+    pgsReserve(std::size_t /*bodies*/, std::size_t /*rows*/,
+               PgsScratch & /*scratch*/) const
+    {
+    }
+
     /** Verlet position integration over the particle streams. */
     virtual void clothIntegrate(const ClothParticlesView &p,
                                 const Vec3 &accelTerm, Real damping,
@@ -340,15 +318,6 @@ SimdBackend simdBackendFromEnv(SimdBackend fallback);
 /** Parse a --simd= style value; returns false if unrecognized. */
 bool parseSimdBackend(const char *text, SimdBackend &out);
 
-/** Build the coloring + permuted streams for a Native PGS sweep
- *  (exposed for tests; Native backends call it per solve). */
-void buildPgsScratch(const PgsSweepCtx &ctx, PgsScratch &scratch);
-
-/** Scalar relaxation of one permuted row slot (tail/overflow path
- *  of the Native sweep). */
-void relaxPgsSlotScalar(const PgsSweepCtx &ctx, PgsScratch &sc,
-                        std::size_t slot);
-
 /** True when every row of the island is part of a contact triplet
  *  (normal + two friction rows sharing one body pair, friction
  *  rhs 0, shared cfm, jLinB the exact negation of jLinA) — the
@@ -359,23 +328,25 @@ bool pgsContactPatternMatches(const PgsSweepCtx &ctx);
  *  fp32 unit streams for the contact fast path. `width` is the
  *  vector lane count; every color region is padded to a multiple of
  *  it. Exposed for tests. */
-void buildPgsContactScratch(const PgsSweepCtx &ctx,
-                            PgsContactScratch &sc, int width);
+void buildPgsContactUnits(const PgsSweepCtx &ctx, PgsScratch &sc, int width);
+
+/** Reserve every stream buildPgsContactUnits sizes, for any island
+ *  of at most `bodies` bodies and `rows` rows at lane count `width`
+ *  (the padding bound: units + min(units, 64) * (width - 1) slots). */
+void reservePgsContactUnits(std::size_t bodies, std::size_t rows,
+                            int width, PgsScratch &sc);
 
 /** Convert the island body velocities into the scratch's fp32
  *  mirror (call once before the iteration loop). */
-void pgsContactLoadVelocities(const PgsSweepCtx &ctx,
-                              PgsContactScratch &sc);
+void pgsContactLoadVelocities(const PgsSweepCtx &ctx, PgsScratch &sc);
 
 /** Write the solved velocities, lambdas and final friction bounds
  *  back to the caller's double-precision arrays. */
-void pgsContactStoreResults(const PgsSweepCtx &ctx,
-                            PgsContactScratch &sc);
+void pgsContactStoreResults(const PgsSweepCtx &ctx, PgsScratch &sc);
 
 /** Scalar fp32 relaxation of one contact unit slot (overflow tail
  *  of the contact fast path). */
-void relaxPgsContactUnitScalar(PgsContactScratch &sc,
-                               std::size_t slot);
+void relaxPgsContactUnitScalar(PgsScratch &sc, std::size_t slot);
 
 /** Scalar relaxation of one colored cloth constraint slot. */
 void relaxClothSlotScalar(const ClothParticlesView &p,

@@ -6,10 +6,10 @@
  * runtime __builtin_cpu_supports checks in kernel_backend.cc, so no
  * AVX-512 instruction ever executes on a host without the feature.
  *
- * The double-precision Pack stays the W=8 AVX2 pair (512-bit doubles
- * buy nothing on the generic path here); what AVX-512 adds is the
- * fp32 contact fast path at W=16 with native gather/scatter and
- * mask registers, which is where the contact-heavy PGS time goes.
+ * The double-precision Pack of the cloth kernels stays the W=8 AVX2
+ * pair; what AVX-512 adds is the fp32 contact fast path at W=16 with
+ * native gather/scatter and mask registers, which is where the
+ * contact-heavy PGS time goes.
  */
 
 #include "native_impl.hh"

@@ -1,14 +1,15 @@
 /**
  * @file
- * Width-generic vectorized kernels, templated on a simd_pack type.
- * Included ONLY by the target-specific TUs (native_avx2.cc,
- * native_avx512.cc, native_neon.cc) so intrinsic code never leaks
- * into the portable build. Cloth integration, the one elementwise
- * kernel, uses the same IEEE op sequence as the scalar reference —
- * no FMA — so its lanes are bitwise identical to Scalar. The
- * relaxation kernels are tolerance-bounded (they already reassociate
- * via the color-major processing order), so the PGS sweep is free
- * to fuse with Pack::mulAdd.
+ * Width-generic vectorized kernels, templated on a simd_pack type
+ * (the double-precision cloth kernels) and an fp32 ops policy (the
+ * fused contact PGS sweep). Included ONLY by the target-specific TUs
+ * (native_avx2.cc, native_avx512.cc, native_neon.cc) so intrinsic
+ * code never leaks into the portable build. Cloth integration, the
+ * one elementwise kernel, uses the same IEEE op sequence as the
+ * scalar reference — no FMA — so its lanes are bitwise identical to
+ * Scalar. The fused contact sweep is tolerance-bounded (fp32 streams,
+ * color-major order) and free to fuse; a PGS island that is not all
+ * contacts runs the scalar reference sweep itself.
  */
 
 #ifndef PARALLAX_PHYSICS_KERNELS_NATIVE_IMPL_HH
@@ -23,7 +24,7 @@ namespace parallax
 {
 
 /**
- * The fused contact-triplet PGS sweep (see PgsContactScratch): one
+ * The fused contact-triplet PGS sweep (see PgsScratch): one
  * fp32 lane = one contact, velocities gathered once and scattered
  * once per unit per iteration, friction J·v corrected in-register
  * via the precomputed coupling scalars. Templated on a small fp32
@@ -44,13 +45,12 @@ namespace parallax
  */
 template <typename F>
 inline void
-pgsContactSweep(const PgsSweepCtx &ctx, PgsContactScratch &sc,
-                KernelStats &stats)
+pgsContactSweep(const PgsSweepCtx &ctx, PgsScratch &sc, KernelStats &stats)
 {
     constexpr int W = F::W;
     using R = typename F::R;
 
-    buildPgsContactScratch(ctx, sc, W);
+    buildPgsContactUnits(ctx, sc, W);
     pgsContactLoadVelocities(ctx, sc);
     float *lvf = sc.lvf.data();
     float *avf = sc.avf.data();
@@ -190,62 +190,24 @@ class NativeBackend final : public KernelBackend
     pgsSweep(const PgsSweepCtx &ctx, PgsScratch &sc,
              KernelStats &stats) const override
     {
-        const std::size_t n = ctx.rows;
-        if (n == 0)
-            return;
+        // All-contact islands take the fused triplet path; any other
+        // island (joint rows, exotic bounds), and every island on an
+        // ISA without an fp32 ops policy, runs the scalar reference.
         if constexpr (!std::is_void_v<FOps>) {
-            // All-contact islands take the fused triplet fast path;
-            // anything else (joint rows, exotic bounds) falls back
-            // to the generic per-row machinery below.
             if (pgsContactPatternMatches(ctx)) {
-                pgsContactSweep<FOps>(ctx, sc.contact, stats);
+                pgsContactSweep<FOps>(ctx, sc, stats);
                 return;
             }
         }
-        buildPgsScratch(ctx, sc);
+        scalarKernelBackend().pgsSweep(ctx, sc, stats);
+    }
 
-        const double *lv =
-            reinterpret_cast<const double *>(ctx.linVel);
-        const double *av =
-            reinterpret_cast<const double *>(ctx.angVel);
-
-        std::uint64_t vectorized = 0;
-        std::uint64_t remainder = 0;
-        const Pack sor = Pack::broadcast(ctx.sor);
-        const Pack half = Pack::broadcast(0.5);
-
-        for (int it = 0; it < ctx.iterations; ++it) {
-            for (std::size_t c = 0; c < sc.colors; ++c) {
-                std::size_t s = sc.colorOffsets[c];
-                const std::size_t end = sc.colorOffsets[c + 1];
-                for (; s + W <= end; s += W) {
-                    relaxPack(ctx, sc, lv, av, sor, half, s);
-                    vectorized += W;
-                }
-                for (; s < end; ++s) {
-                    relaxPgsSlotScalar(ctx, sc, s);
-                    ++remainder;
-                }
-            }
-            // Overflow tail: rows beyond the 64-color budget, in
-            // original relative order.
-            for (std::size_t s = sc.vecRows; s < n; ++s) {
-                relaxPgsSlotScalar(ctx, sc, s);
-                ++remainder;
-            }
-        }
-
-        // Scatter lambda and the final friction bounds back to the
-        // caller's row order.
-        for (std::size_t s = 0; s < n; ++s) {
-            const std::size_t r = sc.order[s];
-            ctx.lambda[r] = sc.plambda[s];
-            ctx.lo[r] = sc.plo[s];
-            ctx.hi[r] = sc.phi[s];
-        }
-
-        stats.rowsVectorized += vectorized;
-        stats.remainderRows += remainder;
+    void
+    pgsReserve(std::size_t bodies, std::size_t rows,
+               PgsScratch &sc) const override
+    {
+        if constexpr (!std::is_void_v<FOps>)
+            reservePgsContactUnits(bodies, rows, FOps::W, sc);
     }
 
     void
@@ -369,116 +331,6 @@ class NativeBackend final : public KernelBackend
     }
 
   private:
-    /** One vector pack of the PGS relaxation at slot s. */
-    static inline void
-    relaxPack(const PgsSweepCtx &ctx, PgsScratch &sc,
-              const double *lv, const double *av, const Pack &sor,
-              const Pack &half, std::size_t s)
-    {
-        // Friction bounds: limit = mu * lambda[normal row]. The
-        // normal row's color is strictly lower, so its lambda for
-        // this sweep is final before any friction lane reads it.
-        const auto fric =
-            Pack::cmpGt(Pack::load(&sc.pfric[s]), half);
-        const Pack limit = Pack::load(&sc.pmu[s]) *
-            Pack::gather(sc.plambda.data(), &sc.fricSlot[s]);
-        const Pack lo =
-            Pack::select(fric, -limit, Pack::load(&sc.plo[s]));
-        const Pack hi =
-            Pack::select(fric, limit, Pack::load(&sc.phi[s]));
-        lo.store(&sc.plo[s]);
-        hi.store(&sc.phi[s]);
-
-        // J·v over both bodies. Lanes with a static/absent body
-        // gather the zeroed dummy velocity slot, contributing 0.
-        // Four independent fused chains (linA/angA/linB/angB) keep
-        // the FMA latency off the critical path; fusing is fine
-        // here because the PGS contract is tolerance-bounded, not
-        // bitwise (the color-major order already reassociates).
-        const std::int32_t *ia3 = &sc.idxA3[s];
-        const std::int32_t *ib3 = &sc.idxB3[s];
-        const Pack jvLinA = Pack::mulAdd(
-            Pack::load(&sc.jlaz[s]), Pack::gather(lv + 2, ia3),
-            Pack::mulAdd(
-                Pack::load(&sc.jlay[s]), Pack::gather(lv + 1, ia3),
-                Pack::load(&sc.jlax[s]) * Pack::gather(lv + 0, ia3)));
-        const Pack jvAngA = Pack::mulAdd(
-            Pack::load(&sc.jaaz[s]), Pack::gather(av + 2, ia3),
-            Pack::mulAdd(
-                Pack::load(&sc.jaay[s]), Pack::gather(av + 1, ia3),
-                Pack::load(&sc.jaax[s]) * Pack::gather(av + 0, ia3)));
-        const Pack jvLinB = Pack::mulAdd(
-            Pack::load(&sc.jlbz[s]), Pack::gather(lv + 2, ib3),
-            Pack::mulAdd(
-                Pack::load(&sc.jlby[s]), Pack::gather(lv + 1, ib3),
-                Pack::load(&sc.jlbx[s]) * Pack::gather(lv + 0, ib3)));
-        const Pack jvAngB = Pack::mulAdd(
-            Pack::load(&sc.jabz[s]), Pack::gather(av + 2, ib3),
-            Pack::mulAdd(
-                Pack::load(&sc.jaby[s]), Pack::gather(av + 1, ib3),
-                Pack::load(&sc.jabx[s]) * Pack::gather(av + 0, ib3)));
-        const Pack jv = (jvLinA + jvAngA) + (jvLinB + jvAngB);
-
-        const Pack lambda = Pack::load(&sc.plambda[s]);
-        const Pack delta = sor *
-            (Pack::load(&sc.prhs[s]) - jv -
-             Pack::load(&sc.pcfm[s]) * lambda) *
-            Pack::load(&sc.pinvDiag[s]);
-        const Pack newLambda =
-            Pack::min(Pack::max(lambda + delta, lo), hi);
-        const Pack dl = newLambda - lambda;
-        newLambda.store(&sc.plambda[s]);
-
-        // Impulse scatter: the twelve M·Δλ products are computed in
-        // vector registers; only the indexed accumulation into the
-        // Vec3 velocity slots stays scalar (AVX2 has no double
-        // scatter). Within a color the touched bodies are disjoint,
-        // so lanes never race on a slot.
-        double dls[W];
-        double ilax[W], ilay[W], ilaz[W], iaax[W], iaay[W], iaaz[W];
-        double ilbx[W], ilby[W], ilbz[W], iabx[W], iaby[W], iabz[W];
-        dl.store(dls);
-        (Pack::load(&sc.mlax[s]) * dl).store(ilax);
-        (Pack::load(&sc.mlay[s]) * dl).store(ilay);
-        (Pack::load(&sc.mlaz[s]) * dl).store(ilaz);
-        (Pack::load(&sc.maax[s]) * dl).store(iaax);
-        (Pack::load(&sc.maay[s]) * dl).store(iaay);
-        (Pack::load(&sc.maaz[s]) * dl).store(iaaz);
-        (Pack::load(&sc.mlbx[s]) * dl).store(ilbx);
-        (Pack::load(&sc.mlby[s]) * dl).store(ilby);
-        (Pack::load(&sc.mlbz[s]) * dl).store(ilbz);
-        (Pack::load(&sc.mabx[s]) * dl).store(iabx);
-        (Pack::load(&sc.maby[s]) * dl).store(iaby);
-        (Pack::load(&sc.mabz[s]) * dl).store(iabz);
-        for (int l = 0; l < W; ++l) {
-            if (dls[l] == 0.0)
-                continue;
-            const std::size_t k = s + static_cast<std::size_t>(l);
-            const std::int32_t a = sc.bA[k];
-            if (a >= 0) {
-                Vec3 &lvk = ctx.linVel[a];
-                Vec3 &avk = ctx.angVel[a];
-                lvk.x += ilax[l];
-                lvk.y += ilay[l];
-                lvk.z += ilaz[l];
-                avk.x += iaax[l];
-                avk.y += iaay[l];
-                avk.z += iaaz[l];
-            }
-            const std::int32_t bb = sc.bB[k];
-            if (bb >= 0) {
-                Vec3 &lvk = ctx.linVel[bb];
-                Vec3 &avk = ctx.angVel[bb];
-                lvk.x += ilbx[l];
-                lvk.y += ilby[l];
-                lvk.z += ilbz[l];
-                avk.x += iabx[l];
-                avk.y += iaby[l];
-                avk.z += iabz[l];
-            }
-        }
-    }
-
     const char *name_;
 };
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Thin fixed-width SIMD pack wrapper for the kernel backends.
+ * Thin fixed-width SIMD pack wrapper for the cloth kernels.
  *
  * A "pack" is W lanes of Real (double) with the small op vocabulary
- * the vectorized PGS and cloth kernels need: load/store, broadcast,
- * arithmetic, min/max/sqrt, 32-bit-index gather, compares and masked
+ * the vectorized cloth integration and relaxation need: load/store,
+ * broadcast, + - * /, sqrt, 32-bit-index gather, compares and masked
  * select. Two families exist:
  *
  *  - PackAvx2 (W=4, x86-64): one __m256d. Only defined in TUs built
@@ -15,12 +15,12 @@
  * PackX2<P> glues two packs into a double-width one: W=8 doubles for
  * the AVX-512 backend (two AVX2 halves) and W=4 for NEON.
  *
- * Only mulAdd fuses, and only the tolerance-bounded PGS sweep calls
- * it. Every other kernel keeps plain mul+add, so each lane's
- * arithmetic is the same IEEE sequence as the scalar reference: cloth
- * integration is bitwise identical per element, and cloth relaxation
- * differs from the scalar reference only by processing order (see
- * DESIGN.md section 13).
+ * No op fuses, so each lane's arithmetic is the same IEEE sequence as
+ * the scalar reference: cloth integration is bitwise identical per
+ * element, and cloth relaxation differs from the scalar reference
+ * only by processing order (see DESIGN.md section 13). The fused
+ * contact PGS sweep is fp32 and has its own per-ISA ops policy
+ * (native_avx2.cc, native_avx512.cc).
  */
 
 #ifndef PARALLAX_PHYSICS_KERNELS_SIMD_PACK_HH
@@ -99,36 +99,6 @@ struct PackAvx2
     operator/(const PackAvx2 &a, const PackAvx2 &b)
     {
         return {_mm256_div_pd(a.v, b.v)};
-    }
-
-    /** a*b + c (fused when compiled with -mfma; the runtime
-     *  dispatch requires the fma CPU bit alongside avx2). */
-    static PackAvx2
-    mulAdd(const PackAvx2 &a, const PackAvx2 &b, const PackAvx2 &c)
-    {
-#if defined(__FMA__)
-        return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#else
-        return {_mm256_add_pd(_mm256_mul_pd(a.v, b.v), c.v)};
-#endif
-    }
-
-    PackAvx2
-    operator-() const
-    {
-        return {_mm256_sub_pd(_mm256_setzero_pd(), v)};
-    }
-
-    static PackAvx2
-    min(const PackAvx2 &a, const PackAvx2 &b)
-    {
-        return {_mm256_min_pd(a.v, b.v)};
-    }
-
-    static PackAvx2
-    max(const PackAvx2 &a, const PackAvx2 &b)
-    {
-        return {_mm256_max_pd(a.v, b.v)};
     }
 
     static PackAvx2 sqrt(const PackAvx2 &a) { return {_mm256_sqrt_pd(a.v)}; }
@@ -216,27 +186,6 @@ struct PackNeon
     operator/(const PackNeon &a, const PackNeon &b)
     {
         return {vdivq_f64(a.v, b.v)};
-    }
-
-    /** a*b + c, fused (vfmaq accumulates into its first operand). */
-    static PackNeon
-    mulAdd(const PackNeon &a, const PackNeon &b, const PackNeon &c)
-    {
-        return {vfmaq_f64(c.v, a.v, b.v)};
-    }
-
-    PackNeon operator-() const { return {vnegq_f64(v)}; }
-
-    static PackNeon
-    min(const PackNeon &a, const PackNeon &b)
-    {
-        return {vminq_f64(a.v, b.v)};
-    }
-
-    static PackNeon
-    max(const PackNeon &a, const PackNeon &b)
-    {
-        return {vmaxq_f64(a.v, b.v)};
     }
 
     static PackNeon sqrt(const PackNeon &a) { return {vsqrtq_f64(a.v)}; }
@@ -335,27 +284,6 @@ struct PackX2
     operator/(const PackX2 &a, const PackX2 &b)
     {
         return {a.lo / b.lo, a.hi / b.hi};
-    }
-
-    static PackX2
-    mulAdd(const PackX2 &a, const PackX2 &b, const PackX2 &c)
-    {
-        return {P::mulAdd(a.lo, b.lo, c.lo),
-                P::mulAdd(a.hi, b.hi, c.hi)};
-    }
-
-    PackX2 operator-() const { return {-lo, -hi}; }
-
-    static PackX2
-    min(const PackX2 &a, const PackX2 &b)
-    {
-        return {P::min(a.lo, b.lo), P::min(a.hi, b.hi)};
-    }
-
-    static PackX2
-    max(const PackX2 &a, const PackX2 &b)
-    {
-        return {P::max(a.lo, b.lo), P::max(a.hi, b.hi)};
     }
 
     static PackX2

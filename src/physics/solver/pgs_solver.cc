@@ -46,6 +46,8 @@ PgsSolver::reserve(std::size_t bodies, std::size_t rows,
     ws_.slices.reserve(joints);
     if (ws_.capacitySum() > capacity_before)
         ++stats_.workspaceGrowths;
+    if (backend_ != nullptr)
+        backend_->pgsReserve(bodies, rows, scratch_);
 }
 
 void
@@ -167,7 +169,9 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     // ParallAX mapping; every per-row field is a separate linear
     // array, so each sweep streams the row data front to back. The
     // Scalar backend replays the exact pre-seam loop (bitwise
-    // reference); Native runs it vectorized in color-major order.
+    // reference). Native runs an all-contact island as fused fp32
+    // contact units in color-major order, and any other island
+    // through that same scalar loop.
     PgsSweepCtx ctx;
     ctx.rows = n_rows;
     ctx.jLinA = rows.jLinA.data();

@@ -85,7 +85,8 @@ class PgsSolver
      * Reserve the workspace for an island of `bodies` bodies,
      * `rows` constraint rows and `joints` joints, so a later solve()
      * of any island up to that size allocates nothing. A capacity
-     * change counts as one workspaceGrowths event.
+     * change counts as one workspaceGrowths event. A Native backend
+     * also reserves its fused contact streams; Scalar has none.
      */
     void reserve(std::size_t bodies, std::size_t rows,
                  std::size_t joints);
@@ -143,7 +144,7 @@ class PgsSolver
     SolverStats stats_;
     Workspace ws_;
     const KernelBackend *backend_ = nullptr;
-    /** Native-backend scratch (coloring + permuted streams). */
+    /** Native-backend scratch (the fused contact units). */
     PgsScratch scratch_;
 };
 

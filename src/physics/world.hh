@@ -78,10 +78,13 @@ struct WorldConfig
      *  integrate/relax; the narrowphase is the same scalar code
      *  under both). Scalar is the bitwise reference; Native
      *  vectorizes with SIMD when the host supports it (silently
-     *  degrading to Scalar otherwise) and is tolerance-bounded, not
-     *  bitwise, against Scalar. The world reads only this field
-     *  (tools map --simd and PAX_SIMD onto it). Not serialized in
-     *  snapshots. */
+     *  degrading to Scalar otherwise). Under Native an island made
+     *  only of contacts runs the fused fp32 contact sweep and cloth
+     *  relaxes in color order; everything else matches Scalar bit
+     *  for bit, so Native is tolerance-bounded, not bitwise, against
+     *  Scalar only where a scene has all-contact islands or cloth. The
+     *  world reads only this field (tools map --simd and PAX_SIMD
+     *  onto it). Not serialized in snapshots. */
     SimdBackend simdBackend = SimdBackend::Scalar;
     ContactMaterial defaultMaterial;
     Real erp = 0.2;

@@ -6,22 +6,25 @@
  * backend.
  *
  * Parity contract: the elementwise kernel (cloth integration) keeps
- * the scalar operand order per element, so it must match the scalar
- * backend BITWISE. Relaxation sweeps (PGS,
- * cloth constraints) run in color-major order under Native, so their
- * trajectories are tolerance-bounded, not bitwise — those tests
- * assert convergence and bound invariants instead of bits.
+ * the scalar operand order per element, and a PGS island that is not
+ * all contact triplets runs the scalar sweep itself, so both must
+ * match the scalar backend BITWISE. The fused fp32 contact sweep and
+ * cloth constraint relaxation run in color-major order under Native,
+ * so their trajectories are tolerance-bounded, not bitwise — those
+ * tests assert convergence and bound invariants instead of bits.
  *
  * On hosts without AVX2/NEON every Native-specific test SKIPs (the
  * seam itself degrades to scalar there, which ParseAndDispatch still
  * covers).
  */
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -527,103 +530,6 @@ struct RowSet
     }
 };
 
-TEST(KernelPgs, DisjointRowsMatchScalarTightly)
-{
-    SKIP_WITHOUT_SIMD();
-    // Every row touches its own body pair (one vs the static slot
-    // for a few rows), so relaxation order cannot matter — but the
-    // vector J·v accumulates its 12 products in a different
-    // association tree than the scalar pair-of-dots, so parity is
-    // ulp-tight, not bitwise (the PGS contract is tolerance-bounded
-    // either way; the bitwise kernels are the elementwise ones).
-    const std::size_t pairs = 11; // odd: exercises remainders
-    RowSet ref(pairs * 2, 31);
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const int ia = static_cast<int>(p * 2);
-        const int ib = p % 3 == 0 ? -1 : static_cast<int>(p * 2 + 1);
-        ref.addRow(ia, ib, -1, 100u + static_cast<unsigned>(p));
-    }
-    for (const KernelBackend *native : vectorBackends()) {
-        RowSet s = ref, v = ref;
-        PgsScratch scratch;
-        KernelStats stats, vstats;
-        scalarKernelBackend().pgsSweep(s.ctx(4), scratch, stats);
-        PgsScratch vscratch;
-        native->pgsSweep(v.ctx(4), vscratch, vstats);
-        for (std::size_t r = 0; r < s.lambda.size(); ++r)
-            EXPECT_NEAR(s.lambda[r], v.lambda[r], 1e-10)
-                << native->name() << " row " << r;
-        for (std::size_t i = 0; i <= s.bodies; ++i) {
-            EXPECT_NEAR(s.linVel[i].x, v.linVel[i].x, 1e-10);
-            EXPECT_NEAR(s.linVel[i].y, v.linVel[i].y, 1e-10);
-            EXPECT_NEAR(s.linVel[i].z, v.linVel[i].z, 1e-10);
-            EXPECT_NEAR(s.angVel[i].x, v.angVel[i].x, 1e-10);
-            EXPECT_NEAR(s.angVel[i].y, v.angVel[i].y, 1e-10);
-            EXPECT_NEAR(s.angVel[i].z, v.angVel[i].z, 1e-10);
-        }
-        EXPECT_EQ(vstats.rowsVectorized + vstats.remainderRows,
-                  s.lambda.size() * 4);
-        EXPECT_EQ(stats.rowsVectorized, 0u);
-    }
-}
-
-TEST(KernelPgs, SharedBodiesRespectBoundsAndStayFinite)
-{
-    SKIP_WITHOUT_SIMD();
-    // Rows share bodies (a contact pile): colored order diverges
-    // from scalar order within tolerance, but the clamp and the
-    // friction-cone bound are exact invariants of every schedule.
-    RowSet rows(6, 77);
-    std::mt19937 rng(5150);
-    std::uniform_int_distribution<int> pick(0, 5);
-    std::vector<int> normals;
-    for (int r = 0; r < 24; ++r) {
-        int ia = pick(rng);
-        int ib = pick(rng);
-        if (ib == ia)
-            ib = -1;
-        rows.addRow(ia, ib, -1, 200u + static_cast<unsigned>(r));
-        normals.push_back(static_cast<int>(rows.rhs.size()) - 1);
-    }
-    // One friction row per normal row, on the same body pair.
-    for (int n : normals) {
-        rows.addRow(rows.bodyA[static_cast<std::size_t>(n)],
-                    rows.bodyB[static_cast<std::size_t>(n)], n,
-                    300u + static_cast<unsigned>(n));
-    }
-
-    for (const KernelBackend *native : vectorBackends()) {
-        RowSet v = rows;
-        PgsScratch scratch;
-        KernelStats stats;
-        native->pgsSweep(v.ctx(10), scratch, stats);
-        for (std::size_t r = 0; r < v.lambda.size(); ++r) {
-            ASSERT_TRUE(std::isfinite(v.lambda[r]))
-                << native->name() << " row " << r;
-            const int n = v.normalRow[r];
-            if (n >= 0) {
-                const Real limit =
-                    v.mu[r] *
-                    v.lambda[static_cast<std::size_t>(n)];
-                EXPECT_LE(std::fabs(v.lambda[r]), limit + 1e-12)
-                    << native->name() << " friction row " << r;
-            } else {
-                EXPECT_GE(v.lambda[r], v.lo[r] - 1e-12);
-                EXPECT_LE(v.lambda[r], v.hi[r] + 1e-12);
-            }
-        }
-        for (std::size_t i = 0; i <= v.bodies; ++i) {
-            EXPECT_TRUE(std::isfinite(v.linVel[i].x));
-            EXPECT_TRUE(std::isfinite(v.angVel[i].x));
-        }
-        // The static slot must stay untouched: it is the -1 remap
-        // target and anything written there would be a scatter bug.
-        EXPECT_EQ(v.linVel[v.bodies].x, 0.0);
-        EXPECT_EQ(v.linVel[v.bodies].y, 0.0);
-        EXPECT_EQ(v.linVel[v.bodies].z, 0.0);
-    }
-}
-
 // ---------------------------------------------------------------
 // PGS contact fast path (fused fp32 triplets)
 // ---------------------------------------------------------------
@@ -886,28 +792,148 @@ TEST(KernelPgsContact, ColorOverflowRunsScalarTail)
     }
 }
 
+// ---------------------------------------------------------------
+// PGS islands that are not all contacts (the scalar reference)
+// ---------------------------------------------------------------
+
+/** The exact bit pattern of a Real, for bitwise comparisons. */
+std::uint64_t
+bitsOf(Real x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Sweep `ref` under Scalar and under every vector backend. Only an
+ *  island made entirely of contact triplets takes the fused fp32
+ *  path; every other island runs the scalar reference sweep under
+ *  every backend. So each lambda, friction bound and velocity (the
+ *  zeroed dummy slot included) must match Scalar bit for bit, and
+ *  no vector counter may move. Returns each vector backend's swept
+ *  copy for further checks. */
+std::vector<RowSet>
+expectScalarSweepBitwise(const RowSet &ref, int iterations)
+{
+    RowSet s = ref;
+    PgsScratch scratch;
+    KernelStats stats;
+    scalarKernelBackend().pgsSweep(s.ctx(iterations), scratch, stats);
+    std::vector<RowSet> swept;
+    for (const KernelBackend *native : vectorBackends()) {
+        SCOPED_TRACE(native->name());
+        RowSet v = ref;
+        PgsScratch vscratch;
+        KernelStats vstats;
+        native->pgsSweep(v.ctx(iterations), vscratch, vstats);
+        for (std::size_t r = 0; r < s.lambda.size(); ++r) {
+            EXPECT_EQ(bitsOf(v.lambda[r]), bitsOf(s.lambda[r]))
+                << "lambda row " << r;
+            EXPECT_EQ(bitsOf(v.lo[r]), bitsOf(s.lo[r]))
+                << "lo row " << r;
+            EXPECT_EQ(bitsOf(v.hi[r]), bitsOf(s.hi[r]))
+                << "hi row " << r;
+        }
+        for (std::size_t i = 0; i <= s.bodies; ++i) {
+            for (int k = 0; k < 3; ++k) {
+                EXPECT_EQ(bitsOf(v.linVel[i][k]),
+                          bitsOf(s.linVel[i][k]))
+                    << "linVel body " << i;
+                EXPECT_EQ(bitsOf(v.angVel[i][k]),
+                          bitsOf(s.angVel[i][k]))
+                    << "angVel body " << i;
+            }
+        }
+        EXPECT_EQ(vstats.contactUnits, 0u);
+        EXPECT_EQ(vstats.rowsVectorized, 0u);
+        EXPECT_EQ(vstats.remainderRows, 0u);
+        swept.push_back(std::move(v));
+    }
+    return swept;
+}
+
+TEST(KernelPgs, DisjointRowsMatchScalarTightly)
+{
+    SKIP_WITHOUT_SIMD();
+    // Every row touches its own body pair (one vs the static slot
+    // for a few rows). Not a contact island, so every vector backend
+    // runs the scalar sweep and matches it bit for bit.
+    const std::size_t pairs = 11; // odd: no whole number of packs
+    RowSet ref(pairs * 2, 31);
+    for (std::size_t p = 0; p < pairs; ++p) {
+        const int ia = static_cast<int>(p * 2);
+        const int ib = p % 3 == 0 ? -1 : static_cast<int>(p * 2 + 1);
+        ref.addRow(ia, ib, -1, 100u + static_cast<unsigned>(p));
+    }
+    expectScalarSweepBitwise(ref, 4);
+}
+
+TEST(KernelPgs, SharedBodiesRespectBoundsAndStayFinite)
+{
+    SKIP_WITHOUT_SIMD();
+    // Rows share bodies (a pile) and carry one friction row per
+    // normal row: the scalar sweep's order under every backend, and
+    // the clamp and the friction-cone bound hold on the result.
+    RowSet rows(6, 77);
+    std::mt19937 rng(5150);
+    std::uniform_int_distribution<int> pick(0, 5);
+    std::vector<int> normals;
+    for (int r = 0; r < 24; ++r) {
+        int ia = pick(rng);
+        int ib = pick(rng);
+        if (ib == ia)
+            ib = -1;
+        rows.addRow(ia, ib, -1, 200u + static_cast<unsigned>(r));
+        normals.push_back(static_cast<int>(rows.rhs.size()) - 1);
+    }
+    // One friction row per normal row, on the same body pair.
+    for (int n : normals) {
+        rows.addRow(rows.bodyA[static_cast<std::size_t>(n)],
+                    rows.bodyB[static_cast<std::size_t>(n)], n,
+                    300u + static_cast<unsigned>(n));
+    }
+
+    for (const RowSet &v : expectScalarSweepBitwise(rows, 10)) {
+        for (std::size_t r = 0; r < v.lambda.size(); ++r) {
+            ASSERT_TRUE(std::isfinite(v.lambda[r])) << "row " << r;
+            const int n = v.normalRow[r];
+            if (n >= 0) {
+                const Real limit =
+                    v.mu[r] *
+                    v.lambda[static_cast<std::size_t>(n)];
+                EXPECT_LE(std::fabs(v.lambda[r]), limit + 1e-12)
+                    << "friction row " << r;
+            } else {
+                EXPECT_GE(v.lambda[r], v.lo[r] - 1e-12);
+                EXPECT_LE(v.lambda[r], v.hi[r] + 1e-12);
+            }
+        }
+        for (std::size_t i = 0; i <= v.bodies; ++i) {
+            EXPECT_TRUE(std::isfinite(v.linVel[i].x));
+            EXPECT_TRUE(std::isfinite(v.angVel[i].x));
+        }
+        // The static slot must stay untouched: it is the -1 remap
+        // target and anything written there would be a scatter bug.
+        EXPECT_EQ(v.linVel[v.bodies].x, 0.0);
+        EXPECT_EQ(v.linVel[v.bodies].y, 0.0);
+        EXPECT_EQ(v.linVel[v.bodies].z, 0.0);
+    }
+}
+
 TEST(KernelPgsContact, NonTripletRowsFallBackToGenericPath)
 {
     SKIP_WITHOUT_SIMD();
-    // One joint-style row mixed in must route the whole island
-    // through the generic per-row path: contactUnits stays zero and
-    // the results remain finite and bounded.
+    // One joint-style row mixed in routes the whole island off the
+    // fused path to the general-row path, the scalar reference
+    // sweep: contactUnits stays zero and the results match Scalar
+    // bit for bit.
     ContactSet rows(8, 81);
     for (int c = 0; c < 10; ++c)
         rows.addContact(c % 8, (c + 1) % 8,
                         800u + static_cast<unsigned>(c));
     rows.addRow(0, 1, -1, 901);
-    EXPECT_FALSE(pgsContactPatternMatches(rows.ctx(1)));
-    for (const KernelBackend *native : vectorBackends()) {
-        ContactSet v = rows;
-        PgsScratch scratch;
-        KernelStats stats;
-        native->pgsSweep(v.ctx(6), scratch, stats);
-        EXPECT_EQ(stats.contactUnits, 0u) << native->name();
+    ASSERT_FALSE(pgsContactPatternMatches(rows.ctx(1)));
+    for (const RowSet &v : expectScalarSweepBitwise(rows, 6))
         for (std::size_t r = 0; r < v.lambda.size(); ++r)
-            ASSERT_TRUE(std::isfinite(v.lambda[r]))
-                << native->name() << " row " << r;
-    }
+            ASSERT_TRUE(std::isfinite(v.lambda[r])) << "row " << r;
 }
 
 // ---------------------------------------------------------------
@@ -917,8 +943,9 @@ TEST(KernelPgsContact, NonTripletRowsFallBackToGenericPath)
 TEST(KernelScene, NativeHoldsInvariantsOnEveryScene)
 {
     SKIP_WITHOUT_SIMD();
-    // Native sweeps relax in color-major order, so its trajectories
-    // are tolerance-bounded against scalar, not bitwise — and
+    // Native's fused contact sweep and cloth relaxation run in
+    // color-major order, so its trajectories are tolerance-bounded
+    // against scalar, not bitwise — and
     // contact-rich scenes amplify any impulse difference chaotically
     // within a handful of steps, so positional drift bounds are
     // meaningless. The meaningful acceptance gate is the one the
@@ -938,6 +965,42 @@ TEST(KernelScene, NativeHoldsInvariantsOnEveryScene)
         EXPECT_EQ(world->invariantViolationCount(), 0u)
             << benchmarkInfo(id).shortName;
         EXPECT_NE(worldStateHash(*world), 0u);
+    }
+}
+
+TEST(KernelScene, NativeStepsLikeScalarWithoutContactIslandsOrCloth)
+{
+    SKIP_WITHOUT_SIMD();
+    // Native departs from the scalar reference only in all-contact
+    // islands (the fused fp32 sweep) and cloth relaxation order.
+    // Periodic and Ragdoll have neither, so under Native they must
+    // end on the Scalar state hash bit for bit.
+    for (BenchmarkId id : {BenchmarkId::Periodic, BenchmarkId::Ragdoll}) {
+        for (unsigned workers : {0u, 2u}) {
+            SCOPED_TRACE(std::string(benchmarkInfo(id).shortName) +
+                         " workers=" + std::to_string(workers));
+            std::uint64_t hash[2] = {};
+            const SimdBackend backends[2] = {SimdBackend::Scalar,
+                                             SimdBackend::Native};
+            for (int b = 0; b < 2; ++b) {
+                WorldConfig config;
+                config.workerThreads = workers;
+                config.simdBackend = backends[b];
+                std::unique_ptr<World> world =
+                    buildBenchmark(id, config, 0.08);
+                ASSERT_EQ(world->clothCount(), 0u);
+                std::uint64_t units = 0;
+                for (int s = 0; s < 80; ++s) {
+                    world->step();
+                    units += world->lastStepStats()
+                                 .solver.kernels.contactUnits;
+                }
+                ASSERT_EQ(units, 0u)
+                    << "an all-contact island ran the fused path";
+                hash[b] = worldStateHash(*world);
+            }
+            EXPECT_EQ(hash[1], hash[0]);
+        }
     }
 }
 

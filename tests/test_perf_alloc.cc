@@ -12,10 +12,11 @@
  * fails the test.
  *
  * The scenario steps the Mix benchmark (the densest scene: rigid
- * contacts, joints, cloth, effects) long past warm-up at 0 and at 2
- * workers. It carries the `perf` ctest label and runs via the
- * `check-perf` preset, which repeats it to catch an allocation that
- * only some steal patterns produce.
+ * contacts, joints, cloth, effects) long past warm-up under both
+ * kernel backends (Native's fused contact sweep keeps its own
+ * scratch) at 0 and at 2 workers. It carries the `perf` ctest label
+ * and runs via the `check-perf` preset, which repeats it to catch an
+ * allocation that only some steal patterns produce.
  */
 
 #include <algorithm>
@@ -185,36 +186,43 @@ TEST(PerfAlloc, CounterSeesAllocations)
 
 TEST(PerfAlloc, SteadyStateStepsDoNotAllocate)
 {
-    for (unsigned workers : {0u, 2u}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        WorldConfig config;
-        config.workerThreads = workers;
-        auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, SimdBackend::Native}) {
+        for (unsigned workers : {0u, 2u}) {
+            SCOPED_TRACE(std::string(backend == SimdBackend::Scalar
+                                         ? "scalar"
+                                         : "native") +
+                         " workers=" + std::to_string(workers));
+            WorldConfig config;
+            config.workerThreads = workers;
+            config.simdBackend = backend;
+            auto world = buildBenchmark(BenchmarkId::Mix, config, 0.12);
 
-        // Warm-up: let contacts, islands, contact slots and
-        // workspaces reach their steady-state sizes. Mix keeps
-        // developing activity (explosions, breakables) well past the
-        // first frames, so the window is generous.
-        std::uint64_t slots_created = 0;
-        for (int i = 0; i < 100; ++i) {
-            world->step();
-            slots_created += world->lastStepStats().arenaGrowths;
-        }
-        // Mix tiles its pairs into several narrowphase chunks at any
-        // worker count, so the window below covers the contact slots.
-        EXPECT_GT(slots_created, 0u);
+            // Warm-up: let contacts, islands, contact slots and
+            // workspaces reach their steady-state sizes. Mix keeps
+            // developing activity (explosions, breakables) well past the
+            // first frames, so the window is generous.
+            std::uint64_t slots_created = 0;
+            for (int i = 0; i < 100; ++i) {
+                world->step();
+                slots_created += world->lastStepStats().arenaGrowths;
+            }
+            // Mix tiles its pairs into several narrowphase chunks at any
+            // worker count, so the window below covers the contact slots.
+            EXPECT_GT(slots_created, 0u);
 
-        // Measured window: not one heap allocation on any lane.
-        std::uint64_t reuses = 0;
-        for (int i = 0; i < 50; ++i) {
-            EXPECT_EQ(allocationsDuring([&world] { world->step(); }),
-                      0u)
-                << "heap allocation at measured step " << i;
-            reuses += world->lastStepStats().solver.workspaceReuses;
+            // Measured window: not one heap allocation on any lane.
+            std::uint64_t reuses = 0;
+            for (int i = 0; i < 50; ++i) {
+                EXPECT_EQ(allocationsDuring([&world] { world->step(); }),
+                          0u)
+                    << "heap allocation at measured step " << i;
+                reuses += world->lastStepStats().solver.workspaceReuses;
+            }
+            // The warm path must actually be reusing workspaces, not
+            // sidestepping them.
+            EXPECT_GT(reuses, 0u);
         }
-        // The warm path must actually be reusing workspaces, not
-        // sidestepping them.
-        EXPECT_GT(reuses, 0u);
     }
 }
 

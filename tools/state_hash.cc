@@ -25,9 +25,11 @@
  * --simd selects the kernel backend (scalar, the bitwise reference,
  * or native — SIMD; PAX_SIMD sets the default). The header line
  * names the backend actually running, since scalar and native
- * fingerprints are not comparable: native relaxation sweeps in
- * color-major order, so its trajectories are tolerance-bounded, not
- * bitwise, against scalar.
+ * fingerprints differ wherever a scene has an all-contact island or
+ * a cloth: native solves those contacts as fused fp32 units and
+ * relaxes cloth in color-major order, so its trajectories there are
+ * tolerance-bounded, not bitwise, against scalar. Scenes with
+ * neither (Periodic, Ragdoll) print the scalar fingerprints.
  */
 
 #include <cstdint>
