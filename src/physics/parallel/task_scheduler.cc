@@ -1,8 +1,11 @@
 #include "task_scheduler.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
+#include <numeric>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -149,6 +152,76 @@ TaskScheduler::parallelForByCost(std::size_t count, double nsPerItem,
                                  const LoopBody &body)
 {
     runLoop(count, tilingByCost(count, nsPerItem), body);
+}
+
+void
+TaskScheduler::dominantFirstOrder(std::span<const std::uint32_t> costs,
+                                  std::vector<std::uint32_t> &order)
+{
+    const std::uint64_t n = costs.size();
+    order.resize(costs.size());
+    std::uint64_t total = 0;
+    for (std::uint32_t c : costs)
+        total += c;
+    // Exact integer tests: a cost below 2^32 times a share or an item
+    // count below 2^32 stays below 2^64.
+    auto dominant = [total, n](std::uint32_t cost) {
+        return std::uint64_t{cost} * dominantShare >= total &&
+               std::uint64_t{cost} * n > total;
+    };
+
+    // Each dominant item holds at least 1/dominantShare of the total,
+    // so there are at most dominantShare of them.
+    std::array<std::uint32_t, dominantShare> heavy;
+    std::size_t k = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (dominant(costs[i]))
+            heavy[k++] = i;
+    }
+    if (k == 0) {
+        std::iota(order.begin(), order.end(), 0u);
+        return;
+    }
+    // std::sort on the fixed array: std::stable_sort would allocate a
+    // merge buffer on every call.
+    std::sort(heavy.begin(), heavy.begin() + k,
+              [costs](std::uint32_t a, std::uint32_t b) {
+                  return costs[a] != costs[b] ? costs[a] > costs[b]
+                                              : a < b;
+              });
+
+    // Walk the splitter's ranges breadth first, with runRange's
+    // midpoint: the first range starts at 0, and every split starts a
+    // new one at its midpoint. The ranges seen so far partition
+    // [0, n), one per placed item, so while fewer than k <= n items
+    // are placed some queued range can still split. Each split queues
+    // two ranges, so 2 * dominantShare slots hold the whole walk.
+    constexpr std::uint32_t unset = ~std::uint32_t{0};
+    std::fill(order.begin(), order.end(), unset);
+    order[0] = heavy[0];
+    std::array<std::pair<std::uint64_t, std::uint64_t>, 2 * dominantShare>
+        ranges;
+    std::size_t head = 0, tail = 0;
+    ranges[tail++] = {0, n};
+    for (std::size_t placed = 1; placed < k;) {
+        const auto [c0, c1] = ranges[head++];
+        if (c1 - c0 < 2)
+            continue;
+        const std::uint64_t mid = c0 + (c1 - c0) / 2;
+        order[mid] = heavy[placed++];
+        ranges[tail++] = {c0, mid};
+        ranges[tail++] = {mid, c1};
+    }
+
+    // Everything else keeps index order in the free positions.
+    std::uint32_t next = 0;
+    for (std::uint32_t &slot : order) {
+        if (slot != unset)
+            continue;
+        while (dominant(costs[next]))
+            ++next;
+        slot = next++;
+    }
 }
 
 void

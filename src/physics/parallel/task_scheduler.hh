@@ -19,6 +19,20 @@
  * combine per-chunk partial results in chunk-index order ("ordered
  * reduction"), so the result does not depend on which lane ran which
  * chunk.
+ *
+ * A coarse loop whose items differ widely in cost can walk its
+ * positions through dominantFirstOrder(): an item is dominant when it
+ * carries at least 1/16 of the loop's total cost and more than the
+ * mean, and dominant items, heaviest first, take the positions where
+ * lazy binary splitting starts its ranges (0, n/2, n/4, 3n/4, ...),
+ * so the first splits separate them onto different lanes instead of
+ * leaving two of them at the end of one lane's range. The order is a
+ * function of the costs alone, never of the lane count or the wall
+ * clock, and a loop without a dominant item keeps index order. The
+ * World's cloth and island-batch loops use it; the Server's burst
+ * and checkpoint loops keep index order, because their imbalance is
+ * small and a per-update cost order would move sessions across lanes
+ * from one update to the next.
  */
 
 #ifndef PARALLAX_PHYSICS_PARALLEL_TASK_SCHEDULER_HH
@@ -31,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -210,6 +225,32 @@ class TaskScheduler
      * that are each worth stealing on their own.
      */
     void parallelFor(std::size_t count, const LoopBody &body);
+
+    /**
+     * An item is dominant when its cost is at least 1/dominantShare
+     * of its loop's total (and above the mean). Below that share an
+     * item is under a third of one lane's work at the 3-5 lanes the
+     * engine runs, which stealing absorbs in index order; and at most
+     * dominantShare items can qualify, so they fit the loop's start
+     * plus its first four split levels, and a fixed array holds them.
+     */
+    static constexpr std::uint32_t dominantShare = 16;
+
+    /**
+     * Dealing order for parallelFor over items of unequal `costs`:
+     * fill `order` (resized to costs.size(); allocation-free once its
+     * capacity covers it) so that position p runs item order[p].
+     * Dominant items (see dominantShare), heaviest first with ties to
+     * the lower index, take the positions where lazy binary splitting
+     * starts its ranges, breadth first (0, n/2, n/4, 3n/4, ...); every
+     * other item fills the remaining positions in index order. A loop
+     * without a dominant item gets the identity. The order depends on
+     * the costs alone, so it is the same at any lane count; items must
+     * be independent of one another for it to leave results unchanged.
+     * At most 2^32 - 1 items.
+     */
+    static void dominantFirstOrder(std::span<const std::uint32_t> costs,
+                                   std::vector<std::uint32_t> &order);
 
     // --- Execution counters (since construction). ---
     std::uint64_t tasksExecuted() const;

@@ -1387,8 +1387,9 @@ World::phaseIslandProcessing()
     // constraint rows, one batch per chunk, so a scene of many tiny
     // islands still spreads across all lanes while per-task dispatch
     // stays amortized. Islands touch disjoint body sets, so results
-    // are bitwise identical whichever lane solves them; per-lane
-    // solver instances keep stats counters race-free and reuse their
+    // are bitwise identical whichever lane solves them, and in
+    // whichever order the batches are dealt; per-lane solver
+    // instances keep stats counters race-free and reuse their
     // workspaces across steps.
     solveIslands_.clear();
     for (Island &island : lastIslandList_) {
@@ -1414,19 +1415,24 @@ World::phaseIslandProcessing()
     const auto target_rows = static_cast<std::size_t>(std::max(
         1.0, scheduler_.schedulerConfig().targetChunkNanos / row_ns));
     // At most one batch per island: sized by the island count, the
-    // offsets never grow on a batch-count maximum alone.
+    // offsets, row sums and order never grow on a batch-count
+    // maximum alone.
     islandBatchOffsets_.clear();
     islandBatchOffsets_.reserve(island_count + 1);
-    std::size_t batch_rows = target_rows; // open a batch at i=0
+    islandBatchRows_.clear();
+    islandBatchRows_.reserve(island_count);
+    islandBatchOrder_.reserve(island_count);
     std::size_t max_bodies = 0, max_rows = 0, max_joints = 0;
     for (std::size_t i = 0; i < solveIslands_.size(); ++i) {
-        if (batch_rows >= target_rows) {
+        if (islandBatchRows_.empty() ||
+            islandBatchRows_.back() >= target_rows) {
             islandBatchOffsets_.push_back(static_cast<std::uint32_t>(i));
-            batch_rows = 0;
+            islandBatchRows_.push_back(0);
         }
         const Island &island = *solveIslands_[i];
         const auto rows = static_cast<std::size_t>(island.rows);
-        batch_rows += std::max<std::size_t>(1, rows);
+        islandBatchRows_.back() +=
+            static_cast<std::uint32_t>(std::max<std::size_t>(1, rows));
         max_bodies = std::max(max_bodies, island.bodies.size());
         max_rows = std::max(max_rows, rows);
         max_joints = std::max(max_joints, island.joints.size());
@@ -1441,13 +1447,19 @@ World::phaseIslandProcessing()
         s.setIterations(plan_.solverIterations);
         s.reserve(max_bodies, max_rows, max_joints);
     }
+    // A batch that dominates the phase is dealt first (the batch's
+    // rows are its cost), so the splitter separates it from the
+    // other heavy batches instead of queueing them on one lane.
+    TaskScheduler::dominantFirstOrder(islandBatchRows_,
+                                      islandBatchOrder_);
     const Island *island_base = lastIslandList_.data();
     scheduler_.parallelFor(
-        islandBatchOffsets_.size() - 1,
+        islandBatchOrder_.size(),
         [this, island_base, &paramsFor](std::size_t begin,
                                         std::size_t end,
                                         unsigned lane) {
-            for (std::size_t b = begin; b < end; ++b) {
+            for (std::size_t pos = begin; pos < end; ++pos) {
+                const std::uint32_t b = islandBatchOrder_[pos];
                 for (std::uint32_t i = islandBatchOffsets_[b];
                      i < islandBatchOffsets_[b + 1]; ++i) {
                     Island *island = solveIslands_[i];
@@ -1600,22 +1612,29 @@ World::phaseCloth()
         }
     }
     clothColliders_.resize(cloths_.size());
+    clothCosts_.clear();
     for (std::size_t ci = 0; ci < cloths_.size(); ++ci) {
-        stepStats_.clothVertexCounts.push_back(
-            cloths_[ci]->vertexCount());
+        const int vertices = cloths_[ci]->vertexCount();
+        stepStats_.clothVertexCounts.push_back(vertices);
+        clothCosts_.push_back(static_cast<std::uint32_t>(vertices));
     }
+    // A cloth's cost is its vertex count; dominant cloths are dealt
+    // first, so the first splits put the largest ones on different
+    // lanes.
+    TaskScheduler::dominantFirstOrder(clothCosts_, clothOrder_);
 
     // One chunk per cloth; relaxation sweeps within a cloth are
     // sequential, so cloths are the stealable unit. Per-cloth stats
     // buffers reduce in cloth order (each cloth is touched by
-    // exactly one lane).
+    // exactly one lane), whatever order the cloths were dealt in.
     std::vector<ClothStats> &locals = clothLocalStats_;
     locals.assign(cloths_.size(), ClothStats{});
     scheduler_.parallelFor(
         cloths_.size(),
         [this, &frozen, &locals](std::size_t begin, std::size_t end,
                                  unsigned lane) {
-            for (std::size_t ci = begin; ci < end; ++ci) {
+            for (std::size_t pos = begin; pos < end; ++pos) {
+                const std::size_t ci = clothOrder_[pos];
                 std::vector<const Geom *> &colliders =
                     clothColliders_[ci];
                 colliders.clear();

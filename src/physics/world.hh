@@ -598,6 +598,11 @@ class World
      *  committed row cost. */
     std::vector<Island *> solveIslands_;
     std::vector<std::uint32_t> islandBatchOffsets_;
+    /** Each batch's rows (an island counts at least one), and the
+     *  order the batches are dealt in
+     *  (TaskScheduler::dominantFirstOrder over those rows). */
+    std::vector<std::uint32_t> islandBatchRows_;
+    std::vector<std::uint32_t> islandBatchOrder_;
     /** Per-island flags for this step: on quarantine probation
      *  (reduced dt), and a permanent joint broke (no sleep). */
     std::vector<std::uint8_t> islandOnProbation_;
@@ -634,6 +639,10 @@ class World
     std::vector<ClothCandidate> clothCandidates_;
     std::vector<std::vector<const Geom *>> clothColliders_;
     std::vector<ClothStats> clothLocalStats_;
+    /** Per-cloth vertex counts and the order the cloths are dealt in
+     *  (TaskScheduler::dominantFirstOrder over those counts). */
+    std::vector<std::uint32_t> clothCosts_;
+    std::vector<std::uint32_t> clothOrder_;
     /** Scheduler lane-counter snapshots bracketing each step. */
     std::vector<LaneStats> lanesBefore_;
     std::vector<LaneStats> lanesAfter_;

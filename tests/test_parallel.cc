@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "physics/debug/capture.hh"
@@ -176,6 +178,173 @@ TEST(TaskScheduler, ManySmallLoopsComplete)
         ASSERT_EQ(ran.load(), 33);
     }
     EXPECT_EQ(scheduler.loopsRun(), 200u);
+}
+
+/** dominantFirstOrder() as a value, for the cases below. */
+std::vector<std::uint32_t>
+dealingOrder(const std::vector<std::uint32_t> &costs)
+{
+    std::vector<std::uint32_t> order;
+    TaskScheduler::dominantFirstOrder(costs, order);
+    return order;
+}
+
+std::vector<std::uint32_t>
+identity(std::size_t n)
+{
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    return order;
+}
+
+TEST(TaskScheduler, DominantFirstOrderSmallLoops)
+{
+    EXPECT_TRUE(dealingOrder({}).empty());
+    // One item is the whole loop but never above its own mean.
+    EXPECT_EQ(dealingOrder({0}), identity(1));
+    EXPECT_EQ(dealingOrder({500}), identity(1));
+    // Two items: a heavier second item moves to the front.
+    EXPECT_EQ(dealingOrder({1, 100}),
+              (std::vector<std::uint32_t>{1, 0}));
+    EXPECT_EQ(dealingOrder({100, 1}), identity(2));
+    EXPECT_EQ(dealingOrder({5, 5}), identity(2));
+    EXPECT_EQ(dealingOrder({0, 0}), identity(2));
+}
+
+TEST(TaskScheduler, DominantFirstOrderKeepsIndexOrderWithoutDominance)
+{
+    for (std::size_t n : {3u, 8u, 16u, 17u, 40u}) {
+        // Equal costs: every item is the mean, none above it (at
+        // n = 16 each holds exactly 1/16 of the total).
+        EXPECT_EQ(dealingOrder(std::vector<std::uint32_t>(n, 7)),
+                  identity(n))
+            << "n=" << n;
+        EXPECT_EQ(dealingOrder(std::vector<std::uint32_t>(n, 0)),
+                  identity(n))
+            << "n=" << n;
+    }
+    // Uneven, but no item reaches 1/16 of the total (5 * 16 < 120).
+    std::vector<std::uint32_t> uneven(40);
+    for (std::size_t i = 0; i < uneven.size(); ++i)
+        uneven[i] = static_cast<std::uint32_t>(i % 5 + 1);
+    EXPECT_EQ(dealingOrder(uneven), identity(40));
+}
+
+TEST(TaskScheduler, DominantItemsTakeTheFirstSplitStarts)
+{
+    // Deformable's cloth loop: 30 small cloths, then the two large
+    // ones. The first split of [0, 32) starts at 16, so the second
+    // large cloth leads the range the first thief takes.
+    std::vector<std::uint32_t> cloths(30, 25);
+    cloths.push_back(625);
+    cloths.push_back(625);
+    const std::vector<std::uint32_t> order = dealingOrder(cloths);
+    std::vector<std::uint32_t> expected;
+    expected.push_back(30);
+    for (std::uint32_t i = 0; i < 15; ++i)
+        expected.push_back(i);
+    expected.push_back(31);
+    for (std::uint32_t i = 15; i < 30; ++i)
+        expected.push_back(i);
+    EXPECT_EQ(order, expected);
+
+    // Four dominant items of n = 16 take positions 0, 8, 4, 12,
+    // heaviest first, equal costs to the lower index.
+    std::vector<std::uint32_t> costs(16, 1);
+    costs[3] = 100;
+    costs[5] = 300;
+    costs[9] = 300;
+    costs[12] = 200;
+    EXPECT_EQ(dealingOrder(costs),
+              (std::vector<std::uint32_t>{5, 0, 1, 2, 12, 4, 6, 7, 9, 8,
+                                          10, 11, 3, 13, 14, 15}));
+
+    // An odd count splits [0, 5) at 2, then [0, 2) at 1 and [2, 5)
+    // at 3.
+    EXPECT_EQ(dealingOrder({0, 10, 10, 10, 11}),
+              (std::vector<std::uint32_t>{4, 2, 1, 3, 0}));
+
+    // Sixteen items of exactly 1/16 each, among zero-cost ones, all
+    // dominate: the fixed array is full and the order is still a
+    // permutation.
+    std::vector<std::uint32_t> full(40, 0);
+    for (std::size_t i = 0; i < 16; ++i)
+        full[i * 2] = 9;
+    const std::vector<std::uint32_t> full_order = dealingOrder(full);
+    EXPECT_EQ(full_order[0], 0u);
+    EXPECT_EQ(full_order[20], 2u);
+    EXPECT_EQ(full_order[10], 4u);
+    EXPECT_EQ(full_order[30], 6u);
+    EXPECT_EQ(full_order[37], 30u);
+    EXPECT_EQ(full_order[1], 1u);
+}
+
+TEST(TaskScheduler, DominantFirstOrderIsAPermutation)
+{
+    // Pseudo-random loops with a few heavy spikes: the order is a
+    // permutation, and the items it leaves out of the split starts
+    // keep index order.
+    std::uint64_t state = 12345;
+    auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>(state >> 33);
+    };
+    std::vector<std::uint32_t> order;
+    for (int round = 0; round < 300; ++round) {
+        const std::size_t n = next() % 70;
+        std::vector<std::uint32_t> costs(n);
+        for (std::uint32_t &c : costs)
+            c = next() % 4 == 0 ? next() % 5000 : next() % 50;
+        TaskScheduler::dominantFirstOrder(costs, order);
+        ASSERT_EQ(order.size(), n);
+        std::vector<std::uint32_t> sorted = order;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted, identity(n)) << "round " << round;
+
+        std::uint64_t total = 0;
+        for (std::uint32_t c : costs)
+            total += c;
+        std::int64_t last_light = -1;
+        for (std::uint32_t item : order) {
+            const std::uint64_t c = costs[item];
+            if (c * TaskScheduler::dominantShare >= total &&
+                c * n > total)
+                continue;
+            EXPECT_GT(static_cast<std::int64_t>(item), last_light)
+                << "round " << round;
+            last_light = item;
+        }
+    }
+}
+
+TEST(TaskScheduler, ParallelForThroughDominantOrderRunsEveryItemOnce)
+{
+    std::vector<std::uint32_t> costs(32, 25);
+    costs[30] = costs[31] = 625;
+    std::vector<std::uint32_t> order;
+    TaskScheduler::dominantFirstOrder(costs, order);
+    for (unsigned workers : {0u, 1u, 2u, 8u}) {
+        TaskScheduler scheduler(SchedulerConfig{workers});
+        std::vector<std::atomic<int>> runs(costs.size());
+        std::vector<std::uint32_t> sequence;
+        scheduler.parallelFor(
+            order.size(),
+            [&](std::size_t begin, std::size_t end, unsigned) {
+                for (std::size_t pos = begin; pos < end; ++pos) {
+                    runs[order[pos]].fetch_add(
+                        1, std::memory_order_relaxed);
+                    if (workers == 0)
+                        sequence.push_back(order[pos]);
+                }
+            });
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 1)
+                << "item " << i << " at " << workers << " workers";
+        // Inline, positions run in index order: items in the order's
+        // sequence.
+        if (workers == 0)
+            EXPECT_EQ(sequence, order);
+    }
 }
 
 /** Bitwise-comparable snapshot of all dynamic state in a world. */
@@ -484,19 +653,31 @@ TEST(Islands, TinyIslandsEngageAllLanes)
 
 TEST(Determinism, AdaptiveGrainSweepAcrossScenes)
 {
-    // The adaptive-grain and cross-island solve paths must keep the
-    // bitwise 0/1/2/8-worker identity on every scene family (the
-    // full-length sweep over all 8 scenes is tools/state_hash; this
-    // keeps a fast cross-section in ctest).
+    // The adaptive-grain and cross-island solve paths, and the
+    // dominant-first dealing order, must keep the bitwise
+    // 0/1/2/8-worker identity on every scene family (the full-length
+    // sweep over all 8 scenes is tools/state_hash; this keeps a fast
+    // cross-section in ctest).
     for (BenchmarkId id :
          {BenchmarkId::Periodic, BenchmarkId::Continuous,
-          BenchmarkId::Ragdoll}) {
+          BenchmarkId::Ragdoll, BenchmarkId::Deformable}) {
         auto run = [id](unsigned workers) {
             WorldConfig config;
             config.workerThreads = workers;
             auto world = buildBenchmark(id, config, 0.1);
             for (int i = 0; i < 12; ++i)
                 world->step();
+            if (id == BenchmarkId::Deformable) {
+                // At this scale the two large cloths dominate the
+                // cloth loop, so it is dealt out of index order.
+                const std::vector<int> &vertices =
+                    world->lastStepStats().clothVertexCounts;
+                const std::vector<std::uint32_t> order =
+                    dealingOrder(std::vector<std::uint32_t>(
+                        vertices.begin(), vertices.end()));
+                EXPECT_NE(order, identity(order.size()))
+                    << "no dominant cloth at " << workers << " workers";
+            }
             return worldStateHash(*world);
         };
         const std::uint64_t base = run(0);
