@@ -4,13 +4,12 @@
  * KernelBackend seam (physics/kernels: the PGS sweep and the two
  * cloth kernels), scalar reference vs each vector backend this host
  * can run, one per ISA (AVX-512: 16 fp32 contact lanes, 8 doubles
- * for cloth; AVX2: 8 and 4; NEON: 4 doubles for cloth and the scalar
- * PGS sweep), plus the speedup column.
+ * for cloth; AVX2: 8 and 4), plus the speedup column.
  *
  * Workloads are synthetic but sized and shaped like the engine's
  * steady state: a contact pile's PGS triplets (normal + two coupled
  * friction rows over shared bodies, physically consistent M·J so
- * the sweep converges; all contacts, so the x86-64 backends run the
+ * the sweep converges; all contacts, so the vector backends run the
  * fused contact path)
  * and a 64x64 cloth patch (relaxation in the orders Cloth builds —
  * wavefront order for the scalar sweep, the edge coloring for
@@ -94,6 +93,8 @@ struct PgsWorkload
     static constexpr int iterations = 20;
 
     std::size_t bodies = 0;
+    std::size_t contacts = 0;
+    std::vector<Real> invMass;
     std::vector<Vec3> jla, jaa, jlb, jab, mla, maa, mlb, mab;
     std::vector<Real> rhs, cfm, invDiag, mu, lo0, hi0, lambda0;
     std::vector<Real> lo, hi, lambda;
@@ -101,12 +102,12 @@ struct PgsWorkload
     std::vector<Vec3> linVel0, angVel0, linVel, angVel;
 
     /** `contacts` contact points shaped exactly like the engine's
-     *  ContactJoint rows: a unilateral normal row plus two coupled
+     *  contact rows: a unilateral normal row plus two coupled
      *  friction rows sharing an orthonormal contact frame, with
      *  M·J rows consistent with per-body inverse mass/inertia so
      *  the system is physically convergent (20% against static). */
-    explicit PgsWorkload(std::size_t contacts, std::size_t nBodies)
-        : bodies(nBodies)
+    explicit PgsWorkload(std::size_t nContacts, std::size_t nBodies)
+        : bodies(nBodies), contacts(nContacts)
     {
         std::mt19937 rng(1234);
         std::uniform_real_distribution<double> u(-1.0, 1.0);
@@ -116,7 +117,8 @@ struct PgsWorkload
 
         linVel0.resize(bodies + 1);
         angVel0.resize(bodies + 1);
-        std::vector<Real> invMass(bodies), invInertia(bodies);
+        invMass.resize(bodies);
+        std::vector<Real> invInertia(bodies);
         for (std::size_t i = 0; i < bodies; ++i) {
             linVel0[i] = vec();
             angVel0[i] = vec();
@@ -199,6 +201,7 @@ struct PgsWorkload
     {
         PgsSweepCtx c;
         c.rows = rhs.size();
+        c.contacts = contacts;
         c.jLinA = jla.data(); c.jAngA = jaa.data();
         c.jLinB = jlb.data(); c.jAngB = jab.data();
         c.mLinA = mla.data(); c.mAngA = maa.data();
@@ -210,6 +213,7 @@ struct PgsWorkload
         c.normalRow = normalRow.data();
         c.bodyA = bodyA.data(); c.bodyB = bodyB.data();
         c.bodies = bodies;
+        c.invMass = invMass.data();
         c.linVel = linVel.data();
         c.angVel = angVel.data();
         c.iterations = iterations;
@@ -369,7 +373,7 @@ main(int argc, char **argv)
     for (const KernelBackend *native : nativeKernelBackends())
         backends.push_back(native);
     if (backends.size() == 1)
-        std::printf("note: host has no AVX2/NEON; measuring the "
+        std::printf("note: host has no AVX2; measuring the "
                     "scalar reference only\n");
 
     // Workloads (sized like a busy engine step).

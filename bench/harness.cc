@@ -115,7 +115,7 @@ parseCommonFlags(int *argc, char **argv)
     if (hostSimd == SimdBackend::Native && !nativeSimdAvailable()) {
         std::fprintf(stderr,
                      "notice: native SIMD kernels requested but "
-                     "this build/host has no AVX2/NEON support; "
+                     "this build/host has no AVX2 support; "
                      "running the scalar backend\n");
     }
 }

@@ -93,7 +93,7 @@ struct MeasureOptions
  *                        "scalar" (bitwise reference, the default)
  *                        or "native" (SIMD kernels; prints a notice
  *                        and degrades to scalar on hosts without
- *                        AVX2/NEON). The PAX_SIMD environment
+ *                        AVX2). The PAX_SIMD environment
  *                        variable sets the default; the flag wins
  */
 void parseCommonFlags(int *argc, char **argv);

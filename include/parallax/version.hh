@@ -17,7 +17,10 @@
  * string-keyed metrics registry of World and Server; v8 dropped the
  * narrowphase's vector-engine counters with the SIMD sphere-pair
  * batches, see docs/API.md; 8.1 added the scheduler's
- * dominant-first dealing order); the minor number bumps when the
+ * dominant-first dealing order; v9 made contacts plain
+ * ContactConstraint records that islands carry beside their joints,
+ * and dropped Joint::onSolved and the per-row joint id); the minor
+ * number bumps when the
  * surface grows compatibly. Internal headers under src/ carry no
  * compatibility promise at all — consumers that reach past
  * include/parallax/ are on their own, and the check_public_api ctest
@@ -28,8 +31,8 @@
 #ifndef PARALLAX_PUBLIC_VERSION_HH
 #define PARALLAX_PUBLIC_VERSION_HH
 
-#define PARALLAX_API_VERSION_MAJOR 8
-#define PARALLAX_API_VERSION_MINOR 1
+#define PARALLAX_API_VERSION_MAJOR 9
+#define PARALLAX_API_VERSION_MINOR 0
 
 /** Single comparable value: major * 1000 + minor. */
 #define PARALLAX_API_VERSION                                         \

@@ -858,7 +858,7 @@ World::restoreState(const std::vector<std::uint8_t> &bytes)
     // Per-step scratch describes a step that never happened here.
     lastPairs_.clear();
     lastContacts_.clear();
-    contactJoints_.clear();
+    contactConstraints_.clear();
     lastIslandList_.clear();
     stepStats_.reset();
 

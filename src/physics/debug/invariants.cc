@@ -202,23 +202,21 @@ checkSleeping(const World &world, Report &report)
                        body->id());
         }
     }
-    for (const ContactJoint &joint : world.lastContactJoints()) {
-        const RigidBody *a = joint.bodyA();
-        const RigidBody *b = joint.bodyB();
+    const std::vector<ContactConstraint> &contacts =
+        world.lastContactConstraints();
+    for (std::size_t k = 0; k < contacts.size(); ++k) {
+        const RigidBody *a = contacts[k].bodyA;
+        const RigidBody *b = contacts[k].bodyB;
         const bool touches_sleeper =
-            (a != nullptr && a->asleep()) ||
-            (b != nullptr && b->asleep());
+            a->asleep() || (b != nullptr && b->asleep());
         if (!touches_sleeper)
             continue;
-        const Real *l = joint.solvedLambdas();
+        const Real *l = contacts[k].solved;
         if (l[0] != 0.0 || l[1] != 0.0 || l[2] != 0.0) {
             report.add("sleep-impulse",
-                       "contact joint " + std::to_string(joint.id()) +
+                       "contact " + std::to_string(k) +
                            " applied an impulse to a sleeping body",
-                       joint.bodyA() != nullptr
-                           ? static_cast<std::int64_t>(
-                                 joint.bodyA()->id())
-                           : -1);
+                       static_cast<std::int64_t>(a->id()));
         }
     }
 }
@@ -227,21 +225,21 @@ void
 checkFrictionCone(const World &world, Report &report,
                   const InvariantOptions &options)
 {
-    // Contact joints are built with the world's default material, so
-    // its friction coefficient bounds every solved friction impulse.
+    // Contacts are solved with the world's default material, so its
+    // friction coefficient bounds every solved friction impulse.
     const Real mu = world.config().defaultMaterial.friction;
-    for (const ContactJoint &joint : world.lastContactJoints()) {
-        // ContactJoint guarantees a dynamic bodyA; quarantine will
-        // freeze its island.
+    const std::vector<ContactConstraint> &contacts =
+        world.lastContactConstraints();
+    for (std::size_t k = 0; k < contacts.size(); ++k) {
+        // The world gives every contact a dynamic bodyA; quarantine
+        // will freeze its island.
         const std::int64_t owner =
-            joint.bodyA() != nullptr
-                ? static_cast<std::int64_t>(joint.bodyA()->id())
-                : -1;
-        const Real *l = joint.solvedLambdas();
+            static_cast<std::int64_t>(contacts[k].bodyA->id());
+        const Real *l = contacts[k].solved;
         if (!std::isfinite(l[0]) || !std::isfinite(l[1]) ||
             !std::isfinite(l[2])) {
             report.add("impulse-finite",
-                       "contact joint " + std::to_string(joint.id()) +
+                       "contact " + std::to_string(k) +
                            " solved a non-finite impulse",
                        owner);
             continue;
@@ -250,7 +248,7 @@ checkFrictionCone(const World &world, Report &report,
             options.frictionSlack * (1.0 + std::fabs(mu * l[0]));
         if (l[0] < -slack) {
             report.add("friction-cone",
-                       "contact joint " + std::to_string(joint.id()) +
+                       "contact " + std::to_string(k) +
                            " has negative normal impulse " +
                            std::to_string(l[0]),
                        owner);
@@ -258,7 +256,7 @@ checkFrictionCone(const World &world, Report &report,
         const Real limit = mu * std::max<Real>(l[0], 0.0) + slack;
         if (std::fabs(l[1]) > limit || std::fabs(l[2]) > limit) {
             report.add("friction-cone",
-                       "contact joint " + std::to_string(joint.id()) +
+                       "contact " + std::to_string(k) +
                            " friction impulse exceeds mu * normal (" +
                            std::to_string(l[1]) + ", " +
                            std::to_string(l[2]) + " vs limit " +

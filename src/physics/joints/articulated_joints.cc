@@ -30,9 +30,9 @@ perpBasis(const Vec3 &axis, Vec3 &u, Vec3 &v)
  * J*v = +erp * err / dt so A chases B (and vice versa).
  */
 void
-pointRow(RowBuffer &out, JointId joint,
-         const SolverParams &params, RigidBody *a, RigidBody *b,
-         const Vec3 &anchor_a, const Vec3 &anchor_b, const Vec3 &dir)
+pointRow(RowBuffer &out, const SolverParams &params, RigidBody *a,
+         RigidBody *b, const Vec3 &anchor_a, const Vec3 &anchor_b,
+         const Vec3 &dir)
 {
     ConstraintRow row;
     const Vec3 ra = anchor_a - a->position();
@@ -49,7 +49,6 @@ pointRow(RowBuffer &out, JointId joint,
                       params.maxCorrectingVel);
     row.rhs = bias;
     row.cfm = params.cfm;
-    row.joint = joint;
     out.push_back(row);
 }
 
@@ -61,9 +60,8 @@ pointRow(RowBuffer &out, JointId joint,
  * J*v = +erp * err / dt so A catches up / B falls back.
  */
 void
-angularRow(RowBuffer &out, JointId joint,
-           const SolverParams &params, RigidBody *b, const Vec3 &axis,
-           Real err)
+angularRow(RowBuffer &out, const SolverParams &params, RigidBody *b,
+           const Vec3 &axis, Real err)
 {
     ConstraintRow row;
     row.jAngA = axis;
@@ -74,7 +72,6 @@ angularRow(RowBuffer &out, JointId joint,
                       params.maxCorrectingVel);
     row.rhs = bias;
     row.cfm = params.cfm;
-    row.joint = joint;
     out.push_back(row);
 }
 
@@ -122,7 +119,7 @@ BallJoint::buildRows(const SolverParams &params,
     const Vec3 pb = anchorOnB();
     const Vec3 axes[3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
     for (const Vec3 &dir : axes)
-        pointRow(out, id(), params, bodyA(), bodyB(), pa, pb, dir);
+        pointRow(out, params, bodyA(), bodyB(), pa, pb, dir);
 }
 
 HingeJoint::HingeJoint(JointId id, RigidBody *body_a,
@@ -160,8 +157,8 @@ HingeJoint::buildRows(const SolverParams &params,
     // axis_a x axis_b = theta * u for a misalignment of B's axis by
     // theta about u: exactly "B ahead of A" in angularRow's terms.
     const Vec3 err = axis_a.cross(axis_b);
-    angularRow(out, id(), params, bodyB(), u, err.dot(u));
-    angularRow(out, id(), params, bodyB(), v, err.dot(v));
+    angularRow(out, params, bodyB(), u, err.dot(u));
+    angularRow(out, params, bodyB(), v, err.dot(v));
 }
 
 SliderJoint::SliderJoint(JointId id, RigidBody *body_a,
@@ -196,7 +193,7 @@ SliderJoint::buildRows(const SolverParams &params,
         b != nullptr ? b->orientation() : Quat(), relRotation_);
     const Vec3 axes[3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
     for (int i = 0; i < 3; ++i)
-        angularRow(out, id(), params, b, axes[i], err[i]);
+        angularRow(out, params, b, axes[i], err[i]);
 
     // Lock translation perpendicular to the slide axis.
     const Vec3 axis = axisWorld();
@@ -205,7 +202,7 @@ SliderJoint::buildRows(const SolverParams &params,
     const Vec3 target = a->pose().apply(offsetLocalA_);
     const Vec3 b_pos = b != nullptr ? b->position() : Vec3{};
     for (const Vec3 &dir : {u, v})
-        pointRow(out, id(), params, a, b, target, b_pos, dir);
+        pointRow(out, params, a, b, target, b_pos, dir);
 }
 
 FixedJoint::FixedJoint(JointId id, RigidBody *body_a,
@@ -231,12 +228,12 @@ FixedJoint::buildRows(const SolverParams &params,
         b != nullptr ? b->orientation() : Quat(), relRotation_);
     const Vec3 axes[3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
     for (int i = 0; i < 3; ++i)
-        angularRow(out, id(), params, b, axes[i], err[i]);
+        angularRow(out, params, b, axes[i], err[i]);
 
     const Vec3 target = a->pose().apply(offsetLocalA_);
     const Vec3 b_pos = b != nullptr ? b->position() : Vec3{};
     for (const Vec3 &dir : axes)
-        pointRow(out, id(), params, a, b, target, b_pos, dir);
+        pointRow(out, params, a, b, target, b_pos, dir);
 }
 
 } // namespace parallax

@@ -1,4 +1,4 @@
-#include "contact_joint.hh"
+#include "contact_constraint.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -22,21 +22,15 @@ tangentBasis(const Vec3 &n, Vec3 &t1, Vec3 &t2)
 
 } // namespace
 
-ContactJoint::ContactJoint(JointId id, RigidBody *body_a,
-                           RigidBody *body_b, const Contact &contact,
-                           const ContactMaterial &mat)
-    : Joint(id, body_a, body_b), contact_(contact), material_(mat)
-{
-}
-
 void
-ContactJoint::buildRows(const SolverParams &params,
-                        RowBuffer &out)
+buildContactRows(const ContactConstraint &contact,
+                 const ContactMaterial &material,
+                 const SolverParams &params, RowBuffer &out)
 {
-    RigidBody *a = bodyA();
-    RigidBody *b = bodyB();
-    const Vec3 &n = contact_.normal;
-    const Vec3 &p = contact_.position;
+    const RigidBody *a = contact.bodyA;
+    const RigidBody *b = contact.bodyB;
+    const Vec3 &n = contact.contact.normal;
+    const Vec3 &p = contact.contact.position;
     const Vec3 ra = p - a->position();
     const Vec3 rb = b != nullptr ? p - b->position() : Vec3{};
 
@@ -54,16 +48,15 @@ ContactJoint::buildRows(const SolverParams &params,
         normal.jLinB = -n;
         normal.jAngB = -rb.cross(n);
     }
-    Real bias = params.erp * contact_.depth / params.dt;
+    Real bias = params.erp * contact.contact.depth / params.dt;
     bias = std::min(bias, params.maxCorrectingVel);
-    if (-vn > material_.restitutionThreshold)
-        bias = std::max(bias, -material_.restitution * vn);
+    if (-vn > material.restitutionThreshold)
+        bias = std::max(bias, -material.restitution * vn);
     normal.rhs = bias;
     normal.cfm = params.cfm;
     normal.lo = 0.0;
     normal.hi = 1e30;
-    normal.joint = id();
-    normal.lambda = warm_[0]; // Warm start (0 for fresh contacts).
+    normal.lambda = contact.warm[0]; // 0 for fresh contacts.
     const int normal_index = static_cast<int>(out.size());
     out.push_back(normal);
 
@@ -83,28 +76,10 @@ ContactJoint::buildRows(const SolverParams &params,
         fr.rhs = 0.0;
         fr.cfm = params.cfm;
         fr.normalRow = normal_index;
-        fr.mu = material_.friction;
-        fr.joint = id();
-        fr.lambda = warm_[tangent_index++];
+        fr.mu = material.friction;
+        fr.lambda = contact.warm[tangent_index++];
         out.push_back(fr);
     }
-}
-
-void
-ContactJoint::onSolved(const Real *lambdas, int count)
-{
-    for (int i = 0; i < count && i < 3; ++i)
-        solved_[i] = lambdas[i];
-}
-
-void
-ContactJoint::setWarmStart(Real normal, Real friction1,
-                           Real friction2)
-{
-    // Damp the carried impulse slightly so stale contacts decay.
-    warm_[0] = 0.9 * normal;
-    warm_[1] = 0.9 * friction1;
-    warm_[2] = 0.9 * friction2;
 }
 
 } // namespace parallax

@@ -23,9 +23,9 @@ namespace parallax
 /** Identifier of a joint within its World. */
 using JointId = std::uint32_t;
 
-constexpr JointId invalidJointId = ~JointId(0);
-
-/** Joint type discriminator (drives per-type memory sizes too). */
+/** Joint type discriminator (drives per-type memory sizes too;
+ *  Contact names the records of the world's contact pool, which are
+ *  not Joint objects). */
 enum class JointType
 {
     Contact,
@@ -62,8 +62,6 @@ struct ConstraintRow
      *  normal row, or -1 for non-friction rows. */
     int normalRow = -1;
     Real mu = 0.0;
-    /** Owning joint, so impulses can be fed back for breakage. */
-    JointId joint = invalidJointId;
 };
 
 /** Parameters shared by row construction. */
@@ -84,8 +82,8 @@ struct SolverParams
  * The relaxation sweep reads each field of every row once per
  * iteration; splitting the fields into parallel arrays lets those
  * reads stream linearly (and the lambda/bounds updates vectorize)
- * instead of striding over 14-field structs. Joints still emit rows
- * one at a time via push_back(), which scatters the AoS
+ * instead of striding over 11-field structs. Joints and contacts
+ * still emit rows one at a time via push_back(), which scatters the AoS
  * ConstraintRow into the arrays; operator[] gathers one back for
  * callers (tests, debugging) that want the struct view.
  *
@@ -109,7 +107,6 @@ class RowBuffer
         lambda.push_back(row.lambda);
         mu.push_back(row.mu);
         normalRow.push_back(row.normalRow);
-        joint.push_back(row.joint);
     }
 
     /** Gather row `i` back into the AoS view. */
@@ -128,7 +125,6 @@ class RowBuffer
         row.lambda = lambda[i];
         row.mu = mu[i];
         row.normalRow = normalRow[i];
-        row.joint = joint[i];
         return row;
     }
 
@@ -149,7 +145,6 @@ class RowBuffer
         lambda.clear();
         mu.clear();
         normalRow.clear();
-        joint.clear();
     }
 
     void
@@ -166,7 +161,6 @@ class RowBuffer
         lambda.reserve(n);
         mu.reserve(n);
         normalRow.reserve(n);
-        joint.reserve(n);
     }
 
     // Field arrays, all size() long. Public: the solver's inner loop
@@ -174,7 +168,6 @@ class RowBuffer
     std::vector<Vec3> jLinA, jAngA, jLinB, jAngB;
     std::vector<Real> rhs, cfm, lo, hi, lambda, mu;
     std::vector<int> normalRow;
-    std::vector<JointId> joint;
 };
 
 /** Abstract joint. bodyB may be null, meaning the static world. */
@@ -196,18 +189,6 @@ class Joint
     /** Append this joint's rows to the island's row list. */
     virtual void buildRows(const SolverParams &params,
                            RowBuffer &out) = 0;
-
-    /**
-     * Receive the solved impulses for this joint's rows (in the
-     * order buildRows emitted them). Used by contacts to persist
-     * impulses for warm starting; default is a no-op.
-     */
-    virtual void
-    onSolved(const Real *lambdas, int count)
-    {
-        (void)lambdas;
-        (void)count;
-    }
 
     /**
      * Breakable joints (Table 2): the joint breaks when the applied

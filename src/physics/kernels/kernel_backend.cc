@@ -14,7 +14,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -37,10 +36,6 @@ const KernelBackend *avx2KernelBackend();
 // Defined in native_avx512.cc (the only TU built with -mavx512*).
 const KernelBackend *avx512KernelBackend();
 #endif
-#if PAX_KERNELS_HAVE_NEON
-// Defined in native_neon.cc.
-const KernelBackend *neonKernelBackend();
-#endif
 
 #if PAX_KERNELS_HAVE_AVX512
 static bool
@@ -60,8 +55,6 @@ nativeSimdAvailable()
     // fuses; every AVX2-era CPU ships FMA, but check anyway).
     return __builtin_cpu_supports("avx2") &&
            __builtin_cpu_supports("fma");
-#elif PAX_KERNELS_HAVE_NEON
-    return true; // NEON is architectural on aarch64.
 #else
     return false;
 #endif
@@ -77,8 +70,6 @@ nativeKernelBackend()
 #if PAX_KERNELS_HAVE_AVX2
     if (nativeSimdAvailable())
         return avx2KernelBackend();
-#elif PAX_KERNELS_HAVE_NEON
-    return neonKernelBackend();
 #endif
     return nullptr;
 }
@@ -94,8 +85,6 @@ nativeKernelBackends()
 #if PAX_KERNELS_HAVE_AVX2
     if (nativeSimdAvailable())
         all.push_back(avx2KernelBackend());
-#elif PAX_KERNELS_HAVE_NEON
-    all.push_back(neonKernelBackend());
 #endif
     return all;
 }
@@ -228,66 +217,8 @@ wavefrontEdges(const std::int32_t *a, const std::int32_t *b,
 // Contact-triplet fast path (see the PgsScratch docs)
 // ---------------------------------------------------------------------
 
-bool
-pgsContactPatternMatches(const PgsSweepCtx &ctx)
-{
-    const std::size_t n = ctx.rows;
-    if (n == 0 || n % 3 != 0)
-        return false;
-    for (std::size_t r0 = 0; r0 < n; r0 += 3) {
-        const int nr = static_cast<int>(r0);
-        if (ctx.normalRow[r0] >= 0 || ctx.normalRow[r0 + 1] != nr ||
-            ctx.normalRow[r0 + 2] != nr)
-            return false;
-        if (ctx.bodyA[r0 + 1] != ctx.bodyA[r0] ||
-            ctx.bodyA[r0 + 2] != ctx.bodyA[r0] ||
-            ctx.bodyB[r0 + 1] != ctx.bodyB[r0] ||
-            ctx.bodyB[r0 + 2] != ctx.bodyB[r0])
-            return false;
-        // Normal clamp is specialized to [0, +inf).
-        if (ctx.lo[r0] != 0.0 || ctx.hi[r0] < 1e29)
-            return false;
-        // Friction rhs is folded out; cfm is per contact.
-        if (ctx.rhs[r0 + 1] != 0.0 || ctx.rhs[r0 + 2] != 0.0)
-            return false;
-        if (ctx.cfm[r0 + 1] != ctx.cfm[r0] ||
-            ctx.cfm[r0 + 2] != ctx.cfm[r0])
-            return false;
-        // The kernel evaluates J·v_lin over (vA - vB), which needs
-        // jLinB to be the exact negation of jLinA (how ContactJoint
-        // builds its rows). A static/absent B has zero jLinB and a
-        // zeroed dummy velocity slot, so the subtraction still holds.
-        if (ctx.bodyB[r0] >= 0) {
-            for (int r = 0; r < 3; ++r) {
-                const Vec3 &ja = ctx.jLinA[r0 + r];
-                const Vec3 &jb = ctx.jLinB[r0 + r];
-                if (jb.x != -ja.x || jb.y != -ja.y || jb.z != -ja.z)
-                    return false;
-            }
-        }
-    }
-    return true;
-}
-
 namespace
 {
-
-/** Recover the scalar invMass from mLin = jLin * invMass using the
- *  largest-magnitude Jacobian component (contact normals/tangents
- *  are unit vectors, so one component is always >= 1/sqrt(3)). */
-inline double
-invMassFrom(const Vec3 &j, const Vec3 &m)
-{
-    double best = std::fabs(j.x);
-    double im = best > 0.0 ? m.x / j.x : 0.0;
-    if (std::fabs(j.y) > best) {
-        best = std::fabs(j.y);
-        im = m.y / j.y;
-    }
-    if (std::fabs(j.z) > best)
-        im = m.z / j.z;
-    return im;
-}
 
 /** Full 12-component J_rj · (M·J)_rm dot (the coupling scalars). */
 inline double
@@ -304,87 +235,66 @@ couplingDot(const PgsSweepCtx &ctx, std::size_t rj, std::size_t rm)
 void
 buildPgsContactUnits(const PgsSweepCtx &ctx, PgsScratch &sc, int width)
 {
-    const std::size_t nu = ctx.rows / 3;
+    const std::size_t nu = ctx.contacts;
     const std::size_t w = static_cast<std::size_t>(width);
     sc.units = nu;
 
-    // --- Unit coloring, cached on the (bodyA, bodyB) topology.
-    // Units only constrain the coloring through their body pair, so
-    // a stable contact set rebuilds just the value streams. The
-    // cache holds one topology, and a lane solves many islands per
-    // step, so it hits only when a lane's consecutive fused solves
-    // share one.
-    const bool topoHit =
-        sc.topoValid && sc.topoRows == ctx.rows &&
-        sc.topoWidth == width &&
-        std::memcmp(sc.topoA.data(), ctx.bodyA,
-                    ctx.rows * sizeof(std::int32_t)) == 0 &&
-        std::memcmp(sc.topoB.data(), ctx.bodyB,
-                    ctx.rows * sizeof(std::int32_t)) == 0;
-    if (!topoHit) {
-        sc.topoA.assign(ctx.bodyA, ctx.bodyA + ctx.rows);
-        sc.topoB.assign(ctx.bodyB, ctx.bodyB + ctx.rows);
-        sc.topoRows = ctx.rows;
-        sc.topoWidth = width;
-
-        sc.bodyColorMask.assign(ctx.bodies, 0);
-        sc.colorOfUnit.assign(nu, -1);
-        std::size_t counts[64] = {};
-        std::size_t maxColor = 0;
-        std::size_t overflow = 0;
-        for (std::size_t u = 0; u < nu; ++u) {
-            const int ia = ctx.bodyA[3 * u];
-            const int ib = ctx.bodyB[3 * u];
-            std::uint64_t used = 0;
-            if (ia >= 0)
-                used |= sc.bodyColorMask[static_cast<std::size_t>(ia)];
-            if (ib >= 0)
-                used |= sc.bodyColorMask[static_cast<std::size_t>(ib)];
-            const int c = std::countr_one(used);
-            if (c >= 64) {
-                ++overflow;
-                continue;
-            }
-            sc.colorOfUnit[u] = c;
-            const std::uint64_t bit = std::uint64_t(1) << c;
-            if (ia >= 0)
-                sc.bodyColorMask[static_cast<std::size_t>(ia)] |= bit;
-            if (ib >= 0)
-                sc.bodyColorMask[static_cast<std::size_t>(ib)] |= bit;
-            ++counts[c];
-            maxColor = std::max<std::size_t>(
-                maxColor, static_cast<std::size_t>(c));
+    // --- Unit coloring: greedy, no two units of a color share a
+    // dynamic body.
+    sc.bodyColorMask.assign(ctx.bodies, 0);
+    sc.colorOfUnit.assign(nu, -1);
+    std::size_t counts[64] = {};
+    std::size_t maxColor = 0;
+    std::size_t overflow = 0;
+    for (std::size_t u = 0; u < nu; ++u) {
+        const int ia = ctx.bodyA[3 * u];
+        const int ib = ctx.bodyB[3 * u];
+        std::uint64_t used = 0;
+        if (ia >= 0)
+            used |= sc.bodyColorMask[static_cast<std::size_t>(ia)];
+        if (ib >= 0)
+            used |= sc.bodyColorMask[static_cast<std::size_t>(ib)];
+        const int c = std::countr_one(used);
+        if (c >= 64) {
+            ++overflow;
+            continue;
         }
+        sc.colorOfUnit[u] = c;
+        const std::uint64_t bit = std::uint64_t(1) << c;
+        if (ia >= 0)
+            sc.bodyColorMask[static_cast<std::size_t>(ia)] |= bit;
+        if (ib >= 0)
+            sc.bodyColorMask[static_cast<std::size_t>(ib)] |= bit;
+        ++counts[c];
+        maxColor =
+            std::max<std::size_t>(maxColor, static_cast<std::size_t>(c));
+    }
 
-        sc.colors = nu > overflow ? maxColor + 1 : 0;
-        sc.tailUnits = overflow;
-        sc.colorOffsets.assign(sc.colors + 1, 0);
-        for (std::size_t c = 0; c < sc.colors; ++c) {
-            // Pad each color to a whole number of packs.
-            sc.colorOffsets[c + 1] =
-                sc.colorOffsets[c] +
-                static_cast<std::uint32_t>((counts[c] + w - 1) / w * w);
-        }
-        sc.tailStart = sc.colorOffsets[sc.colors];
+    sc.colors = nu > overflow ? maxColor + 1 : 0;
+    sc.tailUnits = overflow;
+    sc.colorOffsets.assign(sc.colors + 1, 0);
+    for (std::size_t c = 0; c < sc.colors; ++c) {
+        // Pad each color to a whole number of packs.
+        sc.colorOffsets[c + 1] =
+            sc.colorOffsets[c] +
+            static_cast<std::uint32_t>((counts[c] + w - 1) / w * w);
+    }
+    sc.tailStart = sc.colorOffsets[sc.colors];
 
-        const std::size_t total = sc.tailStart + sc.tailUnits;
-        sc.order.assign(total, PgsScratch::kPad);
-        std::uint32_t cursor[64];
-        std::copy_n(sc.colorOffsets.begin(), sc.colors, cursor);
-        std::uint32_t tail = static_cast<std::uint32_t>(sc.tailStart);
-        for (std::size_t u = 0; u < nu; ++u) {
-            if (sc.colorOfUnit[u] < 0)
-                sc.order[tail++] = static_cast<std::uint32_t>(u);
-            else
-                sc.order[cursor[static_cast<std::size_t>(
-                    sc.colorOfUnit[u])]++] =
-                    static_cast<std::uint32_t>(u);
-        }
-        sc.topoValid = true;
+    const std::size_t total = sc.tailStart + sc.tailUnits;
+    sc.order.assign(total, PgsScratch::kPad);
+    std::uint32_t cursor[64];
+    std::copy_n(sc.colorOffsets.begin(), sc.colors, cursor);
+    std::uint32_t tail = static_cast<std::uint32_t>(sc.tailStart);
+    for (std::size_t u = 0; u < nu; ++u) {
+        if (sc.colorOfUnit[u] < 0)
+            sc.order[tail++] = static_cast<std::uint32_t>(u);
+        else
+            sc.order[cursor[static_cast<std::size_t>(
+                sc.colorOfUnit[u])]++] = static_cast<std::uint32_t>(u);
     }
 
     // --- Pack the compressed fp32 unit streams, slot-major.
-    const std::size_t total = sc.tailStart + sc.tailUnits;
     for (int r = 0; r < 3; ++r) {
         for (int k = 0; k < 9; ++k)
             sc.J[r][k].resize(total);
@@ -458,11 +368,8 @@ buildPgsContactUnits(const PgsSweepCtx &ctx, PgsScratch &sc, int width)
                 static_cast<float>(ctx.sor * ctx.invDiag[rr]);
             sc.lam[r][s] = static_cast<float>(ctx.lambda[rr]);
         }
-        sc.imA[s] = static_cast<float>(
-            invMassFrom(ctx.jLinA[r0], ctx.mLinA[r0]));
-        sc.imB[s] = ib >= 0 ? static_cast<float>(invMassFrom(
-                                  ctx.jLinB[r0], ctx.mLinB[r0]))
-                            : 0.0f;
+        sc.imA[s] = ia >= 0 ? static_cast<float>(ctx.invMass[ia]) : 0.0f;
+        sc.imB[s] = ib >= 0 ? static_cast<float>(ctx.invMass[ib]) : 0.0f;
         sc.rhsN[s] = static_cast<float>(ctx.rhs[r0]);
         sc.cfmU[s] = static_cast<float>(ctx.cfm[r0]);
         sc.mu[s] = static_cast<float>(ctx.mu[r0 + 1]);
@@ -500,8 +407,6 @@ reservePgsContactUnits(std::size_t bodies, std::size_t rows, int width,
     sc.colorOffsets.reserve(64 + 1);
     sc.lvf.reserve(3 * (bodies + 1));
     sc.avf.reserve(3 * (bodies + 1));
-    sc.topoA.reserve(rows);
-    sc.topoB.reserve(rows);
     sc.bodyColorMask.reserve(bodies);
     sc.colorOfUnit.reserve(nu);
 }

@@ -13,9 +13,10 @@
  *    trajectories are identical to the pre-refactor engine on all
  *    benchmark scenes.
  *  - Native: SIMD with runtime CPU dispatch (AVX2/AVX-512 on
- *    x86-64, NEON on aarch64). An island made only of contact
- *    triplets runs the fused fp32 contact sweep (PgsScratch, x86-64
- *    only); every other island runs the scalar reference sweep.
+ *    x86-64; other hosts run Scalar). An island made only of
+ *    contacts (PgsSweepCtx::contacts) runs the fused fp32 contact
+ *    sweep (PgsScratch); every other island runs the scalar
+ *    reference sweep.
  *    Cloth integration is bitwise identical per element (no FMA,
  *    same IEEE op order); cloth relaxation runs in the cloth's
  *    conflict-free edge coloring. So a Native trajectory differs
@@ -46,7 +47,7 @@ enum class SimdBackend
     /** Bitwise-deterministic reference kernels (the default). */
     Scalar,
     /** Vectorized kernels; falls back to Scalar when the host has
-     *  neither AVX2 nor NEON. */
+     *  no AVX2. */
     Native,
 };
 
@@ -91,6 +92,10 @@ struct KernelStats
 struct PgsSweepCtx
 {
     std::size_t rows = 0;
+    /** The last 3 * contacts rows are contact triplets, in the order
+     *  buildContactRows writes them: a normal row, then two friction
+     *  rows, all on one body pair. */
+    std::size_t contacts = 0;
     const Vec3 *jLinA = nullptr, *jAngA = nullptr;
     const Vec3 *jLinB = nullptr, *jAngB = nullptr;
     const Vec3 *mLinA = nullptr, *mAngA = nullptr;
@@ -103,6 +108,7 @@ struct PgsSweepCtx
     const int *bodyA = nullptr, *bodyB = nullptr; // -1 = static/none.
 
     std::size_t bodies = 0;
+    const Real *invMass = nullptr;             // bodies entries.
     Vec3 *linVel = nullptr, *angVel = nullptr; // bodies + 1 entries.
 
     int iterations = 1;
@@ -115,30 +121,30 @@ struct PgsSweepCtx
  *
  * A contact emits exactly three rows sharing one body pair — normal,
  * then two tangent friction rows bounded by the normal's lambda
- * (ContactJoint::buildRows). When EVERY row of an island follows
- * that pattern (pgsContactPatternMatches), the Native backends solve
+ * (buildContactRows). When an island is made only of contacts
+ * (3 * PgsSweepCtx::contacts == rows), the Native backends solve
  * per-contact units instead of rows: one lane = one contact, body
  * velocities are gathered once and scattered once per unit per
  * iteration, and the friction rows' J·v terms are corrected
  * in-register through precomputed coupling scalars (c10/c20/c21 =
  * J_fric · M·J of the earlier rows of the same unit) instead of
  * re-reading memory. The unit streams are compressed using the
- * contact structure — jLinB = -jLinA, M·J_lin = jLinA * invMass,
- * friction rhs = 0, one cfm/mu per contact — and stored in fp32:
- * the contact path trades per-lane precision for twice the lane
- * width, which the tolerance-bounded Native contract explicitly
- * allows (DESIGN.md section 13). Every other island runs the scalar
- * reference sweep, which needs no scratch.
+ * contact structure — jLinB = -jLinA, M·J_lin = jLinA * invMass
+ * (read from PgsSweepCtx::invMass), friction rhs = 0, one cfm/mu per
+ * contact — and stored in fp32: the contact path trades per-lane
+ * precision for twice the lane width, which the tolerance-bounded
+ * Native contract explicitly allows (DESIGN.md section 13). Every
+ * other island runs the scalar reference sweep, which needs no
+ * scratch.
  *
  * Units are colored greedily (no two units in a color share a
  * dynamic body) and every color region is padded to a whole number
  * of packs with inert dummy slots (zero Jacobians, velocities
  * gathered from the zeroed dummy body, scatters masked off), so the
  * vector loop has no remainder handling. Units past the 64-color
- * budget go to a scalar tail. The unit coloring is cached keyed on
- * the (bodyA, bodyB) topology and reused while only row values
- * change between solves. Capacity is kept across solves, so once
- * reserved (KernelBackend::pgsReserve) a solve allocates nothing.
+ * budget go to a scalar tail. Capacity is kept across solves, so
+ * once reserved (KernelBackend::pgsReserve) a solve allocates
+ * nothing.
  */
 struct PgsScratch
 {
@@ -175,13 +181,6 @@ struct PgsScratch
     // fp32 mirror of the island body velocities (bodies + 1 slots;
     // the last is the zeroed dummy).
     std::vector<float> lvf, avf;
-
-    // Topology cache: coloring is reused while the island's
-    // (bodyA, bodyB) row streams are unchanged.
-    std::vector<std::int32_t> topoA, topoB;
-    std::size_t topoRows = 0;
-    int topoWidth = 0;
-    bool topoValid = false;
 
     // Coloring workspace.
     std::vector<std::uint64_t> bodyColorMask;
@@ -295,7 +294,7 @@ bool nativeSimdAvailable();
 
 /**
  * The preferred vector backend for this host, or nullptr when
- * unavailable (build without AVX2/NEON TU, or CPU lacks AVX2).
+ * unavailable (build without the AVX2 TU, or CPU lacks AVX2).
  */
 const KernelBackend *nativeKernelBackend();
 
@@ -318,16 +317,11 @@ SimdBackend simdBackendFromEnv(SimdBackend fallback);
 /** Parse a --simd= style value; returns false if unrecognized. */
 bool parseSimdBackend(const char *text, SimdBackend &out);
 
-/** True when every row of the island is part of a contact triplet
- *  (normal + two friction rows sharing one body pair, friction
- *  rhs 0, shared cfm, jLinB the exact negation of jLinA) — the
- *  precondition for the fused contact fast path. */
-bool pgsContactPatternMatches(const PgsSweepCtx &ctx);
-
-/** Build the unit coloring (cached on topology) and the compressed
- *  fp32 unit streams for the contact fast path. `width` is the
- *  vector lane count; every color region is padded to a multiple of
- *  it. Exposed for tests. */
+/** Build the unit coloring and the compressed fp32 unit streams for
+ *  the contact fast path, over an island whose rows are all contact
+ *  triplets (3 * ctx.contacts == ctx.rows). `width` is the vector
+ *  lane count; every color region is padded to a multiple of it.
+ *  Exposed for tests. */
 void buildPgsContactUnits(const PgsSweepCtx &ctx, PgsScratch &sc, int width);
 
 /** Reserve every stream buildPgsContactUnits sizes, for any island

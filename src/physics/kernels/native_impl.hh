@@ -2,20 +2,20 @@
  * @file
  * Width-generic vectorized kernels, templated on a simd_pack type
  * (the double-precision cloth kernels) and an fp32 ops policy (the
- * fused contact PGS sweep). Included ONLY by the target-specific TUs
- * (native_avx2.cc, native_avx512.cc, native_neon.cc) so intrinsic
- * code never leaks into the portable build. Cloth integration, the
- * one elementwise kernel, uses the same IEEE op sequence as the
- * scalar reference — no FMA — so its lanes are bitwise identical to
- * Scalar. The fused contact sweep is tolerance-bounded (fp32 streams,
- * color-major order) and free to fuse; a PGS island that is not all
- * contacts runs the scalar reference sweep itself.
+ * fused contact PGS sweep); every ISA supplies both. Included ONLY
+ * by the target-specific TUs (native_avx2.cc, native_avx512.cc) so
+ * intrinsic code never leaks into the portable build. Cloth
+ * integration, the one elementwise kernel, uses the same IEEE op
+ * sequence as the scalar reference — no FMA — so its lanes are
+ * bitwise identical to Scalar. The fused contact sweep is
+ * tolerance-bounded (fp32 streams, color-major order) and free to
+ * fuse; it runs an island whose rows are all contact triplets, as the
+ * solver counts them (PgsSweepCtx::contacts), and any other PGS
+ * island runs the scalar reference sweep itself.
  */
 
 #ifndef PARALLAX_PHYSICS_KERNELS_NATIVE_IMPL_HH
 #define PARALLAX_PHYSICS_KERNELS_NATIVE_IMPL_HH
-
-#include <type_traits>
 
 #include "kernel_backend.hh"
 #include "simd_pack.hh"
@@ -174,7 +174,7 @@ pgsContactSweep(const PgsSweepCtx &ctx, PgsScratch &sc, KernelStats &stats)
     stats.contactUnits += sc.units;
 }
 
-template <typename Pack, typename FOps = void>
+template <typename Pack, typename FOps>
 class NativeBackend final : public KernelBackend
 {
     static constexpr int W = Pack::W;
@@ -190,24 +190,19 @@ class NativeBackend final : public KernelBackend
     pgsSweep(const PgsSweepCtx &ctx, PgsScratch &sc,
              KernelStats &stats) const override
     {
-        // All-contact islands take the fused triplet path; any other
-        // island (joint rows, exotic bounds), and every island on an
-        // ISA without an fp32 ops policy, runs the scalar reference.
-        if constexpr (!std::is_void_v<FOps>) {
-            if (pgsContactPatternMatches(ctx)) {
-                pgsContactSweep<FOps>(ctx, sc, stats);
-                return;
-            }
-        }
-        scalarKernelBackend().pgsSweep(ctx, sc, stats);
+        // An island made only of contacts takes the fused triplet
+        // path; any island with joint rows runs the scalar reference.
+        if (ctx.rows != 0 && 3 * ctx.contacts == ctx.rows)
+            pgsContactSweep<FOps>(ctx, sc, stats);
+        else
+            scalarKernelBackend().pgsSweep(ctx, sc, stats);
     }
 
     void
     pgsReserve(std::size_t bodies, std::size_t rows,
                PgsScratch &sc) const override
     {
-        if constexpr (!std::is_void_v<FOps>)
-            reservePgsContactUnits(bodies, rows, FOps::W, sc);
+        reservePgsContactUnits(bodies, rows, FOps::W, sc);
     }
 
     void

@@ -5,15 +5,11 @@
  * A "pack" is W lanes of Real (double) with the small op vocabulary
  * the vectorized cloth integration and relaxation need: load/store,
  * broadcast, + - * /, sqrt, 32-bit-index gather, compares and masked
- * select. Two families exist:
- *
- *  - PackAvx2 (W=4, x86-64): one __m256d. Only defined in TUs built
- *    with -mavx2 (the build isolates those; see
- *    src/physics/CMakeLists.txt).
- *  - PackNeon (W=2, aarch64): one float64x2_t.
- *
- * PackX2<P> glues two packs into a double-width one: W=8 doubles for
- * the AVX-512 backend (two AVX2 halves) and W=4 for NEON.
+ * select. PackAvx2 (W=4, x86-64) is one __m256d, only defined in TUs
+ * built with -mavx2 (the build isolates those; see
+ * src/physics/CMakeLists.txt). PackX2<P> glues two packs into a
+ * double-width one: W=8 doubles for the AVX-512 backend (two AVX2
+ * halves).
  *
  * No op fuses, so each lane's arithmetic is the same IEEE sequence as
  * the scalar reference: cloth integration is bitwise identical per
@@ -30,9 +26,6 @@
 
 #if defined(__AVX2__)
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
 #endif
 
 namespace parallax
@@ -123,93 +116,6 @@ struct PackAvx2
 };
 
 #endif // __AVX2__
-
-#if defined(__aarch64__)
-
-/** NEON pack: 2 doubles in one float64x2_t. */
-struct PackNeon
-{
-    static constexpr int W = 2;
-    float64x2_t v;
-
-    struct Mask
-    {
-        uint64x2_t m;
-
-        unsigned
-        bits() const
-        {
-            return static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1u) |
-                   (static_cast<unsigned>(vgetq_lane_u64(m, 1) & 1u)
-                    << 1);
-        }
-
-        friend Mask
-        operator&(const Mask &a, const Mask &b)
-        {
-            return {vandq_u64(a.m, b.m)};
-        }
-    };
-
-    static PackNeon load(const double *p) { return {vld1q_f64(p)}; }
-    static PackNeon broadcast(double s) { return {vdupq_n_f64(s)}; }
-    static PackNeon zero() { return broadcast(0.0); }
-
-    static PackNeon
-    gather(const double *base, const std::int32_t *idx)
-    {
-        double lanes[2] = {base[idx[0]], base[idx[1]]};
-        return load(lanes);
-    }
-
-    void store(double *p) const { vst1q_f64(p, v); }
-
-    friend PackNeon
-    operator+(const PackNeon &a, const PackNeon &b)
-    {
-        return {vaddq_f64(a.v, b.v)};
-    }
-
-    friend PackNeon
-    operator-(const PackNeon &a, const PackNeon &b)
-    {
-        return {vsubq_f64(a.v, b.v)};
-    }
-
-    friend PackNeon
-    operator*(const PackNeon &a, const PackNeon &b)
-    {
-        return {vmulq_f64(a.v, b.v)};
-    }
-
-    friend PackNeon
-    operator/(const PackNeon &a, const PackNeon &b)
-    {
-        return {vdivq_f64(a.v, b.v)};
-    }
-
-    static PackNeon sqrt(const PackNeon &a) { return {vsqrtq_f64(a.v)}; }
-
-    static Mask
-    cmpGt(const PackNeon &a, const PackNeon &b)
-    {
-        return {vcgtq_f64(a.v, b.v)};
-    }
-
-    static Mask
-    cmpGe(const PackNeon &a, const PackNeon &b)
-    {
-        return {vcgeq_f64(a.v, b.v)};
-    }
-
-    static PackNeon
-    select(const Mask &m, const PackNeon &a, const PackNeon &b)
-    {
-        return {vbslq_f64(m.m, a.v, b.v)};
-    }
-};
-
-#endif // __aarch64__
 
 /** Double-width pack built from two P halves (W = 2 * P::W). */
 template <typename P>

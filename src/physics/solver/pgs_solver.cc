@@ -51,7 +51,8 @@ PgsSolver::reserve(std::size_t bodies, std::size_t rows,
 }
 
 void
-PgsSolver::solve(Island &island, const SolverParams &params)
+PgsSolver::solve(Island &island, const SolverParams &params,
+                 const ContactMaterial &material)
 {
     ++stats_.islandsSolved;
     const std::size_t capacity_before = ws_.capacitySum();
@@ -80,8 +81,8 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     Vec3 *lin_vel = ws_.linVel.data();
     Vec3 *ang_vel = ws_.angVel.data();
 
-    // Build rows into the SoA buffer, remembering each joint's slice
-    // for write-back.
+    // Build rows into the SoA buffer: the joints' rows, remembering
+    // each joint's slice for write-back, then three rows per contact.
     RowBuffer &rows = ws_.rows;
     rows.clear();
     ws_.slices.clear();
@@ -93,6 +94,9 @@ PgsSolver::solve(Island &island, const SolverParams &params)
         ws_.slices.push_back(
             Workspace::JointSlice{j, begin, rows.size() - begin});
     }
+    const std::size_t contact_begin = rows.size();
+    for (const ContactConstraint *c : island.contacts)
+        buildContactRows(*c, material, params, rows);
     const std::size_t n_rows = rows.size();
     stats_.rowsBuilt += n_rows;
     if (n_rows == 0) {
@@ -105,8 +109,8 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     }
 
     // Precompute M^-1 J^T and row diagonals. Body indices come from
-    // the joint recorded in each slice, so rows need no joint->body
-    // hash lookup either.
+    // the joint recorded in each slice and from each contact, so
+    // rows need no joint->body hash lookup either.
     ws_.mLinA.resize(n_rows);
     ws_.mAngA.resize(n_rows);
     ws_.mLinB.resize(n_rows);
@@ -115,17 +119,17 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     ws_.bodyA.resize(n_rows);
     ws_.bodyB.resize(n_rows);
 
-    auto indexOf = [](RigidBody *b) -> int {
+    auto indexOf = [](const RigidBody *b) -> int {
         if (b == nullptr || b->isStatic() || !b->enabled())
             return -1;
         return b->solverIndex();
     };
 
-    for (const Workspace::JointSlice &slice : ws_.slices) {
-        const int ia = indexOf(slice.joint->bodyA());
-        const int ib = indexOf(slice.joint->bodyB());
-        for (std::size_t r = slice.begin;
-             r < slice.begin + slice.count; ++r) {
+    auto precompute = [&](std::size_t begin, std::size_t count,
+                          const RigidBody *a, const RigidBody *b) {
+        const int ia = indexOf(a);
+        const int ib = indexOf(b);
+        for (std::size_t r = begin; r < begin + count; ++r) {
             ws_.bodyA[r] = ia;
             ws_.bodyB[r] = ib;
 
@@ -144,6 +148,15 @@ PgsSolver::solve(Island &island, const SolverParams &params)
             }
             ws_.invDiag[r] = diag > 1e-18 ? 1.0 / diag : 0.0;
         }
+    };
+    for (const Workspace::JointSlice &slice : ws_.slices) {
+        precompute(slice.begin, slice.count, slice.joint->bodyA(),
+                   slice.joint->bodyB());
+    }
+    std::size_t contact_row = contact_begin;
+    for (const ContactConstraint *c : island.contacts) {
+        precompute(contact_row, 3, c->bodyA, c->bodyB);
+        contact_row += 3;
     }
 
     // Warm start: rows carrying a previous-step impulse apply it
@@ -174,6 +187,7 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     // through that same scalar loop.
     PgsSweepCtx ctx;
     ctx.rows = n_rows;
+    ctx.contacts = island.contacts.size();
     ctx.jLinA = rows.jLinA.data();
     ctx.jAngA = rows.jAngA.data();
     ctx.jLinB = rows.jLinB.data();
@@ -193,6 +207,7 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     ctx.bodyA = ws_.bodyA.data();
     ctx.bodyB = ws_.bodyB.data();
     ctx.bodies = n_bodies;
+    ctx.invMass = ws_.invMass.data();
     ctx.linVel = lin_vel;
     ctx.angVel = ang_vel;
     ctx.iterations = iterations_;
@@ -211,8 +226,8 @@ PgsSolver::solve(Island &island, const SolverParams &params)
     }
     stats_.bodiesIntegrated += n_bodies;
 
-    // Feed solved impulses back to the joints: breakage checks and
-    // contact warm-start persistence.
+    // Feed solved impulses back: the joints' for breakage checks,
+    // the contacts' for the next step's warm start.
     for (const Workspace::JointSlice &slice : ws_.slices) {
         Real applied = 0;
         for (std::size_t r = slice.begin;
@@ -220,8 +235,11 @@ PgsSolver::solve(Island &island, const SolverParams &params)
             applied += std::fabs(rows.lambda[r]);
         }
         slice.joint->recordAppliedImpulse(applied, params.dt);
-        slice.joint->onSolved(rows.lambda.data() + slice.begin,
-                              static_cast<int>(slice.count));
+    }
+    const Real *solved = rows.lambda.data() + contact_begin;
+    for (ContactConstraint *c : island.contacts) {
+        std::copy_n(solved, 3, c->solved);
+        solved += 3;
     }
 
     if (ws_.capacitySum() > capacity_before)

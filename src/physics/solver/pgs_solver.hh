@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "physics/island/island.hh"
+#include "physics/joints/contact_constraint.hh"
 #include "physics/joints/joint.hh"
 #include "physics/kernels/kernel_backend.hh"
 
@@ -71,15 +72,18 @@ class PgsSolver
     explicit PgsSolver(int iterations = 20, Real sor = 1.0);
 
     /**
-     * Solve one island: gather rows from the island's joints,
-     * relax, apply the resulting impulses to body velocities, and
-     * feed applied impulses back to the joints (for breakage).
+     * Solve one island: gather rows from the island's joints, then
+     * from its contacts (under `material`), relax, apply the
+     * resulting impulses to body velocities, feed applied impulses
+     * back to the joints (for breakage) and store each contact's
+     * solved impulses in its ContactConstraint::solved.
      *
      * Body velocities must already include external forces
      * (integrateVelocities must have run). Position integration is
      * the caller's responsibility.
      */
-    void solve(Island &island, const SolverParams &params);
+    void solve(Island &island, const SolverParams &params,
+               const ContactMaterial &material);
 
     /**
      * Reserve the workspace for an island of `bodies` bodies,
@@ -126,7 +130,8 @@ class PgsSolver
         std::vector<Real> invDiag;
         std::vector<int> bodyA, bodyB;
 
-        /** Row range each joint emitted, for impulse write-back. */
+        /** Row range each joint emitted, for impulse write-back
+         *  (the contacts' rows follow the joints', three each). */
         struct JointSlice
         {
             Joint *joint;

@@ -1220,10 +1220,10 @@ World::phaseNarrowphase()
 void
 World::phaseIslandCreation()
 {
-    // 2(c).i (joints) + 2(d): create contact joints, then form
-    // islands of objects interconnected by joints. Serial phase.
-    contactJoints_.clear();
-    JointId next_contact_id = static_cast<JointId>(joints_.size());
+    // 2(c).i (joints) + 2(d): create the contact pool, then form
+    // islands of objects interconnected by joints and contacts.
+    // Serial phase.
+    contactConstraints_.clear();
     // Contacts arrive in ascending pair-key order (sorted broadphase
     // pairs, each pair's contacts contiguous) and the warm cache is
     // key-sorted, so the cache lookup is a cursor that only moves
@@ -1239,7 +1239,7 @@ World::phaseIslandCreation()
         // phaseBroadphase already dropped their pairs.
         RigidBody *ba = ga->body();
         RigidBody *bb = gb->body();
-        // Ensure bodyA is dynamic (Joint requires it).
+        // Ensure bodyA is dynamic (buildContactRows requires it).
         Contact contact = c;
         if (ba == nullptr || ba->isStatic()) {
             std::swap(ba, bb);
@@ -1250,10 +1250,10 @@ World::phaseIslandCreation()
             continue;
         if (bb != nullptr && !bb->enabled())
             continue;
-        ContactJoint &joint = contactJoints_.emplace_back(
-            next_contact_id++, ba,
-            (bb != nullptr && !bb->isStatic()) ? bb : nullptr,
-            contact, config_.defaultMaterial);
+        if (bb != nullptr && bb->isStatic())
+            bb = nullptr;
+        ContactConstraint &constraint =
+            contactConstraints_.emplace_back(ba, bb, contact);
 
         // Warm start: inherit the impulses of the nearest matching
         // contact from the previous step (same geom pair, within a
@@ -1279,33 +1279,32 @@ World::phaseIslandCreation()
         // normal flip (contact side change, e.g. a body tunneling
         // past a thin wall) pre-applies an impulse in the wrong
         // direction — injected energy the iterations then have to
-        // claw back.
+        // claw back. The carried impulse is damped slightly so stale
+        // contacts decay.
         if (best != nullptr && best->normal.dot(contact.normal) > 0.95) {
-            joint.setWarmStart(best->lambdas[0], best->lambdas[1],
-                               best->lambdas[2]);
+            for (int k = 0; k < 3; ++k)
+                constraint.warm[k] = 0.9 * best->lambdas[k];
         }
     }
-    stepStats_.contactJointsCreated = contactJoints_.size();
+    stepStats_.contactJointsCreated = contactConstraints_.size();
 
-    // Pointers into the pool are taken only now that it has stopped
-    // growing for this step.
-    allJointsScratch_.clear();
-    allJointsScratch_.reserve(joints_.size() + contactJoints_.size());
+    liveJoints_.clear();
     for (const auto &j : joints_) {
         if (!j->broken())
-            allJointsScratch_.push_back(j.get());
+            liveJoints_.push_back(j.get());
     }
-    for (ContactJoint &j : contactJoints_)
-        allJointsScratch_.push_back(&j);
-
-    islandBuilder_.build(bodyPtrs_, allJointsScratch_,
+    // The builder takes pointers into the contact pool, which has
+    // stopped growing for this step.
+    islandBuilder_.build(bodyPtrs_, liveJoints_, contactConstraints_,
                          lastIslandList_);
 
     stepStats_.islands.clear();
     for (const Island &island : lastIslandList_) {
         stepStats_.islands.push_back(IslandSummary{
             static_cast<int>(island.bodies.size()),
-            static_cast<int>(island.joints.size()), island.rows});
+            static_cast<int>(island.joints.size() +
+                             island.contacts.size()),
+            island.rows});
     }
 }
 
@@ -1468,7 +1467,8 @@ World::phaseIslandProcessing()
                         static_cast<std::int64_t>(island -
                                                   island_base));
                     laneSolvers_[lane].solve(*island,
-                                             paramsFor(*island));
+                                             paramsFor(*island),
+                                             config_.defaultMaterial);
                 }
             }
         });
@@ -1552,13 +1552,13 @@ World::phaseIslandProcessing()
     }
 
     // Persist this step's solved contact impulses for warm starting
-    // the next step's matching contacts. Contact joints are in
-    // ascending key order, so appending them in order leaves the
-    // flat cache key-sorted, each pair's entries in insertion order.
+    // the next step's matching contacts. The pool is in ascending key
+    // order, so appending it in order leaves the flat cache
+    // key-sorted, each pair's entries in insertion order.
     warmCache_.clear();
-    for (const ContactJoint &joint : contactJoints_) {
-        const Contact &c = joint.contact();
-        const Real *l = joint.solvedLambdas();
+    for (const ContactConstraint &constraint : contactConstraints_) {
+        const Contact &c = constraint.contact;
+        const Real *l = constraint.solved;
         warmCache_.push_back(WarmEntry{
             warmKey(c),
             CachedContact{c.position, c.normal, {l[0], l[1], l[2]}}});

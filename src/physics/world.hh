@@ -27,7 +27,7 @@
 #include "physics/governor/governor.hh"
 #include "physics/island/island.hh"
 #include "physics/joints/articulated_joints.hh"
-#include "physics/joints/contact_joint.hh"
+#include "physics/joints/contact_constraint.hh"
 #include "physics/narrowphase/collide.hh"
 #include "physics/parallel/task_scheduler.hh"
 #include "physics/raycast.hh"
@@ -382,9 +382,10 @@ class World
     const std::vector<Island> &lastIslandPartition() const
     { return lastIslandList_; }
 
-    /** Contact joints created during the last step. */
-    const std::vector<ContactJoint> &lastContactJoints() const
-    { return contactJoints_; }
+    /** The last step's contact pool: its contacts in ascending
+     *  geom-pair key order, with the impulses the solver stored. */
+    const std::vector<ContactConstraint> &lastContactConstraints() const
+    { return contactConstraints_; }
 
     Real time() const { return time_; }
     const WorldConfig &config() const { return config_; }
@@ -581,16 +582,16 @@ class World
     // step loop performs no heap allocations in these containers.
     std::vector<GeomPair> lastPairs_;
     std::vector<Contact> lastContacts_;
-    /** This step's contact joints, by value: the pool keeps its
-     *  capacity across steps, and pointers into it are taken only
-     *  once it is full for the step. */
-    std::vector<ContactJoint> contactJoints_;
+    /** This step's contacts, by value: the pool keeps its capacity
+     *  across steps, and the island builder takes pointers into it
+     *  only once it is full for the step. */
+    std::vector<ContactConstraint> contactConstraints_;
     std::vector<Island> lastIslandList_;
     StepStats stepStats_;
     /** Geom pointer array handed to the broadphase each step. */
     std::vector<Geom *> geomPtrs_;
-    /** Permanent + contact joints fed to the island builder. */
-    std::vector<Joint *> allJointsScratch_;
+    /** Live permanent joints fed to the island builder. */
+    std::vector<Joint *> liveJoints_;
     /** Awake islands in index order, and batch offsets into that
      *  list: batch b spans solveIslands_[islandBatchOffsets_[b] ..
      *  islandBatchOffsets_[b+1]). Small islands pack together until
@@ -753,7 +754,7 @@ class World
     /**
      * Flat warm cache: one entry per cached contact, sorted by key,
      * each pair's entries in insertion order. It is rebuilt each step
-     * by appending the contact joints in order, which are already in
+     * by appending the contact pool in order, which is already in
      * ascending key order, so it needs no sort; lookups walk it with
      * a forward cursor. Restored caches must keep keys ascending
      * (restoreState rejects any other order).

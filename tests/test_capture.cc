@@ -493,12 +493,13 @@ TEST(CaptureCorpus, UnorderedWarmCacheKeysFailReadably)
     for (int i = 0; i < 5; ++i)
         world->step();
 
-    // The warm cache is this step's contact joints in order, one
+    // The warm cache is this step's contact pool in order, one
     // group per geom pair: u64 key, u32 count, 72 bytes per entry.
     std::vector<std::uint64_t> keys;
     std::vector<std::uint32_t> counts;
-    for (const ContactJoint &joint : world->lastContactJoints()) {
-        const Contact &c = joint.contact();
+    for (const ContactConstraint &constraint :
+         world->lastContactConstraints()) {
+        const Contact &c = constraint.contact;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(std::min(c.geomA, c.geomB))
              << 32) |

@@ -185,5 +185,65 @@ TEST_F(IslandTest, DeterministicOutputOrder)
     }
 }
 
+TEST_F(IslandTest, ContactMergesSeparateBodies)
+{
+    // Two bodies with no joint between them: a contact alone joins
+    // their islands.
+    RigidBody *a = makeBody({0, 0, 0});
+    RigidBody *b = makeBody({1, 0, 0});
+    ASSERT_EQ(builder_.build(ptrs_, {}).size(), 2u);
+    std::vector<ContactConstraint> pool{
+        ContactConstraint{a, b, Contact{}}};
+    const auto islands = builder_.build(ptrs_, {}, pool);
+    ASSERT_EQ(islands.size(), 1u);
+    EXPECT_EQ(islands[0].bodies.size(), 2u);
+    EXPECT_TRUE(islands[0].joints.empty());
+    ASSERT_EQ(islands[0].contacts.size(), 1u);
+    EXPECT_EQ(islands[0].contacts[0], &pool[0]);
+    EXPECT_EQ(islands[0].rows, 3);
+}
+
+TEST_F(IslandTest, ContactsFollowJointsInPoolOrder)
+{
+    // Islands {a, b} (a ball joint plus two contacts) and {c, d}
+    // (contacts only). Joints stay in `joints`, and each island's
+    // contacts are its pool entries in pool order.
+    RigidBody *a = makeBody({0, 0, 0});
+    RigidBody *b = makeBody({1, 0, 0});
+    RigidBody *c = makeBody({5, 0, 0});
+    RigidBody *d = makeBody({6, 0, 0});
+    RigidBody *ground = makeBody({0, -1, 0}, true);
+    Joint *j = link(a, b);
+    std::vector<ContactConstraint> pool{
+        ContactConstraint{c, d, Contact{}},
+        ContactConstraint{b, nullptr, Contact{}},
+        ContactConstraint{d, ground, Contact{}},
+        ContactConstraint{a, b, Contact{}}};
+    const auto islands = builder_.build(ptrs_, jointPtrs_, pool);
+    ASSERT_EQ(islands.size(), 2u);
+
+    const Island &ab = islands[a->islandId()];
+    ASSERT_EQ(ab.bodies.size(), 2u);
+    ASSERT_EQ(ab.joints.size(), 1u);
+    EXPECT_EQ(ab.joints[0], j);
+    ASSERT_EQ(ab.contacts.size(), 2u);
+    EXPECT_EQ(ab.contacts[0], &pool[1]);
+    EXPECT_EQ(ab.contacts[1], &pool[3]);
+    EXPECT_EQ(ab.rows, j->numRows() + 3 * 2);
+
+    const Island &cd = islands[c->islandId()];
+    EXPECT_EQ(d->islandId(), c->islandId());
+    EXPECT_TRUE(cd.joints.empty());
+    ASSERT_EQ(cd.contacts.size(), 2u);
+    EXPECT_EQ(cd.contacts[0], &pool[0]);
+    EXPECT_EQ(cd.contacts[1], &pool[2]);
+    EXPECT_EQ(cd.rows, 3 * 2);
+
+    // The visit count covers the joint and every contact.
+    EXPECT_EQ(builder_.stats().jointsVisited, 1u + pool.size());
+    EXPECT_EQ(builder_.stats().largestIslandRows,
+              static_cast<std::uint64_t>(ab.rows));
+}
+
 } // namespace
 } // namespace parallax

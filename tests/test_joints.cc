@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "physics/joints/articulated_joints.hh"
-#include "physics/joints/contact_joint.hh"
+#include "physics/joints/contact_constraint.hh"
 
 namespace parallax
 {
@@ -32,7 +32,7 @@ class JointTest : public ::testing::Test
     std::vector<std::unique_ptr<RigidBody>> bodies_;
 };
 
-TEST_F(JointTest, ContactJointProducesThreeRows)
+TEST_F(JointTest, ContactConstraintProducesThreeRows)
 {
     RigidBody *a = makeBody({0, 1, 0});
     RigidBody *b = makeBody({0, -1, 0});
@@ -40,9 +40,11 @@ TEST_F(JointTest, ContactJointProducesThreeRows)
     c.position = {0, 0, 0};
     c.normal = {0, 1, 0};
     c.depth = 0.1;
-    ContactJoint joint(0, a, b, c, ContactMaterial{});
+    ContactConstraint contact{a, b, c};
+    contact.warm[0] = 0.25;
+    contact.warm[2] = -0.5;
     RowBuffer rows;
-    joint.buildRows(params_, rows);
+    buildContactRows(contact, ContactMaterial{}, params_, rows);
     ASSERT_EQ(rows.size(), 3u);
 
     // Normal row: non-negative impulse bound, positive bias from
@@ -59,6 +61,16 @@ TEST_F(JointTest, ContactJointProducesThreeRows)
     EXPECT_NEAR(rows[1].jLinA.dot(c.normal), 0.0, 1e-12);
     EXPECT_NEAR(rows[2].jLinA.dot(c.normal), 0.0, 1e-12);
     EXPECT_NEAR(rows[1].jLinA.dot(rows[2].jLinA), 0.0, 1e-12);
+    // Body B's Jacobian is the exact negation of A's linear part.
+    for (std::size_t r = 0; r < 3; ++r) {
+        EXPECT_EQ(rows[r].jLinB.x, -rows[r].jLinA.x);
+        EXPECT_EQ(rows[r].jLinB.y, -rows[r].jLinA.y);
+        EXPECT_EQ(rows[r].jLinB.z, -rows[r].jLinA.z);
+    }
+    // Each row starts from the contact's warm impulse.
+    EXPECT_EQ(rows[0].lambda, 0.25);
+    EXPECT_EQ(rows[1].lambda, 0.0);
+    EXPECT_EQ(rows[2].lambda, -0.5);
 }
 
 TEST_F(JointTest, ContactRestitutionAddsBounceBias)
@@ -71,9 +83,9 @@ TEST_F(JointTest, ContactRestitutionAddsBounceBias)
     c.depth = 0.01;
     ContactMaterial mat;
     mat.restitution = 0.5;
-    ContactJoint joint(0, a, nullptr, c, mat);
     RowBuffer rows;
-    joint.buildRows(params_, rows);
+    buildContactRows(ContactConstraint{a, nullptr, c}, mat, params_,
+                     rows);
     // Bias should demand a rebound velocity ~ e * |vn| = 2.5.
     EXPECT_NEAR(rows[0].rhs, 2.5, 0.3);
 }

@@ -13,7 +13,7 @@
  * so their trajectories are tolerance-bounded, not bitwise — those
  * tests assert convergence and bound invariants instead of bits.
  *
- * On hosts without AVX2/NEON every Native-specific test SKIPs (the
+ * On hosts without AVX2 every Native-specific test SKIPs (the
  * seam itself degrades to scalar there, which ParseAndDispatch still
  * covers).
  */
@@ -49,7 +49,7 @@ vectorBackends()
     do {                                                             \
         if (vectorBackends().empty())                                \
             GTEST_SKIP()                                             \
-                << "host has no AVX2/NEON; Native degrades to "      \
+                << "host has no AVX2; Native degrades to "           \
                    "scalar and the vector paths cannot be tested";   \
     } while (0)
 
@@ -458,6 +458,10 @@ TEST(KernelCloth, RelaxChainConvergesToRestLength)
 struct RowSet
 {
     std::size_t bodies;
+    /** The last 3 * contacts rows are contact triplets (ContactSet),
+     *  over bodies of inverse mass invMass. */
+    std::size_t contacts = 0;
+    std::vector<Real> invMass;
     std::vector<Vec3> jla, jaa, jlb, jab, mla, maa, mlb, mab;
     std::vector<Real> rhs, cfm, invDiag, mu, lo, hi, lambda;
     std::vector<int> normalRow, bodyA, bodyB;
@@ -511,6 +515,7 @@ struct RowSet
     {
         PgsSweepCtx c;
         c.rows = rhs.size();
+        c.contacts = contacts;
         c.jLinA = jla.data(); c.jAngA = jaa.data();
         c.jLinB = jlb.data(); c.jAngB = jab.data();
         c.mLinA = mla.data(); c.mAngA = maa.data();
@@ -522,6 +527,7 @@ struct RowSet
         c.normalRow = normalRow.data();
         c.bodyA = bodyA.data(); c.bodyB = bodyB.data();
         c.bodies = bodies;
+        c.invMass = invMass.data();
         c.linVel = linVel.data();
         c.angVel = angVel.data();
         c.iterations = iterations;
@@ -534,13 +540,13 @@ struct RowSet
 // PGS contact fast path (fused fp32 triplets)
 // ---------------------------------------------------------------
 
-/** A triplet row set shaped exactly like ContactJoint output: per
- *  contact a unilateral normal row plus two friction rows over an
- *  orthonormal frame, with M·J consistent with diagonal per-body
+/** A triplet row set shaped exactly like buildContactRows output:
+ *  per contact a unilateral normal row plus two friction rows over
+ *  an orthonormal frame, with M·J consistent with diagonal per-body
  *  inverse mass/inertia (so the sweep converges). */
 struct ContactSet : RowSet
 {
-    std::vector<Real> invMass, invInertia;
+    std::vector<Real> invInertia;
 
     ContactSet(std::size_t nBodies, unsigned seed)
         : RowSet(nBodies, seed)
@@ -577,6 +583,7 @@ struct ContactSet : RowSet
                 0.2 * std::fabs(u(rng)), 0.0);
         pushRow(ia, ib, r0, t1, ra, rb, 0.0, 0.5);
         pushRow(ia, ib, r0, t2, ra, rb, 0.0, 0.5);
+        ++contacts;
     }
 
     void
@@ -617,64 +624,6 @@ struct ContactSet : RowSet
     }
 };
 
-TEST(KernelPgsContact, PatternDetection)
-{
-    // Positive: pure ContactJoint triplets match.
-    ContactSet good(8, 41);
-    for (int c = 0; c < 9; ++c)
-        good.addContact(c % 8, (c + 3) % 8 == c % 8 ? -1
-                                                    : (c + 3) % 8,
-                        400u + static_cast<unsigned>(c));
-    EXPECT_TRUE(pgsContactPatternMatches(good.ctx(1)));
-
-    // A joint row appended (not %3 == 0) must reject.
-    {
-        ContactSet s = good;
-        s.addRow(0, 1, -1, 999);
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    // A bilateral first row (lo != 0) must reject.
-    {
-        ContactSet s = good;
-        s.lo[0] = -1e30;
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    // A bounded normal (hi finite) must reject.
-    {
-        ContactSet s = good;
-        s.hi[0] = 10.0;
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    // Friction rhs != 0 (restitution-style bias) must reject.
-    {
-        ContactSet s = good;
-        s.rhs[1] = 0.01;
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    // Per-row cfm override must reject.
-    {
-        ContactSet s = good;
-        s.cfm[2] = 1e-6;
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    // jLinB != -jLinA (non-contact Jacobian) must reject.
-    {
-        ContactSet s = good;
-        std::size_t r = 0;
-        while (s.bodyB[r] < 0)
-            ++r;
-        s.jlb[r].x += 1e-9;
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    // Friction rows pointing at the wrong normal must reject.
-    {
-        ContactSet s = good;
-        s.normalRow[4] = 0;
-        EXPECT_FALSE(pgsContactPatternMatches(s.ctx(1)));
-    }
-    EXPECT_EQ(good.rhs.size() % 3, 0u);
-}
-
 TEST(KernelPgsContact, DisjointTripletsMatchScalarToFloatTolerance)
 {
     SKIP_WITHOUT_SIMD();
@@ -691,7 +640,6 @@ TEST(KernelPgsContact, DisjointTripletsMatchScalarToFloatTolerance)
             c % 5 == 0 ? -1 : static_cast<int>(c * 2 + 1);
         ref.addContact(ia, ib, 500u + static_cast<unsigned>(c));
     }
-    ASSERT_TRUE(pgsContactPatternMatches(ref.ctx(1)));
     for (const KernelBackend *native : vectorBackends()) {
         ContactSet s = ref, v = ref;
         PgsScratch scratch, vscratch;
@@ -735,7 +683,6 @@ TEST(KernelPgsContact, SharedPileHoldsConeAndStaticSlot)
             ib = -1;
         rows.addContact(ia, ib, 600u + static_cast<unsigned>(c));
     }
-    ASSERT_TRUE(pgsContactPatternMatches(rows.ctx(1)));
     for (const KernelBackend *native : vectorBackends()) {
         ContactSet v = rows;
         PgsScratch scratch;
@@ -774,7 +721,6 @@ TEST(KernelPgsContact, ColorOverflowRunsScalarTail)
     ContactSet rows(1, 71);
     for (int c = 0; c < contacts; ++c)
         rows.addContact(0, -1, 700u + static_cast<unsigned>(c));
-    ASSERT_TRUE(pgsContactPatternMatches(rows.ctx(1)));
     for (const KernelBackend *native : vectorBackends()) {
         ContactSet v = rows;
         PgsScratch scratch;
@@ -921,16 +867,16 @@ TEST(KernelPgs, SharedBodiesRespectBoundsAndStayFinite)
 TEST(KernelPgsContact, NonTripletRowsFallBackToGenericPath)
 {
     SKIP_WITHOUT_SIMD();
-    // One joint-style row mixed in routes the whole island off the
-    // fused path to the general-row path, the scalar reference
-    // sweep: contactUnits stays zero and the results match Scalar
-    // bit for bit.
+    // One joint-style row ahead of the contacts routes the whole
+    // island off the fused path to the general-row path, the scalar
+    // reference sweep: contactUnits stays zero and the results match
+    // Scalar bit for bit.
     ContactSet rows(8, 81);
+    rows.addRow(0, 1, -1, 901);
     for (int c = 0; c < 10; ++c)
         rows.addContact(c % 8, (c + 1) % 8,
                         800u + static_cast<unsigned>(c));
-    rows.addRow(0, 1, -1, 901);
-    ASSERT_FALSE(pgsContactPatternMatches(rows.ctx(1)));
+    ASSERT_EQ(rows.contacts, 10u);
     for (const RowSet &v : expectScalarSweepBitwise(rows, 6))
         for (std::size_t r = 0; r < v.lambda.size(); ++r)
             ASSERT_TRUE(std::isfinite(v.lambda[r])) << "row " << r;

@@ -336,11 +336,11 @@ TEST(World, JointedBodiesNeverCollide)
         EXPECT_TRUE(control_pair);
         for (const Contact &contact : world.lastContacts())
             EXPECT_FALSE(joined(contact.geomA, contact.geomB));
-        EXPECT_GT(world.lastContactJoints().size(), 0u);
-        for (const ContactJoint &joint : world.lastContactJoints()) {
-            const bool ab =
-                (joint.bodyA() == a && joint.bodyB() == b) ||
-                (joint.bodyA() == b && joint.bodyB() == a);
+        EXPECT_GT(world.lastContactConstraints().size(), 0u);
+        for (const ContactConstraint &c :
+             world.lastContactConstraints()) {
+            const bool ab = (c.bodyA == a && c.bodyB == b) ||
+                            (c.bodyA == b && c.bodyB == a);
             EXPECT_FALSE(ab);
         }
     }

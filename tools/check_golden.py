@@ -8,9 +8,11 @@ per benchmark scene and worker count, and `tools/state_hash 150 1.0
 --simd=scalar --scene=deformable` those of the full-scale Deformable
 scene, so a change that promises bitwise-unchanged trajectories must
 reproduce tests/golden/state_hash.golden and
-tests/golden/state_hash_deformable.golden byte for byte. Only the
-scalar backend is pinned: the native fingerprint depends on the host
-ISA. The
+tests/golden/state_hash_deformable.golden byte for byte.
+`state_hash_native_golden` pins `tools/state_hash 60 0.25
+--simd=native` in tests/golden/state_hash_native.golden; those
+fingerprints depend on the host's vector ISA, which the first line
+names, so that test skips when line 1 differs. The
 `fault_storm_json` and `server_storm_json` tests pin the JSON summary
 lines of those drivers (quarantine, rollback and eviction counts)
 the same way.
