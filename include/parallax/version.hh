@@ -20,12 +20,11 @@
  * dominant-first dealing order; v9 made contacts plain
  * ContactConstraint records that islands carry beside their joints,
  * and dropped Joint::onSolved and the per-row joint id); the minor
- * number bumps when the
- * surface grows compatibly. Internal headers under src/ carry no
- * compatibility promise at all — consumers that reach past
- * include/parallax/ are on their own, and the check_public_api ctest
- * guard keeps the in-tree benches, examples and tools honest about
- * it.
+ * number bumps when the surface grows compatibly. Internal headers
+ * under src/ carry no compatibility promise at all — consumers that
+ * reach past include/parallax/ are on their own, and the
+ * check_public_api ctest guard keeps the in-tree benches, examples
+ * and tools honest about it.
  */
 
 #ifndef PARALLAX_PUBLIC_VERSION_HH

@@ -3,11 +3,11 @@
  * Island creation: connected components of interacting objects.
  *
  * After joints and contacts link interacting objects together, the
- * engine steps through all objects to form islands (section 3.2). This phase
- * is serializing: the full contact topology isn't known until the
- * last pair is examined, and only then can the constraint solvers
- * begin. Islands are independent of one another, which is the source
- * of Island Processing's coarse-grain parallelism.
+ * engine steps through all objects to form islands (section 3.2).
+ * This phase is serializing: the full contact topology isn't known
+ * until the last pair is examined, and only then can the constraint
+ * solvers begin. Islands are independent of one another, which is
+ * the source of Island Processing's coarse-grain parallelism.
  */
 
 #ifndef PARALLAX_PHYSICS_ISLAND_ISLAND_HH

@@ -83,8 +83,8 @@ struct SolverParams
  * iteration; splitting the fields into parallel arrays lets those
  * reads stream linearly (and the lambda/bounds updates vectorize)
  * instead of striding over 11-field structs. Joints and contacts
- * still emit rows one at a time via push_back(), which scatters the AoS
- * ConstraintRow into the arrays; operator[] gathers one back for
+ * still emit rows one at a time via push_back(), which scatters the
+ * AoS ConstraintRow into the arrays; operator[] gathers one back for
  * callers (tests, debugging) that want the struct view.
  *
  * clear() keeps capacity, so a persistent RowBuffer stops allocating
